@@ -28,6 +28,7 @@ from .semigroups import (
     left_quotient,
     right_translate,
     set_quotient,
+    trace_set,
 )
 
 EXACT_WITNESS_LIMIT = 12
@@ -51,15 +52,6 @@ class SizeVerdict:
     witness: Optional[int] = None
 
 
-def trace_set(S: FinSemigroup, A: int, g: int) -> int:
-    """{x : x*g in A} - the trace of A at the principal ultrafilter of g."""
-    pre = S.col_pre[g]
-    out = 0
-    for b in bits(A):
-        out |= pre[b]
-    return out
-
-
 def delta_tau(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
     """{x : x^-1 A meets A inside every filter member} (reduces to the base)."""
     U0 = tau.base
@@ -79,12 +71,17 @@ def large_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
     return is_subset(U0, set_quotient(S, U0, A))
 
 
-def thick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
+def _thick_point(S: FinSemigroup, tau: PrincipalFilter, A: int) -> Optional[int]:
+    """Some x in U0 with U0*x <= A (the least), or None when A is not thick."""
     U0 = tau.base
     for x in bits(U0):
         if is_subset(right_translate(S, U0, x), A):
-            return True
-    return False
+            return x
+    return None
+
+
+def thick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
+    return _thick_point(S, tau, A) is not None
 
 
 def extrathick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
@@ -162,17 +159,9 @@ def is_tau_large(
 def is_tau_thick(
     S: FinSemigroup, tau: PrincipalFilter, A: int, with_witness: bool = True
 ) -> SizeVerdict:
-    U0 = tau.base
-    witness = None
-    value = False
-    for x in bits(U0):
-        if is_subset(right_translate(S, U0, x), A):
-            value = True
-            witness = 1 << x
-            break
-    if not with_witness:
-        witness = None
-    return SizeVerdict("thick", not tau.is_trivial, value, witness)
+    x = _thick_point(S, tau, A)
+    witness = 1 << x if x is not None and with_witness else None
+    return SizeVerdict("thick", not tau.is_trivial, x is not None, witness)
 
 
 def is_tau_extrathick(

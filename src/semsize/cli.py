@@ -40,6 +40,7 @@ from .semigroups import (
 from .theorems import (
     HUNT_VARIANTS,
     THEOREM_IDS,
+    THEOREMS,
     VerifyConfig,
     hunt_counterexample,
     verify,
@@ -49,12 +50,6 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
-
-_INPUT_ERRORS = (
-    SchemaError,
-    EmptyBase,
-    ValueError,
-)
 
 
 def _dump(payload: dict) -> str:
@@ -235,11 +230,9 @@ def _build_catalog(args):
 
 
 def _cmd_verify(args) -> int:
-    from .theorems import CHECKERS
-
     ids = list(THEOREM_IDS) if args.theorem == "all" else [args.theorem]
     for tid in ids:
-        if tid not in CHECKERS:
+        if tid not in THEOREMS:
             raise SchemaError(f"unknown theorem id {tid!r}")
     entries = _build_catalog(args)
     cfg = VerifyConfig(cells=args.cells, workers=args.workers)
@@ -373,7 +366,12 @@ def _cmd_search(args) -> int:
     key = _checkpoint_key(args)
     if args.checkpoint and os.path.exists(args.checkpoint):
         with open(args.checkpoint, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
+            try:
+                saved = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(
+                    f"{args.checkpoint}: not a checkpoint ({exc})"
+                ) from exc
         if saved.get("key") == key:
             start_index = saved["completed"]
             state = saved["state"]
@@ -513,9 +511,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SizeLimitExceeded, TimeBudgetExceeded) as exc:
         _diag(args, str(exc), kind="limit")
         return EXIT_LIMIT
-    except _INPUT_ERRORS as exc:
-        _diag(args, str(exc), kind="input")
-        return EXIT_INPUT
     except SemsizeError as exc:
         _diag(args, str(exc), kind="input")
         return EXIT_INPUT

@@ -5,6 +5,10 @@ class SemsizeError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InputError(SemsizeError, ValueError):
+    """An argument no computation can use, such as a zero cell count."""
+
+
 class DimensionError(SemsizeError):
     """Cayley table does not have the declared shape or entry range."""
 

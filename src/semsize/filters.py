@@ -13,12 +13,13 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import EmptyBase, NotAGroup, ProductLawViolation
-from .masks import bits, is_subset, supersets
+from .masks import is_subset, supersets
 from .semigroups import (
     FinSemigroup,
     is_subgroup,
     left_quotient,
     product_set,
+    trace_set,
     translate_set,
 )
 
@@ -72,20 +73,12 @@ def ultrafilter_product(S: FinSemigroup, p: int, q: int, A: int) -> bool:
     """
     direct = bool((A >> S.table[p][q]) & 1)
     # A_q = {x : x*q in A}; membership of p in it
-    via_trace = bool((1 << p) & _trace_mask(S, A, q))
+    via_trace = bool((1 << p) & trace_set(S, A, q))
     if direct != via_trace:
         raise ProductLawViolation(
             f"product rule mismatch at p={p} q={q} A={bin(A)}"
         )
     return direct
-
-
-def _trace_mask(S: FinSemigroup, A: int, g: int) -> int:
-    pre = S.col_pre[g]
-    out = 0
-    for b in bits(A):
-        out |= pre[b]
-    return out
 
 
 HYPOTHESIS_KINDS = (

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .classify import delta_tau
-from .errors import BoundViolation, NotAGroup, SizeLimitExceeded
+from .errors import BoundViolation, InputError, NotAGroup, SizeLimitExceeded
 from .filters import PrincipalFilter
 from .masks import elements, is_subset, mask_of, popcount, supersets
 from .semigroups import (
@@ -252,7 +252,7 @@ def enumerate_partitions(
     """
     m = popcount(domain)
     if n < 1:
-        raise ValueError("need at least one cell")
+        raise InputError("need at least one cell")
     domain_elems = elements(domain)
     group = None
     if symmetry:
@@ -387,7 +387,7 @@ def sweep_partitions(
                 },
             )
     if not parts:
-        raise ValueError(
+        raise InputError(
             f"no {n}-cell partitions of the swept domains (base too small)"
         )
     if argmax is None:

@@ -151,6 +151,15 @@ def left_quotient(S: FinSemigroup, a: int, B: int) -> int:
     return out
 
 
+def trace_set(S: FinSemigroup, A: int, g: int) -> int:
+    """{x : x*g in A} - the trace of A at the principal ultrafilter of g."""
+    pre = S.col_pre[g]
+    out = 0
+    for b in bits(A):
+        out |= pre[b]
+    return out
+
+
 def set_quotient(S: FinSemigroup, A: int, B: int) -> int:
     """Union of left_quotient(a, B) over a in A; empty A gives empty."""
     out = 0
@@ -529,6 +538,7 @@ __all__ = [
     "serialize_table",
     "enumerate_semigroups",
     "left_quotient",
+    "trace_set",
     "set_quotient",
     "translate_set",
     "right_translate",

@@ -6,63 +6,57 @@ reported with enough material to replay it in isolation.  Hypothesis-dropped
 variants live in `hunt_counterexample`, where a hit is a finding, not a
 failure.
 
+Every theorem and hunt is one `Spec` in `THEOREMS` or `HUNTS`, and one driver
+serves `verify`, `hunt_counterexample` and `replay`.  The fields of a spec:
+
+* ``claim(S, tau, tb, cfg)``: the per-subset loop over the instance's
+  `SizeTables` ``tb``; returns the number of assertions made and the detail
+  (plain JSON values) of the first failure, or None;
+* ``hypothesis``: the `check_hypothesis` kind a filter must satisfy, or None;
+  with ``negate`` only filters that fail it are admitted (a dropped hypothesis);
+* ``groups``: True admits only groups, False only non-groups, None both;
+* ``admit(S, tau, cfg)``: any further admission test (size limits, cells);
+* ``annotate_forced``: see the degeneracy rule below; ``tables``: False when
+  the claim reads no `SizeTables` (it then gets None, and none are built);
+* ``finding``: a hunt's counterexample text; ``notes``: fixed report notes.
+
 Degeneracy accounting: an admissible instance is degenerate when it asserted
 nothing (empty inner domain) or when its hypothesis admits no base other
-than the full set, so the run only exercised the absolute theory.  The lone
-exception is the prethick/not-small equivalence on groups, whose hypothesis
-always collapses onto the absolute case; those instances are annotated
-instead of discounted, otherwise the check could never be effective.
+than the full set, so the run only exercised the absolute theory.  Only
+`verify` counts these forced bases; a hunt's hypothesis is dropped or
+negated, so it has none.  The lone exception is the prethick/not-small
+equivalence on groups (``annotate_forced``), whose hypothesis always
+collapses onto the absolute case; those instances are annotated instead of
+discounted, otherwise the check could never be effective.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry
-from .classify import SizeTables, delta_tau, trace_set
-from .errors import BoundViolation
+from .classify import SizeTables, delta_tau
+from .errors import BoundViolation, InputError
 from .filters import (
     PrincipalFilter,
     check_hypothesis,
     hypothesis_forces_full_base,
 )
-from .masks import bits, elements, is_subset, popcount
+from .masks import bits, elements, is_subset, mask_of, popcount
 from .partitions import SWEEP_ORDER_LIMIT, enumerate_partitions, sweep_partitions
 from .semigroups import (
     FinSemigroup,
     is_subgroup,
     left_quotient,
     minimal_left_ideals,
+    trace_set,
     translate_set,
 )
-
-THEOREM_IDS = (
-    "T2_1",
-    "T2_2",
-    "T2_3",
-    "T2_4",
-    "C2_5",
-    "T2_6",
-    "T3_1",
-    "C3_1",
-    "T3_2",
-    "T3_5",
-    "T3_6",
-    "T3_7",
-)
-
-HUNT_VARIANTS = {
-    "T2_6_large": "shift stability of large sets under the neighborhood-shift "
-    "hypothesis (the thick conclusion with large in its place)",
-    "T2_3_no_extrathick": "thick = meets-every-large with the extrathick "
-    "hypothesis dropped",
-    "T3_6_semigroup": "prethick iff not small on non-group semigroups with a "
-    "left invariant filter",
-}
 
 
 @dataclass
@@ -75,15 +69,11 @@ class VerifyConfig:
     def resolved_workers(self) -> int:
         if self.workers > 0:
             return self.workers
-        return max(1, int(os.environ.get("SEMSIZE_WORKERS", "1")))
-
-
-@dataclass
-class InstanceOutcome:
-    admissible: bool = True
-    assertions: int = 0
-    forced_base: bool = False
-    counterexample: Optional[dict] = None
+        text = os.environ.get("SEMSIZE_WORKERS", "1")
+        try:
+            return max(1, int(text))
+        except ValueError:
+            raise InputError(f"SEMSIZE_WORKERS is not an integer: {text!r}") from None
 
 
 @dataclass
@@ -125,171 +115,107 @@ class TheoremReport:
         return out
 
 
+@dataclass(frozen=True)
+class Spec:
+    """One theorem or hunt; the fields are described in the module docstring."""
+
+    claim: Callable[..., Tuple[int, Optional[dict]]]
+    hypothesis: Optional[str] = None
+    negate: bool = False
+    groups: Optional[bool] = None
+    admit: Optional[Callable[..., bool]] = None
+    annotate_forced: bool = False
+    tables: bool = True
+    finding: Optional[str] = None
+    notes: Tuple[str, ...] = ()
+
+
 @lru_cache(maxsize=None)
 def _tables(S: FinSemigroup, base: int) -> SizeTables:
     return SizeTables(S, PrincipalFilter(S, base))
 
 
-def _detail_mask(mask: int) -> List[int]:
-    return elements(mask)
-
-
-def _counterexample(S: FinSemigroup, tau: PrincipalFilter, **detail) -> dict:
-    shown = {}
-    for key, value in detail.items():
-        if key.endswith("_mask"):
-            shown[key[: -len("_mask")]] = _detail_mask(value)
-        else:
-            shown[key] = value
-    return {
-        "semigroup": S.name,
-        "order": S.order,
-        "table": [list(row) for row in S.table],
-        "base": _detail_mask(tau.base),
-        "detail": shown,
-    }
-
-
-def _forced(S: FinSemigroup, tau: PrincipalFilter, kind: str) -> bool:
-    return tau.base == S.full_mask and hypothesis_forces_full_base(S, kind)
-
-
 # ---------------------------------------------------------------------------
-# individual checkers
+# claim bodies
 
 
-def _check_t2_1(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    tb = _tables(S, tau.base)
+def _trace_large(S, tau, tb, cfg):
+    """T2_1: L is large iff every trace of L at a base point meets U0."""
     U0 = tau.base
     gs = elements(U0)
     for L in range(S.full_mask + 1):
         lhs = tb.large[L]
         rhs = all(trace_set(S, L, g) & U0 for g in gs)
-        out.assertions += 1
         if lhs != rhs:
-            out.counterexample = _counterexample(
-                S, tau, subset_mask=L, large=lhs, trace_condition=rhs
-            )
-            return out
-    return out
+            return L + 1, {"subset": elements(L), "large": lhs, "trace_condition": rhs}
+    return S.full_mask + 1, None
 
 
-def _check_t2_2(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    tb = _tables(S, tau.base)
+def _trace_thick(S, tau, tb, cfg):
+    """T2_2: T is thick iff some trace of T at a base point contains U0."""
     U0 = tau.base
     gs = elements(U0)
     for T in range(S.full_mask + 1):
         lhs = tb.thick[T]
         rhs = any(is_subset(U0, trace_set(S, T, g)) for g in gs)
-        out.assertions += 1
         if lhs != rhs:
-            out.counterexample = _counterexample(
-                S, tau, subset_mask=T, thick=lhs, trace_condition=rhs
-            )
-            return out
-    return out
+            return T + 1, {"subset": elements(T), "thick": lhs, "trace_condition": rhs}
+    return S.full_mask + 1, None
 
 
-def _meets_every_large(tb: SizeTables, S, U0: int, T: int) -> bool:
-    # T meets L & U0 for every large L  <=>  the complement of T & U0 is not
-    # large (up-closure of the large family); the literal sweep equivalence
-    # is property-tested at small orders
-    return not tb.large[S.full_mask & ~(T & U0)]
-
-
-def _check_t2_3(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not check_hypothesis(tau, "extrathick_members"):
-        out.admissible = False
-        return out
-    out.forced_base = _forced(S, tau, "extrathick_members")
-    tb = _tables(S, tau.base)
+def _thick_meets_large(S, tau, tb, cfg):
+    """T2_3: T is thick iff T & U0 meets every large set."""
     U0 = tau.base
-    for T in range(S.full_mask + 1):
+    full = S.full_mask
+    for T in range(full + 1):
         lhs = tb.thick[T]
-        rhs = _meets_every_large(tb, S, U0, T)
-        out.assertions += 1
+        # T meets L & U0 for every large L  <=>  the complement of T & U0 is
+        # not large (up-closure of the large family); the literal sweep
+        # equivalence is property-tested at small orders
+        rhs = not tb.large[full & ~(T & U0)]
         if lhs != rhs:
-            out.counterexample = _counterexample(
-                S, tau, subset_mask=T, thick=lhs, meets_every_large=rhs
-            )
-            return out
-    return out
+            return T + 1, {
+                "subset": elements(T), "thick": lhs, "meets_every_large": rhs,
+            }
+    return full + 1, None
 
 
-def _check_t2_4(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    tb = _tables(S, tau.base)
-    shiftable = [
-        g for g in range(S.order) if check_hypothesis(tau, "shiftable_at", g=g)
-    ]
-    for g in shiftable:
-        for A in range(S.full_mask + 1):
-            if tb.large[A]:
-                out.assertions += 1
-                if not tb.large[translate_set(S, g, A)]:
-                    out.counterexample = _counterexample(
-                        S, tau, g=g, subset_mask=A, claim="translate of large is large"
-                    )
-                    return out
-            if tb.thick[A]:
-                out.assertions += 1
-                if not tb.thick[left_quotient(S, g, A)]:
-                    out.counterexample = _counterexample(
-                        S, tau, g=g, subset_mask=A, claim="quotient of thick is thick"
-                    )
-                    return out
-    return out
+def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
+    """T2_4 / C2_5: at every shiftable g, g*L stays large and g^-1 T thick.
 
-
-def _check_c2_5(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not check_hypothesis(tau, "left_inverse_invariant"):
-        out.admissible = False
-        return out
-    out.forced_base = _forced(S, tau, "left_inverse_invariant")
-    tb = _tables(S, tau.base)
+    Under left inverse invariance (C2_5) every g is shiftable, so the two
+    statements differ only in their hypothesis and claim texts.
+    """
+    large, thick = tb.large, tb.thick
+    count = 0
     for g in range(S.order):
+        if not check_hypothesis(tau, "shiftable_at", g=g):
+            continue
         for A in range(S.full_mask + 1):
-            if tb.large[A]:
-                out.assertions += 1
-                if not tb.large[translate_set(S, g, A)]:
-                    out.counterexample = _counterexample(
-                        S, tau, g=g, subset_mask=A, claim="large family left invariant"
-                    )
-                    return out
-            if tb.thick[A]:
-                out.assertions += 1
-                if not tb.thick[left_quotient(S, g, A)]:
-                    out.counterexample = _counterexample(
-                        S, tau, g=g, subset_mask=A,
-                        claim="thick family left inverse invariant",
-                    )
-                    return out
-    return out
+            if large[A]:
+                count += 1
+                if not large[translate_set(S, g, A)]:
+                    return count, {"g": g, "subset": elements(A), "claim": large_claim}
+            if thick[A]:
+                count += 1
+                if not thick[left_quotient(S, g, A)]:
+                    return count, {"g": g, "subset": elements(A), "claim": thick_claim}
+    return count, None
 
 
-def _check_t2_6(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not check_hypothesis(tau, "neighborhood_shift"):
-        out.admissible = False
-        return out
-    out.forced_base = _forced(S, tau, "neighborhood_shift")
-    tb = _tables(S, tau.base)
+def _quotient_stable(family, S, tau, tb, cfg, **labels):
+    """T2_6: g^-1 T stays in the family (tb.thick, or tb.large) for g in U0."""
+    members = getattr(tb, family)
     gs = elements(tau.base)
+    count = 0
     for T in range(S.full_mask + 1):
-        if not tb.thick[T]:
+        if not members[T]:
             continue
         for g in gs:
-            out.assertions += 1
-            if not tb.thick[left_quotient(S, g, T)]:
-                out.counterexample = _counterexample(
-                    S, tau, subset_mask=T, g=g, claim="quotient of thick is thick"
-                )
-                return out
-    return out
+            count += 1
+            if not members[left_quotient(S, g, T)]:
+                return count, {"subset": elements(T), "g": g, **labels}
+    return count, None
 
 
 def _minimal_ideal_union(S: FinSemigroup, within: int) -> int:
@@ -299,353 +225,291 @@ def _minimal_ideal_union(S: FinSemigroup, within: int) -> int:
     return M
 
 
-def _check_t3_1(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not check_hypothesis(tau, "semigroup_filter"):
-        out.admissible = False
-        return out
-    out.forced_base = _forced(S, tau, "semigroup_filter")
-    tb = _tables(S, tau.base)
+def _minimal_ideal_traces(S, tau, tb, cfg):
+    """T3_1: g lies in a minimal left ideal iff every trace at g is large."""
     U0 = tau.base
     M = _minimal_ideal_union(S, U0)
+    count = 0
     for g in bits(U0):
+        through_g = (A for A in range(S.full_mask + 1) if (A >> g) & 1)
+        bad = next((A for A in through_g if not tb.large[trace_set(S, A, g)]), None)
+        count += 1
         in_minimal = bool((M >> g) & 1)
-        rhs = True
-        bad_A = None
-        for A in range(S.full_mask + 1):
-            if not (A >> g) & 1:
-                continue
-            if not tb.large[trace_set(S, A, g)]:
-                rhs = False
-                bad_A = A
-                break
-        out.assertions += 1
-        if in_minimal != rhs:
-            out.counterexample = _counterexample(
-                S,
-                tau,
-                g=g,
-                in_minimal_ideal=in_minimal,
-                traces_all_large=rhs,
-                failing_set=None if bad_A is None else _detail_mask(bad_A),
-            )
-            return out
-    return out
+        if in_minimal != (bad is None):
+            return count, {
+                "g": g,
+                "in_minimal_ideal": in_minimal,
+                "traces_all_large": bad is None,
+                "failing_set": None if bad is None else elements(bad),
+            }
+    return count, None
 
 
-def _check_c3_1(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not check_hypothesis(tau, "semigroup_filter"):
-        out.admissible = False
-        return out
-    out.forced_base = _forced(S, tau, "semigroup_filter")
-    tb = _tables(S, tau.base)
+def _meets_minimal_is_prethick(S, tau, tb, cfg):
+    """C3_1: a set meeting a minimal left ideal is prethick."""
     M = _minimal_ideal_union(S, tau.base)
+    count = 0
     for A in range(S.full_mask + 1):
         if not A & M:
             continue
-        out.assertions += 1
+        count += 1
         if not tb.prethick[A]:
-            out.counterexample = _counterexample(
-                S, tau, subset_mask=A, claim="set meeting a minimal ideal is prethick"
-            )
-            return out
-    return out
+            return count, {
+                "subset": elements(A),
+                "claim": "set meeting a minimal ideal is prethick",
+            }
+    return count, None
 
 
-def _check_t3_2(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
+def _cover_sweep_fits(S, tau, cfg) -> bool:
+    return (
+        is_subgroup(S, tau.base)
+        and S.order <= SWEEP_ORDER_LIMIT.get(cfg.cells, 8)
+        and popcount(tau.base) >= cfg.cells
+    )
+
+
+def _cover_bound(S, tau, tb, cfg):
+    """T3_2: every cells-partition of a subgroup base has a cover within the
+    proved bound."""
     n = cfg.cells
-    if not S.is_group or not is_subgroup(S, tau.base):
-        out.admissible = False
-        return out
-    if S.order > SWEEP_ORDER_LIMIT.get(n, 8) or popcount(tau.base) < n:
-        out.admissible = False
-        return out
     try:
         record = sweep_partitions(S, tau, n, "translate", V=tau.base)
     except BoundViolation as exc:
-        out.counterexample = _counterexample(S, tau, cells=n, violation=str(exc))
-        return out
-    out.assertions = record.partitions_checked
+        return 0, {"cells": n, "violation": str(exc)}
     if record.worst_min_F > record.proved_bound:
-        out.counterexample = _counterexample(
-            S,
-            tau,
-            cells=n,
-            worst_min_F=record.worst_min_F,
-            proved_bound=record.proved_bound,
-            partition_labels=record.argmax_partition.label_string(),
-        )
-    return out
+        return record.partitions_checked, {
+            "cells": n,
+            "worst_min_F": record.worst_min_F,
+            "proved_bound": record.proved_bound,
+            "partition_labels": record.argmax_partition.label_string(),
+        }
+    return record.partitions_checked, None
 
 
-def _check_t3_5(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not check_hypothesis(tau, "left_inverse_invariant"):
-        out.admissible = False
-        return out
-    out.forced_base = _forced(S, tau, "left_inverse_invariant")
-    tb = _tables(S, tau.base)
+def _prethick_regularity(S, tau, tb, cfg):
+    """T3_5: (i) prethick iff meets a minimal ideal; (iii) every partition of
+    a prethick set has a prethick cell (up to regularity_order_limit)."""
+    prethick = tb.prethick
     M = _minimal_ideal_union(S, tau.base)
-    for A in range(S.full_mask + 1):
-        lhs = tb.prethick[A]
-        rhs = bool(A & M)
-        out.assertions += 1
-        if lhs != rhs:
-            out.counterexample = _counterexample(
-                S, tau, part="i", subset_mask=A, prethick=lhs, meets_minimal=rhs
-            )
-            return out
+    full = S.full_mask
+    for A in range(full + 1):
+        meets = bool(A & M)
+        if prethick[A] != meets:
+            return A + 1, {
+                "part": "i",
+                "subset": elements(A),
+                "prethick": prethick[A],
+                "meets_minimal": meets,
+            }
+    count = full + 1
     if S.order > cfg.regularity_order_limit:
-        return out
-    for A in range(S.full_mask + 1):
-        if not tb.prethick[A]:
+        return count, None
+    for A in range(full + 1):
+        if not prethick[A]:
             continue
-        sizes = (2, 3) if popcount(A) <= 8 else (2,)
-        for cells in sizes:
-            if popcount(A) < cells:
+        size = popcount(A)
+        for cells in (2, 3) if size <= 8 else (2,):
+            if size < cells:
                 continue
             for part in enumerate_partitions(A, cells):
-                out.assertions += 1
-                if not any(tb.prethick[c] for c in part.cell_masks()):
-                    out.counterexample = _counterexample(
-                        S,
-                        tau,
-                        part="iii",
-                        subset_mask=A,
-                        partition_labels=part.label_string(),
-                    )
-                    return out
-    return out
+                count += 1
+                if not any(prethick[c] for c in part.cell_masks()):
+                    return count, {
+                        "part": "iii",
+                        "subset": elements(A),
+                        "partition_labels": part.label_string(),
+                    }
+    return count, None
 
 
-def _check_t3_6(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not S.is_group or not check_hypothesis(tau, "left_invariant"):
-        out.admissible = False
-        return out
-    if S.order > cfg.small_order_limit:
-        out.admissible = False
-        return out
-    # the hypothesis provably admits only the full base on a finite group;
-    # flagged via forced_base but still counted as effective (see module doc)
-    out.forced_base = _forced(S, tau, "left_invariant")
-    tb = _tables(S, tau.base)
-    small = tb.small
+def _prethick_not_small(S, tau, tb, cfg):
+    """T3_6: A is prethick iff A is not small."""
+    prethick, small = tb.prethick, tb.small
     for A in range(S.full_mask + 1):
-        lhs = tb.prethick[A]
-        rhs = not small[A]
-        out.assertions += 1
-        if lhs != rhs:
-            out.counterexample = _counterexample(
-                S, tau, subset_mask=A, prethick=lhs, not_small=rhs
-            )
-            return out
-    return out
+        if prethick[A] == small[A]:
+            return A + 1, {
+                "subset": elements(A),
+                "prethick": prethick[A],
+                "not_small": not small[A],
+            }
+    return S.full_mask + 1, None
 
 
-def _check_t3_7(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not check_hypothesis(tau, "left_inverse_invariant"):
-        out.admissible = False
-        return out
-    out.forced_base = _forced(S, tau, "left_inverse_invariant")
-    tb = _tables(S, tau.base)
+def _prethick_delta_large(S, tau, tb, cfg):
+    """T3_7: the difference set of a prethick set is large."""
+    count = 0
     for A in range(S.full_mask + 1):
         if not tb.prethick[A]:
             continue
-        out.assertions += 1
+        count += 1
         if not tb.large[delta_tau(S, tau, A)]:
-            out.counterexample = _counterexample(
-                S, tau, subset_mask=A, claim="difference set of prethick is large"
-            )
-            return out
-    return out
-
-
-CHECKERS: Dict[str, Callable] = {
-    "T2_1": _check_t2_1,
-    "T2_2": _check_t2_2,
-    "T2_3": _check_t2_3,
-    "T2_4": _check_t2_4,
-    "C2_5": _check_c2_5,
-    "T2_6": _check_t2_6,
-    "T3_1": _check_t3_1,
-    "C3_1": _check_c3_1,
-    "T3_2": _check_t3_2,
-    "C3_2": _check_t3_2,  # corollary alias for the same partition sweep
-    "T3_5": _check_t3_5,
-    "T3_6": _check_t3_6,
-    "T3_7": _check_t3_7,
-}
-
-_THEOREM_NOTES = {
-    "T3_5": (
-        "closure membership statement degenerates onto the minimal-ideal "
-        "membership statement at finite scale",
-    ),
-    "T3_6": (
-        "left invariance admits only the full base on a finite group; "
-        "instances exercise the absolute theory and are annotated, not "
-        "discounted",
-    ),
-}
+            return count, {
+                "subset": elements(A),
+                "claim": "difference set of prethick is large",
+            }
+    return count, None
 
 
 # ---------------------------------------------------------------------------
-# hunt variants (hypothesis dropped / conclusion strengthened)
+# the spec table
 
 
-def _hunt_t2_6_large(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if not check_hypothesis(tau, "neighborhood_shift"):
-        out.admissible = False
-        return out
-    tb = _tables(S, tau.base)
-    gs = elements(tau.base)
-    for L in range(S.full_mask + 1):
-        if not tb.large[L]:
-            continue
-        for g in gs:
-            out.assertions += 1
-            if not tb.large[left_quotient(S, g, L)]:
-                out.counterexample = _counterexample(
-                    S, tau, subset_mask=L, g=g,
-                    finding="quotient of a large set stopped being large",
-                )
-                return out
-    return out
-
-
-def _hunt_t2_3_no_extrathick(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if check_hypothesis(tau, "extrathick_members"):
-        out.admissible = False
-        return out
-    tb = _tables(S, tau.base)
-    U0 = tau.base
-    for T in range(S.full_mask + 1):
-        lhs = tb.thick[T]
-        rhs = _meets_every_large(tb, S, U0, T)
-        out.assertions += 1
-        if lhs != rhs:
-            out.counterexample = _counterexample(
-                S, tau, subset_mask=T, thick=lhs, meets_every_large=rhs,
-                finding="equivalence breaks without the extrathick hypothesis",
-            )
-            return out
-    return out
-
-
-def _hunt_t3_6_semigroup(S, tau, cfg) -> InstanceOutcome:
-    out = InstanceOutcome()
-    if S.is_group or not check_hypothesis(tau, "left_invariant"):
-        out.admissible = False
-        return out
-    if S.order > cfg.small_order_limit:
-        out.admissible = False
-        return out
-    tb = _tables(S, tau.base)
-    small = tb.small
-    for A in range(S.full_mask + 1):
-        lhs = tb.prethick[A]
-        rhs = not small[A]
-        out.assertions += 1
-        if lhs != rhs:
-            out.counterexample = _counterexample(
-                S, tau, subset_mask=A, prethick=lhs, not_small=rhs,
-                finding="prethick/not-small equivalence fails off groups",
-            )
-            return out
-    return out
-
-
-HUNTERS: Dict[str, Callable] = {
-    "T2_6_large": _hunt_t2_6_large,
-    "T2_3_no_extrathick": _hunt_t2_3_no_extrathick,
-    "T3_6_semigroup": _hunt_t3_6_semigroup,
+THEOREMS: Dict[str, Spec] = {
+    "T2_1": Spec(_trace_large),
+    "T2_2": Spec(_trace_thick),
+    "T2_3": Spec(_thick_meets_large, hypothesis="extrathick_members"),
+    "T2_4": Spec(
+        partial(
+            _shift_invariance,
+            "translate of large is large",
+            "quotient of thick is thick",
+        )
+    ),
+    "C2_5": Spec(
+        partial(
+            _shift_invariance,
+            "large family left invariant",
+            "thick family left inverse invariant",
+        ),
+        hypothesis="left_inverse_invariant",
+    ),
+    "T2_6": Spec(
+        partial(_quotient_stable, "thick", claim="quotient of thick is thick"),
+        hypothesis="neighborhood_shift",
+    ),
+    "T3_1": Spec(_minimal_ideal_traces, hypothesis="semigroup_filter"),
+    "C3_1": Spec(_meets_minimal_is_prethick, hypothesis="semigroup_filter"),
+    "T3_2": Spec(_cover_bound, groups=True, admit=_cover_sweep_fits, tables=False),
+    "T3_5": Spec(
+        _prethick_regularity,
+        hypothesis="left_inverse_invariant",
+        notes=(
+            "closure membership statement degenerates onto the minimal-ideal "
+            "membership statement at finite scale",
+        ),
+    ),
+    "T3_6": Spec(
+        _prethick_not_small,
+        hypothesis="left_invariant",
+        groups=True,
+        admit=lambda S, tau, cfg: S.order <= cfg.small_order_limit,
+        annotate_forced=True,
+        notes=(
+            "left invariance admits only the full base on a finite group; "
+            "instances exercise the absolute theory and are annotated, not "
+            "discounted",
+        ),
+    ),
+    "T3_7": Spec(_prethick_delta_large, hypothesis="left_inverse_invariant"),
 }
+THEOREM_IDS = tuple(THEOREMS)  # what "verify --theorem all" runs, in order
+THEOREMS["C3_2"] = THEOREMS["T3_2"]  # corollary alias for the same sweep
+
+# hypothesis dropped or negated, or conclusion strengthened
+HUNTS: Dict[str, Spec] = {
+    "T2_6_large": replace(
+        THEOREMS["T2_6"],
+        claim=partial(_quotient_stable, "large"),
+        finding="quotient of a large set stopped being large",
+        notes=(
+            "shift stability of large sets under the neighborhood-shift "
+            "hypothesis (the thick conclusion with large in its place)",
+        ),
+    ),
+    "T2_3_no_extrathick": replace(
+        THEOREMS["T2_3"],
+        negate=True,
+        finding="equivalence breaks without the extrathick hypothesis",
+        notes=("thick = meets-every-large with the extrathick hypothesis dropped",),
+    ),
+    "T3_6_semigroup": replace(
+        THEOREMS["T3_6"],
+        groups=False,
+        finding="prethick/not-small equivalence fails off groups",
+        notes=(
+            "prethick iff not small on non-group semigroups with a left "
+            "invariant filter",
+        ),
+    ),
+}
+
+HUNT_VARIANTS = {name: spec.notes[0] for name, spec in HUNTS.items()}
+_SPECS = {"verify": THEOREMS, "hunt": HUNTS}
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# driver
 
 
-def _instance_stream(catalog: Sequence[CatalogEntry]):
-    for entry in catalog:
-        for base in entry.bases:
-            yield entry.semigroup, base
+def _check(
+    spec: Spec,
+    S: FinSemigroup,
+    tau: PrincipalFilter,
+    cfg: VerifyConfig,
+    count_forced: bool,
+) -> Optional[Tuple[int, bool, Optional[dict]]]:
+    """(assertions, forced base, detail) for an admitted instance, else None."""
+    if spec.groups is not None and S.is_group != spec.groups:
+        return None
+    kind = spec.hypothesis
+    if kind is not None and check_hypothesis(tau, kind) == spec.negate:
+        return None
+    if spec.admit is not None and not spec.admit(S, tau, cfg):
+        return None
+    forced = (
+        count_forced
+        and kind is not None
+        and tau.is_trivial
+        and hypothesis_forces_full_base(S, kind)
+    )
+    tb = _tables(S, tau.base) if spec.tables else None
+    assertions, detail = spec.claim(S, tau, tb, cfg)
+    if detail is not None and spec.finding is not None:
+        detail["finding"] = spec.finding
+    return assertions, forced, detail
 
 
-def _run_instances(
-    checker: Callable,
+def _run(
+    kind: str,
     theorem_id: str,
     pairs: Sequence[Tuple[FinSemigroup, int]],
     cfg: VerifyConfig,
-    stop_on_counterexample: bool,
-) -> dict:
-    counts = {
-        "checked": 0,
-        "degenerate": 0,
-        "effective": 0,
-        "skipped": 0,
-        "forced": 0,
-        "assertions": 0,
-    }
-    counterexample = None
+) -> Tuple[Counter, Optional[dict]]:
+    """Counts over the instances up to and including the first counterexample."""
+    spec = _SPECS[kind][theorem_id]
+    counts: Counter = Counter()
     for S, base in pairs:
         tau = PrincipalFilter(S, base)
-        outcome = checker(S, tau, cfg)
-        if not outcome.admissible:
+        result = _check(spec, S, tau, cfg, count_forced=kind == "verify")
+        if result is None:
             counts["skipped"] += 1
             continue
+        assertions, forced, detail = result
         counts["checked"] += 1
-        counts["assertions"] += outcome.assertions
-        if outcome.forced_base:
-            counts["forced"] += 1
-        degenerate = outcome.assertions == 0 or (
-            outcome.forced_base and theorem_id != "T3_6"
-        )
-        if degenerate:
+        counts["assertions"] += assertions
+        counts["forced"] += forced
+        if assertions == 0 or (forced and not spec.annotate_forced):
             counts["degenerate"] += 1
         else:
             counts["effective"] += 1
-        if outcome.counterexample is not None:
-            counterexample = dict(outcome.counterexample)
-            counterexample["theorem"] = theorem_id
-            if stop_on_counterexample:
-                break
-    counts["counterexample"] = counterexample
-    return counts
+        if detail is not None:
+            return counts, {
+                "semigroup": S.name,
+                "order": S.order,
+                "table": [list(row) for row in S.table],
+                "base": elements(base),
+                "detail": detail,
+                "theorem": theorem_id,
+            }
+    return counts, None
 
 
 def _run_chunk(args):
-    kind, theorem_id, chunk, cfg_tuple = args
-    cfg = VerifyConfig(*cfg_tuple)
-    table = CHECKERS if kind == "verify" else HUNTERS
+    # specs hold closures, which do not pickle: workers look theirs up by id
+    kind, theorem_id, chunk, cfg = args
     pairs = [(FinSemigroup(t, name=nm), base) for t, nm, base in chunk]
-    return _run_instances(table[theorem_id], theorem_id, pairs, cfg, True)
-
-
-def _merge_counts(parts: List[dict]) -> dict:
-    merged = {
-        "checked": 0,
-        "degenerate": 0,
-        "effective": 0,
-        "skipped": 0,
-        "forced": 0,
-        "assertions": 0,
-        "counterexample": None,
-    }
-    for part in parts:
-        for key in ("checked", "degenerate", "effective", "skipped", "forced",
-                    "assertions"):
-            merged[key] += part[key]
-        if part["counterexample"] is not None:
-            merged["counterexample"] = part["counterexample"]
-            break  # earlier chunks are merged first; later work is discarded
-    return merged
+    return _run(kind, theorem_id, pairs, cfg)
 
 
 def _drive(
@@ -656,42 +520,32 @@ def _drive(
     cfg: Optional[VerifyConfig],
 ) -> TheoremReport:
     cfg = cfg or VerifyConfig()
-    registry = CHECKERS if kind == "verify" else HUNTERS
-    if theorem_id not in registry:
-        raise ValueError(f"unknown {kind} id {theorem_id!r}")
-    pairs = list(_instance_stream(catalog))
+    if theorem_id not in _SPECS[kind]:
+        raise InputError(f"unknown {kind} id {theorem_id!r}")
+    pairs = [(entry.semigroup, base) for entry in catalog for base in entry.bases]
     started = time.perf_counter()
     workers = cfg.resolved_workers()
     if workers > 1 and len(pairs) > workers:
         import multiprocessing
 
-        chunks = []
         step = (len(pairs) + workers - 1) // workers
-        cfg_tuple = (
-            cfg.regularity_order_limit,
-            cfg.small_order_limit,
-            cfg.cells,
-            1,
-        )
+        chunks = []
         for i in range(0, len(pairs), step):
-            chunk = [
-                (S.table, S.name, base) for S, base in pairs[i : i + step]
-            ]
-            chunks.append((kind, theorem_id, chunk, cfg_tuple))
+            chunk = [(S.table, S.name, base) for S, base in pairs[i : i + step]]
+            chunks.append((kind, theorem_id, chunk, cfg))
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_run_chunk, chunks)
-        counts = _merge_counts(results)
+            parts = pool.map(_run_chunk, chunks)
     else:
-        counts = _run_instances(
-            registry[theorem_id], theorem_id, pairs, cfg, True
-        )
-    elapsed = time.perf_counter() - started
-    notes = list(_THEOREM_NOTES.get(theorem_id, ()))
+        parts = [_run(kind, theorem_id, pairs, cfg)]
+    counts: Counter = Counter()
+    counterexample = None
+    for part_counts, counterexample in parts:
+        counts.update(part_counts)
+        if counterexample is not None:
+            break  # chunks are in catalog order; later work is discarded
+    notes = _SPECS[kind][theorem_id].notes
     if kind == "hunt":
-        notes.append(HUNT_VARIANTS[theorem_id])
-        notes.append(
-            "found" if counts["counterexample"] else "exhausted the catalog"
-        )
+        notes += ("found" if counterexample else "exhausted the catalog",)
     return TheoremReport(
         theorem_id=theorem_id,
         catalog_label=catalog_label,
@@ -701,12 +555,12 @@ def _drive(
         skipped_count=counts["skipped"],
         forced_absolute_count=counts["forced"],
         assertions=counts["assertions"],
-        counterexample=counts["counterexample"],
+        counterexample=counterexample,
         vacuity_warning=counts["effective"] == 0,
-        notes=tuple(notes),
-        elapsed=elapsed,
+        notes=notes,
+        elapsed=time.perf_counter() - started,
         search=kind == "hunt",
-        found=counts["counterexample"] is not None,
+        found=counterexample is not None,
     )
 
 
@@ -729,19 +583,13 @@ def hunt_counterexample(
 
 
 def replay(counterexample: dict, cfg: Optional[VerifyConfig] = None) -> bool:
-    """Re-run the named checker on the stored instance; True if it fails again."""
-    cfg = cfg or VerifyConfig()
+    """Re-run the named spec on the stored instance; True if it fails again."""
     theorem_id = counterexample["theorem"]
-    registry = CHECKERS if theorem_id in CHECKERS else HUNTERS
-    S = FinSemigroup(
-        tuple(tuple(row) for row in counterexample["table"]),
-        name=counterexample["semigroup"],
-    )
-    base = 0
-    for e in counterexample["base"]:
-        base |= 1 << e
-    outcome = registry[theorem_id](S, PrincipalFilter(S, base), cfg)
-    return outcome.counterexample is not None
+    spec = THEOREMS.get(theorem_id) or HUNTS[theorem_id]
+    S = FinSemigroup(counterexample["table"], name=counterexample["semigroup"])
+    tau = PrincipalFilter(S, mask_of(counterexample["base"]))
+    result = _check(spec, S, tau, cfg or VerifyConfig(), count_forced=False)
+    return result is not None and result[2] is not None
 
 
 __all__ = [

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from semsize.cli import main, parse_instance
 
 
@@ -281,16 +283,11 @@ class TestExitCodes:
         assert code == 2 and "bogus" in err
 
     def test_counterexample_on_proved_theorem_exits_one(self, capsys, monkeypatch):
-        # drive the failure class by injecting a checker that always trips
+        # drive the failure class by injecting a spec whose claim always trips
         import semsize.theorems as theorems
 
-        def broken(S, tau, cfg):
-            out = theorems.InstanceOutcome()
-            out.assertions = 1
-            out.counterexample = theorems._counterexample(S, tau, claim="forced")
-            return out
-
-        monkeypatch.setitem(theorems.CHECKERS, "T2_1", broken)
+        broken = theorems.Spec(lambda S, tau, tb, cfg: (1, {"claim": "forced"}))
+        monkeypatch.setitem(theorems.THEOREMS, "T2_1", broken)
         code, out, _ = run(
             capsys, "verify", "--theorem", "T2_1", "--catalog", "cyclic:2"
         )
@@ -331,3 +328,30 @@ class TestExitCodes:
     def test_verify_unknown_theorem(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "T9_9")
         assert code == 2
+
+    def test_zero_cells_is_input_error(self, capsys):
+        code, _, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "0")
+        assert code == 2 and "at least one cell" in err
+
+    def test_more_cells_than_base_points_is_input_error(self, capsys):
+        code, _, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "5")
+        assert code == 2 and "no 5-cell partitions" in err
+
+    def test_unparsable_checkpoint_is_input_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "sweep.ckpt"
+        ckpt.write_text("{not json")
+        code, _, err = run(
+            capsys, "search", "--group", "cyclic:4", "--cells", "2",
+            "--checkpoint", str(ckpt),
+        )
+        assert code == 2 and "not a checkpoint" in err
+
+    def test_internal_value_error_is_not_an_input_error(self, capsys, monkeypatch):
+        import semsize.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "classify_all", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["classify", "--instance", "cyclic:2", "--subset", "0"])

@@ -12,7 +12,7 @@ from semsize import (
 from semsize.catalog import entry_for, family_catalog
 from semsize.classify import SizeTables
 from semsize.filters import PrincipalFilter
-from semsize.theorems import THEOREM_IDS, VerifyConfig
+from semsize.theorems import HUNT_VARIANTS, THEOREM_IDS, VerifyConfig
 
 
 def small_catalog():
@@ -137,6 +137,15 @@ class TestHunt:
         assert report.search
         if report.found:
             assert replay(report.counterexample)
+
+    @pytest.mark.parametrize("variant", sorted(HUNT_VARIANTS))
+    def test_worker_count_does_not_change_the_hunt(self, variant):
+        # two of the three variants stop in the first chunk on a counterexample,
+        # so the merge must drop the later chunk's counts
+        catalog = order_le_catalog(3)
+        serial = hunt_counterexample(variant, catalog, cfg=VerifyConfig(workers=1))
+        parallel = hunt_counterexample(variant, catalog, cfg=VerifyConfig(workers=2))
+        assert parallel.to_json_dict() == serial.to_json_dict()
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
