@@ -12,7 +12,10 @@ oracle by the test suite rather than trusted):
 * thick:      some x in U0 has U0*x <= A.
 * extrathick: U0*U0 <= A.
 * prethick:   U0^-1 A is thick.
-* small:      removing A from any large set leaves a large set.
+* small:      removing A from any large set leaves a large set.  A is large
+              iff it meets every right translate U0*u (u in U0), so the
+              large sets are the transversals of those translates, and A
+              is small iff it misses every inclusion-minimal one.
 """
 
 from __future__ import annotations
@@ -20,19 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import SizeLimitExceeded
 from .filters import PrincipalFilter
 from .masks import bits, is_subset, masks_by_popcount, popcount
 from .semigroups import (
     FinSemigroup,
     left_quotient,
+    product_set,
     right_translate,
     set_quotient,
     trace_set,
 )
 
 EXACT_WITNESS_LIMIT = 12
-SMALL_SWEEP_LIMIT = 12
 
 PREDICATES = ("large", "thick", "extrathick", "prethick", "small")
 
@@ -42,8 +44,8 @@ class SizeVerdict:
     """Decision for one predicate, with a replayable witness when natural.
 
     witness is a subset mask: the covering F for large/prethick, the
-    singleton {x} for thick, and for a failed small verdict the large set L
-    whose trimming broke; None otherwise.
+    singleton {x} for thick, and for a failed small verdict a minimal large
+    set L whose trimming L - A is not large; None otherwise.
     """
 
     predicate: str
@@ -86,10 +88,7 @@ def thick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
 
 def extrathick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
     U0 = tau.base
-    for g in bits(U0):
-        if not is_subset(right_translate(S, U0, g), A):
-            return False
-    return True
+    return is_subset(product_set(S, U0, U0), A)
 
 
 def prethick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
@@ -100,16 +99,31 @@ def small_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
     return _small_counterwitness(S, tau, A) is None
 
 
+def _minimal_translates(S: FinSemigroup, U0: int) -> List[int]:
+    """The inclusion-minimal right translates U0*u (u in U0), ascending."""
+    translates = {right_translate(S, U0, u) for u in bits(U0)}
+    return sorted(
+        E for E in translates
+        if not any(R != E and is_subset(R, E) for R in translates)
+    )
+
+
 def _small_counterwitness(
     S: FinSemigroup, tau: PrincipalFilter, A: int
 ) -> Optional[int]:
-    if S.order > SMALL_SWEEP_LIMIT:
-        raise SizeLimitExceeded(
-            f"small needs a 2^|S| sweep; order {S.order} > {SMALL_SWEEP_LIMIT}"
-        )
-    not_A = ~A
-    for L in range(S.full_mask + 1):
-        if large_value(S, tau, L) and not large_value(S, tau, L & not_A):
+    """A minimal large L with L - A not large, or None when A is small.
+
+    (S - E) | {x} is large for x in a minimal translate E, since every other
+    translate leaves E or equals it; trimmed, it meets E only at x, in A.
+    """
+    for E in _minimal_translates(S, tau.base):
+        hit = E & A
+        if hit:
+            x = hit & -hit  # the least point of A in E
+            L = (S.full_mask & ~E) | x
+            for y in bits(L & ~x):
+                if large_value(S, tau, L & ~(1 << y)):
+                    L &= ~(1 << y)
             return L
     return None
 
@@ -119,19 +133,16 @@ def _small_counterwitness(
 
 
 def _min_cover_from_base(
-    S: FinSemigroup,
-    tau: PrincipalFilter,
-    accept,
-    exact_limit: int = EXACT_WITNESS_LIMIT,
+    S: FinSemigroup, tau: PrincipalFilter, accept
 ) -> Optional[int]:
-    """Smallest F <= U0 with accept(F); exact up to |U0| <= exact_limit.
+    """Smallest F <= U0 with accept(F); exact up to |U0| <= EXACT_WITNESS_LIMIT.
 
     Exact search scans submasks in (cardinality, value) order, so the result
     is the lexicographically least mask among minimum-cardinality witnesses.
     Beyond the limit a greedy pass over single elements is used.
     """
     U0 = tau.base
-    if popcount(U0) <= exact_limit:
+    if popcount(U0) <= EXACT_WITNESS_LIMIT:
         for F in masks_by_popcount(U0):
             if F and accept(F):
                 return F
@@ -211,8 +222,8 @@ def classify_all(
 class SizeTables:
     """Per-(semigroup, base) predicate tables over every subset mask.
 
-    large/thick/prethick are O(2^n) to fill; the small table is quadratic in
-    the subset count and is built only on demand.
+    large/thick/prethick are O(2^n) to fill; the small table, built only on
+    demand, marks the subsets that miss every minimal right translate.
     """
 
     __slots__ = ("S", "tau", "quot", "large", "thick", "prethick", "_small")
@@ -248,17 +259,10 @@ class SizeTables:
     @property
     def small(self) -> List[bool]:
         if self._small is None:
-            size = self.S.full_mask + 1
-            large = self.large
-            larges = [L for L in range(size) if large[L]]
-            out = [True] * size
-            for A in range(size):
-                not_A = ~A
-                for L in larges:
-                    if not large[L & not_A]:
-                        out[A] = False
-                        break
-            self._small = out
+            M = 0
+            for E in _minimal_translates(self.S, self.tau.base):
+                M |= E
+            self._small = [not A & M for A in range(self.S.full_mask + 1)]
         return self._small
 
 

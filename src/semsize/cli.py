@@ -372,9 +372,15 @@ def _cmd_search(args) -> int:
                 raise SchemaError(
                     f"{args.checkpoint}: not a checkpoint ({exc})"
                 ) from exc
+        if not isinstance(saved, dict):
+            raise SchemaError(f"{args.checkpoint}: not a checkpoint (no JSON object)")
         if saved.get("key") == key:
-            start_index = saved["completed"]
-            state = saved["state"]
+            start_index, state = saved.get("completed"), saved.get("state")
+            if not isinstance(start_index, int) or not isinstance(state, dict):
+                raise SchemaError(
+                    f"{args.checkpoint}: needs an integer 'completed' and an "
+                    "object 'state'"
+                )
 
     deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
     holder = {}

@@ -101,7 +101,8 @@ def check_hypothesis(tau: PrincipalFilter, kind: str, g: int | None = None) -> b
     """
     S = tau.semigroup
     U0 = tau.base
-    if kind == "semigroup_filter" or kind == "extrathick_members":
+    # neighborhood_shift asks g*U0 <= U0 for every g in U0, i.e. U0*U0 <= U0
+    if kind in ("semigroup_filter", "extrathick_members", "neighborhood_shift"):
         return is_subset(product_set(S, U0, U0), U0)
     if kind == "left_invariant":
         return all(
@@ -115,12 +116,6 @@ def check_hypothesis(tau: PrincipalFilter, kind: str, g: int | None = None) -> b
         if g is None:
             raise ValueError("shiftable_at needs the element g")
         return is_subset(U0, left_quotient(S, g, U0))
-    if kind == "neighborhood_shift":
-        hits = 0
-        for g_ in range(S.order):
-            if is_subset(U0, left_quotient(S, g_, U0)):
-                hits |= 1 << g_
-        return is_subset(U0, hits)
     if kind == "left_topological_group":
         if not S.is_group:
             raise NotAGroup("left topological detection is group-only")

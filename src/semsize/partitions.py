@@ -307,7 +307,6 @@ def sweep_partitions(
     V: Optional[int] = None,
     widen_U: bool = False,
     symmetry: Optional[Sequence[Tuple[int, ...]]] = None,
-    order_limit: Optional[int] = None,
     progress=None,
     start_index: int = 0,
     state: Optional[dict] = None,
@@ -319,7 +318,7 @@ def sweep_partitions(
     (index, total, state) used for cooperative checkpointing; start_index
     and state resume a previous sweep deterministically.
     """
-    limit = order_limit if order_limit is not None else SWEEP_ORDER_LIMIT.get(n, 8)
+    limit = SWEEP_ORDER_LIMIT.get(n, 8)
     if S.order > limit:
         raise SizeLimitExceeded(
             f"sweep limited to order <= {limit} for {n} cells"

@@ -212,35 +212,17 @@ def quotient_pairs(S: FinSemigroup, A: int) -> int:
 # ideal structure
 
 
-def _principal_left_ideal(S: FinSemigroup, within: int, x: int) -> int:
-    # {x} | within*x is already a left ideal when `within` is closed, but the
-    # fixpoint loop keeps the computation safe for any input.
-    L = (1 << x) | right_translate(S, within, x)
-    while True:
-        grown = L
-        for y in bits(L):
-            grown |= right_translate(S, within, y)
-        if grown == L:
-            return L
-        L = grown
-
-
 def minimal_left_ideals(S: FinSemigroup, within: Optional[int] = None) -> List[int]:
     """All minimal non-empty L <= within with within*L <= L.
 
     `within` must be closed under the table (default: all of S).
     """
     W = S.full_mask if within is None else within
-    t = S.table
-    for a in bits(W):
-        row = t[a]
-        for b in bits(W):
-            if not (W >> row[b]) & 1:
-                raise NotASubsemigroup(
-                    f"within is not closed: {a}*{b} = {row[b]} outside mask"
-                )
+    if not subset_is_closed(S, W):
+        raise NotASubsemigroup(f"within mask {bin(W)} is not closed under the table")
+    # {x} | W*x is a left ideal of W: W*(W*x) <= W*x because W is closed
     principals = sorted(
-        {_principal_left_ideal(S, W, x) for x in bits(W)},
+        {(1 << x) | right_translate(S, W, x) for x in bits(W)},
         key=lambda m: (m.bit_count(), m),
     )
     minimal: List[int] = []
@@ -254,13 +236,13 @@ def minimal_left_ideals(S: FinSemigroup, within: Optional[int] = None) -> List[i
 # symmetries
 
 
-def automorphisms(
-    S: FinSemigroup, limit: int = AUTOMORPHISM_ORDER_LIMIT
-) -> List[Tuple[int, ...]]:
+def automorphisms(S: FinSemigroup) -> List[Tuple[int, ...]]:
     """All table-preserving permutations, found by pruned backtracking."""
     n = S.order
-    if n > limit:
-        raise SizeLimitExceeded(f"automorphism search limited to order <= {limit}")
+    if n > AUTOMORPHISM_ORDER_LIMIT:
+        raise SizeLimitExceeded(
+            f"automorphism search limited to order <= {AUTOMORPHISM_ORDER_LIMIT}"
+        )
     t = S.table
     img = [-1] * n
     used = [False] * n
@@ -496,16 +478,7 @@ def is_subgroup(S: FinSemigroup, mask: int) -> bool:
     """mask is a subgroup of the group S."""
     if not S.is_group or mask == 0:
         return False
-    if not (mask >> S.identity) & 1:
-        return False
-    for a in bits(mask):
-        if not (mask >> S.inverses[a]) & 1:
-            return False
-        row = S.table[a]
-        for b in bits(mask):
-            if not (mask >> row[b]) & 1:
-                return False
-    return True
+    return is_subset(inverse_set(S, mask), mask) and subset_is_closed(S, mask)
 
 
 def subgroups(S: FinSemigroup) -> List[int]:

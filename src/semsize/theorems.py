@@ -62,7 +62,9 @@ from .semigroups import (
 @dataclass
 class VerifyConfig:
     regularity_order_limit: int = 6   # partition-regularity subset sweeps
-    small_order_limit: int = 8        # quadratic small-table checks
+    # T3_6 admission; small is polynomial, so this bounds no cost, but
+    # T3_6's report and the benchmark's traced layer run are defined by it
+    small_order_limit: int = 8
     cells: int = 2                    # partition sweep width for T3_2
     workers: int = 0                  # 0 = take SEMSIZE_WORKERS, default 1
 

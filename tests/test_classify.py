@@ -146,10 +146,21 @@ class TestSmall:
         assert large_value(rz2, tau, L)
         assert not large_value(rz2, tau, L & ~mask_of([0]))
 
-    def test_size_limit(self):
+    def test_order_27_needs_no_size_limit(self):
+        # the closed form decides small at any order; in T_3 the constant
+        # maps (indices 0, 13, 26) form the one minimal right translate S*c
         t3 = semigroup_from_spec("fulltransformation:3")
-        with pytest.raises(SizeLimitExceeded):
-            is_tau_small(t3, trivial_filter(t3), 0)
+        tau = trivial_filter(t3)
+        constants = mask_of([0, 13, 26])
+        assert is_tau_small(t3, tau, t3.full_mask & ~constants).value
+        A = mask_of([13])
+        v = is_tau_small(t3, tau, A)
+        assert not v.value
+        L = v.witness
+        assert large_value(t3, tau, L)
+        assert not large_value(t3, tau, L & ~A)
+        for y in elements(L):
+            assert not large_value(t3, tau, L & ~(1 << y))
 
 
 class TestTraceAndDelta:
@@ -283,6 +294,8 @@ def test_every_witness_replays_on_the_order_2_catalog():
                     L = v.witness
                     assert large_value(S, tau, L)
                     assert not large_value(S, tau, L & ~A)
+                    for y in elements(L):
+                        assert not large_value(S, tau, L & ~(1 << y))
 
 
 def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
@@ -301,6 +314,29 @@ def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
             small = tb.small
             for A in range(S.full_mask + 1):
                 assert small[A] == small_value(S, tau, A)
+
+
+def test_small_table_matches_the_definition_at_orders_6_to_12():
+    # above the literal oracle's reach: A is small iff every large L keeps
+    # a large L - A, read off the batched large table
+    from semsize import default_catalog
+    from semsize.classify import SizeTables
+
+    checked = 0
+    for entry in default_catalog():
+        S = entry.semigroup
+        if not 6 <= S.order <= 12:
+            continue
+        for base in entry.bases:
+            tb = SizeTables(S, make_principal(S, base))
+            large = tb.large
+            larges = [L for L in range(S.full_mask + 1) if large[L]]
+            for A in range(S.full_mask + 1):
+                assert tb.small[A] == all(large[L & ~A] for L in larges), (
+                    S.name, base, A,
+                )
+            checked += 1
+    assert checked == 352
 
 
 def test_trace_theorem_forms_on_order_2_catalog():

@@ -66,6 +66,24 @@ class TestClassify:
         (record,) = [json.loads(line) for line in out.splitlines()]
         assert record["value"] is True and record["relative"] is False
 
+    def test_order_27_decides_all_five_predicates(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "classify",
+            "--instance",
+            "fulltransformation:3",
+            "--subset",
+            "0,5",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["predicate"] for r in records] == [
+            "large", "thick", "extrathick", "prethick", "small",
+        ]
+        # the constant map 0 is in every right translate, so {0} is a
+        # minimal large set that removing {0, 5} empties
+        assert records[-1]["value"] is False and records[-1]["witness"] == [0]
+
 
 class TestVerify:
     def test_exit_zero_and_jsonl(self, tmp_path, capsys):
@@ -345,6 +363,33 @@ class TestExitCodes:
             "--checkpoint", str(ckpt),
         )
         assert code == 2 and "not a checkpoint" in err
+
+    def test_checkpoint_without_an_object_is_input_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "sweep.ckpt"
+        ckpt.write_text("[]")
+        code, _, err = run(
+            capsys, "search", "--group", "cyclic:4", "--cells", "2",
+            "--checkpoint", str(ckpt),
+        )
+        assert code == 2 and "not a checkpoint" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("completed", "3", "'completed'"), ("state", [], "'state'")],
+    )
+    def test_malformed_matching_checkpoint_is_input_error(
+        self, tmp_path, capsys, field, value, message
+    ):
+        ckpt = tmp_path / "sweep.ckpt"
+        argv = ["search", "--group", "cyclic:6", "--cells", "2",
+                "--checkpoint", str(ckpt)]
+        assert main(argv + ["--time-budget", "0.0"]) == 3
+        capsys.readouterr()
+        saved = json.loads(ckpt.read_text())
+        saved[field] = value
+        ckpt.write_text(json.dumps(saved))
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err
 
     def test_internal_value_error_is_not_an_input_error(self, capsys, monkeypatch):
         import semsize.cli as cli
