@@ -40,10 +40,9 @@ from .semigroups import (
 from .theorems import (
     HUNT_VARIANTS,
     THEOREM_IDS,
-    THEOREMS,
     VerifyConfig,
+    _drive,
     hunt_counterexample,
-    verify,
 )
 
 EXIT_OK = 0
@@ -231,28 +230,15 @@ def _build_catalog(args):
 
 def _cmd_verify(args) -> int:
     ids = list(THEOREM_IDS) if args.theorem == "all" else [args.theorem]
-    for tid in ids:
-        if tid not in THEOREMS:
-            raise SchemaError(f"unknown theorem id {tid!r}")
     entries = _build_catalog(args)
     cfg = VerifyConfig(cells=args.cells, workers=args.workers)
-    lines = []
-    bad = False
-    for tid in ids:
-        report = verify(tid, entries, catalog_label=args.catalog, cfg=cfg)
-        lines.append(_dump(report.to_json_dict()))
-        if report.counterexample is not None:
-            bad = True
-    _write_lines(args.out, lines)
+    reports = _drive("verify", ids, entries, args.catalog, cfg)
+    _write_lines(args.out, [_dump(r.to_json_dict()) for r in reports])
+    bad = any(r.counterexample is not None for r in reports)
     return EXIT_COUNTEREXAMPLE if bad else EXIT_OK
 
 
 def _cmd_hunt(args) -> int:
-    if args.variant not in HUNT_VARIANTS:
-        raise SchemaError(
-            f"unknown hunt variant {args.variant!r}; "
-            f"known: {', '.join(sorted(HUNT_VARIANTS))}"
-        )
     entries = _build_catalog(args)
     report = hunt_counterexample(
         args.variant, entries, catalog_label=args.catalog
@@ -375,20 +361,12 @@ def _cmd_search(args) -> int:
         if not isinstance(saved, dict):
             raise SchemaError(f"{args.checkpoint}: not a checkpoint (no JSON object)")
         if saved.get("key") == key:
+            # sweep_partitions checks both against the partitions it sweeps
             start_index, state = saved.get("completed"), saved.get("state")
-            if not isinstance(start_index, int) or not isinstance(state, dict):
-                raise SchemaError(
-                    f"{args.checkpoint}: needs an integer 'completed' and an "
-                    "object 'state'"
-                )
 
     deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
-    holder = {}
 
     def progress(done, total, snapshot):
-        holder["done"] = done
-        holder["total"] = total
-        holder["state"] = snapshot
         if deadline is not None and time.monotonic() > deadline and done < total:
             if args.checkpoint:
                 with open(args.checkpoint, "w", encoding="utf-8") as fh:

@@ -9,7 +9,6 @@ points of U0, which is what `tau_bar` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import EmptyBase, NotAGroup, ProductLawViolation
@@ -19,6 +18,7 @@ from .semigroups import (
     is_subgroup,
     left_quotient,
     product_set,
+    right_translate,
     trace_set,
     translate_set,
 )
@@ -123,25 +123,28 @@ def check_hypothesis(tau: PrincipalFilter, kind: str, g: int | None = None) -> b
     raise ValueError(f"unknown hypothesis kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def _forces_full_base(S: FinSemigroup, kind: str) -> bool:
-    full = S.full_mask
-    for base in range(1, full):
-        if check_hypothesis(PrincipalFilter(S, base), kind):
-            return False
-    return True
-
-
 def hypothesis_forces_full_base(S: FinSemigroup, kind: str) -> bool:
     """True when only base = S satisfies `kind` on this semigroup.
 
     Used by the theorem checkers to flag instances whose relative hypothesis
     collapsed onto the absolute theory instead of passing them off as
     silently vacuous.
+
+    Only S satisfies a kind iff no proper candidate does: the idempotent
+    singletons {e} and the principal left ideals {x} | S*x.  A proper
+    subsemigroup (U0*U0 <= U0) contains some {e}, itself a subsemigroup and,
+    in a group, a subgroup; a proper left ideal contains the left ideal
+    {x} | S*x; a proper left-invariant U0 contains {x} | S*x, the orbit of x
+    under the permutations of U0 the left translations generate, so it is
+    left-invariant too.
     """
     if kind == "shiftable_at":
         raise ValueError("shiftable_at is a per-element hypothesis")
-    return _forces_full_base(S, kind)
+    full = S.full_mask
+    candidates = {1 << e for e in range(S.order) if S.table[e][e] == e}
+    candidates |= {(1 << x) | right_translate(S, full, x) for x in range(S.order)}
+    candidates.discard(full)
+    return not any(check_hypothesis(PrincipalFilter(S, P), kind) for P in candidates)
 
 
 __all__ = [

@@ -15,7 +15,13 @@ from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .classify import delta_tau
-from .errors import BoundViolation, InputError, NotAGroup, SizeLimitExceeded
+from .errors import (
+    BoundViolation,
+    InputError,
+    NotAGroup,
+    SchemaError,
+    SizeLimitExceeded,
+)
 from .filters import PrincipalFilter
 from .masks import elements, is_subset, mask_of, popcount, supersets
 from .semigroups import (
@@ -208,25 +214,6 @@ def _canonical_labels(labels: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _close_permutation_group(
-    perms: Sequence[Tuple[int, ...]], cap: int = 4000
-) -> List[Tuple[int, ...]]:
-    n = len(perms[0])
-    group = {tuple(range(n))}
-    frontier = [tuple(p) for p in perms]
-    while frontier:
-        p = frontier.pop()
-        if p in group:
-            continue
-        group.add(p)
-        if len(group) > cap:
-            raise SizeLimitExceeded("symmetry group closure exceeded cap")
-        for q in list(group):
-            frontier.append(tuple(p[q[i]] for i in range(n)))
-            frontier.append(tuple(q[p[i]] for i in range(n)))
-    return sorted(group)
-
-
 def _orbit_min(
     part: Tuple[int, ...], domain_elems: Sequence[int], pos: dict, group
 ) -> Tuple[int, ...]:
@@ -246,26 +233,26 @@ def enumerate_partitions(
 ) -> Iterator[Partition]:
     """Surjective n-cell labelings of the domain, one per relabeling class.
 
-    With `symmetry` (permutations of the ambient elements that fix the
-    domain setwise) only the lexicographically least label string of each
-    orbit is produced.
+    With `symmetry` (a group of permutations of the ambient elements that
+    fix the domain setwise) only the lexicographically least label string of
+    each orbit is produced.  It must be closed under composition: every
+    caller passes `automorphisms(S)` or its stabilizer of some sets, which is
+    a subgroup.
     """
     m = popcount(domain)
     if n < 1:
         raise InputError("need at least one cell")
     domain_elems = elements(domain)
-    group = None
     if symmetry:
         for perm in symmetry:
             if mask_of(perm[e] for e in domain_elems) != domain:
                 raise ValueError("symmetry permutation does not fix the domain")
-        group = _close_permutation_group(symmetry)
         pos = {e: i for i, e in enumerate(domain_elems)}
     for labels in _rgs(m, n):
-        if group is not None:
+        if symmetry:
             # labels are already relabel-canonical; (pi . P)(x) = P(pi^-1 x),
             # but sweeping the whole group makes the direction immaterial
-            if _orbit_min(labels, domain_elems, pos, group) != labels:
+            if _orbit_min(labels, domain_elems, pos, symmetry) != labels:
                 continue
         yield Partition(domain, labels, n)
 
@@ -299,6 +286,29 @@ def _conjecture_bound(mode: str, n: int, absolute: bool) -> int:
     return math.factorial(n)
 
 
+def _resume(parts, start_index, state) -> Tuple[int, int, Optional[Partition]]:
+    """(worst, infeasible, argmax) from the snapshot `progress` was handed
+    after `start_index` partitions (None at 0: a fresh sweep).  Both may be
+    read from a checkpoint file: SchemaError unless they fit `parts`."""
+    if type(start_index) is not int or not 0 <= start_index <= len(parts):
+        raise SchemaError(
+            f"checkpoint: 'completed' must be an integer from 0 to {len(parts)}"
+        )
+    if state is None and start_index == 0:
+        return -1, 0, None
+    if not isinstance(state, dict):
+        raise SchemaError("checkpoint: 'state' must be an object")
+    worst, infeasible, saved = (state.get(k) for k in ("worst", "infeasible", "argmax"))
+    if type(worst) is not int or type(infeasible) is not int or infeasible < 0:
+        raise SchemaError("checkpoint state: 'worst' and 'infeasible' must be integers")
+    if saved is None:
+        return worst, infeasible, None
+    for part in parts[:start_index]:
+        if saved == {"domain": part.domain, "labels": list(part.labels)}:
+            return worst, infeasible, part
+    raise SchemaError("checkpoint state: 'argmax' names no completed partition")
+
+
 def sweep_partitions(
     S: FinSemigroup,
     tau: PrincipalFilter,
@@ -316,7 +326,8 @@ def sweep_partitions(
     Default domain is the base only; widen_U additionally sweeps every
     filter member (order <= 6).  `progress` is an optional callback
     (index, total, state) used for cooperative checkpointing; start_index
-    and state resume a previous sweep deterministically.
+    and state resume a previous sweep deterministically, and a state that
+    does not fit this sweep raises SchemaError.
     """
     limit = SWEEP_ORDER_LIMIT.get(n, 8)
     if S.order > limit:
@@ -344,18 +355,7 @@ def sweep_partitions(
         parts.extend(enumerate_partitions(U, n, syms_U))
     parts = _balanced_first(parts)
 
-    worst = -1
-    argmax: Optional[Partition] = None
-    infeasible = 0
-    if state:
-        worst = state["worst"]
-        infeasible = state["infeasible"]
-        if state["argmax"] is not None:
-            argmax = Partition(
-                state["argmax"]["domain"],
-                tuple(state["argmax"]["labels"]),
-                n,
-            )
+    worst, infeasible, argmax = _resume(parts, start_index, state)
     for idx in range(start_index, len(parts)):
         part = parts[idx]
         best: Optional[int] = None

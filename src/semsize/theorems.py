@@ -7,7 +7,10 @@ variants live in `hunt_counterexample`, where a hit is a finding, not a
 failure.
 
 Every theorem and hunt is one `Spec` in `THEOREMS` or `HUNTS`, and one driver
-serves `verify`, `hunt_counterexample` and `replay`.  The fields of a spec:
+serves `verify`, `hunt_counterexample` (one spec each) and `replay`.  One pass
+over the catalog runs every requested spec on each instance, whose
+`SizeTables` are built at most once and dropped before the next.  The fields
+of a spec:
 
 * ``claim(S, tau, tb, cfg)``: the per-subset loop over the instance's
   `SizeTables` ``tb``; returns the number of assertions made and the detail
@@ -36,8 +39,8 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry
 from .classify import SizeTables, delta_tau
@@ -59,9 +62,12 @@ from .semigroups import (
 )
 
 
+# T3_5 (iii) sweeps the partitions of every prethick set up to this order
+REGULARITY_ORDER_LIMIT = 6
+
+
 @dataclass
 class VerifyConfig:
-    regularity_order_limit: int = 6   # partition-regularity subset sweeps
     # T3_6 admission; small is polynomial, so this bounds no cost, but
     # T3_6's report and the benchmark's traced layer run are defined by it
     small_order_limit: int = 8
@@ -91,6 +97,8 @@ class TheoremReport:
     counterexample: Optional[dict]
     vacuity_warning: bool
     notes: Tuple[str, ...]
+    # seconds this theorem's own checks took (with the SizeTables it was the
+    # first to read), summed over the pass and the workers
     elapsed: float
     search: bool = False
     found: bool = False
@@ -130,11 +138,6 @@ class Spec:
     tables: bool = True
     finding: Optional[str] = None
     notes: Tuple[str, ...] = ()
-
-
-@lru_cache(maxsize=None)
-def _tables(S: FinSemigroup, base: int) -> SizeTables:
-    return SizeTables(S, PrincipalFilter(S, base))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def _cover_bound(S, tau, tb, cfg):
 
 def _prethick_regularity(S, tau, tb, cfg):
     """T3_5: (i) prethick iff meets a minimal ideal; (iii) every partition of
-    a prethick set has a prethick cell (up to regularity_order_limit)."""
+    a prethick set has a prethick cell (up to REGULARITY_ORDER_LIMIT)."""
     prethick = tb.prethick
     M = _minimal_ideal_union(S, tau.base)
     full = S.full_mask
@@ -305,7 +308,7 @@ def _prethick_regularity(S, tau, tb, cfg):
                 "meets_minimal": meets,
             }
     count = full + 1
-    if S.order > cfg.regularity_order_limit:
+    if S.order > REGULARITY_ORDER_LIMIT:
         return count, None
     for A in range(full + 1):
         if not prethick[A]:
@@ -445,13 +448,10 @@ _SPECS = {"verify": THEOREMS, "hunt": HUNTS}
 
 
 def _check(
-    spec: Spec,
-    S: FinSemigroup,
-    tau: PrincipalFilter,
-    cfg: VerifyConfig,
-    count_forced: bool,
-) -> Optional[Tuple[int, bool, Optional[dict]]]:
-    """(assertions, forced base, detail) for an admitted instance, else None."""
+    spec: Spec, S: FinSemigroup, tau: PrincipalFilter, tables: Callable, cfg
+) -> Optional[Tuple[int, Optional[dict]]]:
+    """(assertions, detail) for an admitted instance, else None; `tables()`
+    returns the instance's SizeTables."""
     if spec.groups is not None and S.is_group != spec.groups:
         return None
     kind = spec.hypothesis
@@ -459,111 +459,127 @@ def _check(
         return None
     if spec.admit is not None and not spec.admit(S, tau, cfg):
         return None
-    forced = (
-        count_forced
-        and kind is not None
-        and tau.is_trivial
-        and hypothesis_forces_full_base(S, kind)
-    )
-    tb = _tables(S, tau.base) if spec.tables else None
-    assertions, detail = spec.claim(S, tau, tb, cfg)
+    assertions, detail = spec.claim(S, tau, tables() if spec.tables else None, cfg)
     if detail is not None and spec.finding is not None:
         detail["finding"] = spec.finding
-    return assertions, forced, detail
+    return assertions, detail
 
 
 def _run(
-    kind: str,
-    theorem_id: str,
-    pairs: Sequence[Tuple[FinSemigroup, int]],
-    cfg: VerifyConfig,
-) -> Tuple[Counter, Optional[dict]]:
-    """Counts over the instances up to and including the first counterexample."""
-    spec = _SPECS[kind][theorem_id]
-    counts: Counter = Counter()
+    kind: str, ids: Sequence[str], pairs: Sequence[Tuple[FinSemigroup, int]], cfg
+) -> List[Tuple[Counter, Optional[dict], float]]:
+    """Per id, from one pass: counts up to and including its first
+    counterexample, that counterexample or None, and its checks' seconds.
+    An instance's `SizeTables` are built for the first spec that reads them."""
+    specs = [_SPECS[kind][tid] for tid in ids]
+    counts = [Counter() for _ in ids]
+    found: List[Optional[dict]] = [None] * len(ids)
+    elapsed = [0.0] * len(ids)
     for S, base in pairs:
         tau = PrincipalFilter(S, base)
-        result = _check(spec, S, tau, cfg, count_forced=kind == "verify")
-        if result is None:
-            counts["skipped"] += 1
-            continue
-        assertions, forced, detail = result
-        counts["checked"] += 1
-        counts["assertions"] += assertions
-        counts["forced"] += forced
-        if assertions == 0 or (forced and not spec.annotate_forced):
-            counts["degenerate"] += 1
-        else:
-            counts["effective"] += 1
-        if detail is not None:
-            return counts, {
-                "semigroup": S.name,
-                "order": S.order,
-                "table": [list(row) for row in S.table],
-                "base": elements(base),
-                "detail": detail,
-                "theorem": theorem_id,
-            }
-    return counts, None
+        built: List[SizeTables] = []
 
+        def tables() -> SizeTables:
+            if not built:
+                built.append(SizeTables(S, tau))
+            return built[0]
 
-def _run_chunk(args):
-    # specs hold closures, which do not pickle: workers look theirs up by id
-    kind, theorem_id, chunk, cfg = args
-    pairs = [(FinSemigroup(t, name=nm), base) for t, nm, base in chunk]
-    return _run(kind, theorem_id, pairs, cfg)
+        for i, spec in enumerate(specs):
+            if found[i] is not None:
+                continue  # this id stopped at its counterexample
+            started = time.perf_counter()
+            result = _check(spec, S, tau, tables, cfg)
+            elapsed[i] += time.perf_counter() - started
+            if result is None:
+                counts[i]["skipped"] += 1
+                continue
+            assertions, detail = result
+            forced = (
+                kind == "verify"
+                and spec.hypothesis is not None
+                and tau.is_trivial
+                and hypothesis_forces_full_base(S, spec.hypothesis)
+            )
+            counts[i]["checked"] += 1
+            counts[i]["assertions"] += assertions
+            counts[i]["forced"] += forced
+            if assertions == 0 or (forced and not spec.annotate_forced):
+                counts[i]["degenerate"] += 1
+            else:
+                counts[i]["effective"] += 1
+            if detail is not None:
+                found[i] = {
+                    "semigroup": S.name,
+                    "order": S.order,
+                    "table": [list(row) for row in S.table],
+                    "base": elements(base),
+                    "detail": detail,
+                    "theorem": ids[i],
+                }
+    return list(zip(counts, found, elapsed))
 
 
 def _drive(
     kind: str,
-    theorem_id: str,
+    ids: Sequence[str],
     catalog: Sequence[CatalogEntry],
     catalog_label: str,
     cfg: Optional[VerifyConfig],
-) -> TheoremReport:
+) -> List[TheoremReport]:
+    """One report per id from one pass over the catalog.  With workers, one
+    pool runs every id on each contiguous chunk of instances, and chunks are
+    merged per id in catalog order up to that id's first counterexample."""
     cfg = cfg or VerifyConfig()
-    if theorem_id not in _SPECS[kind]:
-        raise InputError(f"unknown {kind} id {theorem_id!r}")
+    specs = _SPECS[kind]
+    unknown = [tid for tid in ids if tid not in specs]
+    if unknown:
+        known = ", ".join(sorted(specs))
+        raise InputError(f"unknown {kind} id {unknown[0]!r}; known: {known}")
     pairs = [(entry.semigroup, base) for entry in catalog for base in entry.bases]
-    started = time.perf_counter()
     workers = cfg.resolved_workers()
     if workers > 1 and len(pairs) > workers:
         import multiprocessing
 
+        # specs hold closures, which do not pickle: workers look theirs up by id
         step = (len(pairs) + workers - 1) // workers
-        chunks = []
-        for i in range(0, len(pairs), step):
-            chunk = [(S.table, S.name, base) for S, base in pairs[i : i + step]]
-            chunks.append((kind, theorem_id, chunk, cfg))
+        chunks = [
+            (kind, ids, pairs[i : i + step], cfg) for i in range(0, len(pairs), step)
+        ]
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_run_chunk, chunks)
+            parts = pool.starmap(_run, chunks)
     else:
-        parts = [_run(kind, theorem_id, pairs, cfg)]
-    counts: Counter = Counter()
-    counterexample = None
-    for part_counts, counterexample in parts:
-        counts.update(part_counts)
-        if counterexample is not None:
-            break  # chunks are in catalog order; later work is discarded
-    notes = _SPECS[kind][theorem_id].notes
-    if kind == "hunt":
-        notes += ("found" if counterexample else "exhausted the catalog",)
-    return TheoremReport(
-        theorem_id=theorem_id,
-        catalog_label=catalog_label,
-        instances_checked=counts["checked"],
-        degenerate_count=counts["degenerate"],
-        effective_count=counts["effective"],
-        skipped_count=counts["skipped"],
-        forced_absolute_count=counts["forced"],
-        assertions=counts["assertions"],
-        counterexample=counterexample,
-        vacuity_warning=counts["effective"] == 0,
-        notes=notes,
-        elapsed=time.perf_counter() - started,
-        search=kind == "hunt",
-        found=counterexample is not None,
-    )
+        parts = [_run(kind, ids, pairs, cfg)]
+    reports = []
+    for i, tid in enumerate(ids):
+        counts: Counter = Counter()
+        counterexample = None
+        for part in parts:
+            part_counts, counterexample, _ = part[i]
+            counts.update(part_counts)
+            if counterexample is not None:
+                break  # later chunks lie after this counterexample
+        notes = specs[tid].notes
+        if kind == "hunt":
+            notes += ("found" if counterexample else "exhausted the catalog",)
+        reports.append(
+            TheoremReport(
+                theorem_id=tid,
+                catalog_label=catalog_label,
+                instances_checked=counts["checked"],
+                degenerate_count=counts["degenerate"],
+                effective_count=counts["effective"],
+                skipped_count=counts["skipped"],
+                forced_absolute_count=counts["forced"],
+                assertions=counts["assertions"],
+                counterexample=counterexample,
+                vacuity_warning=counts["effective"] == 0,
+                notes=notes,
+                elapsed=sum(part[i][2] for part in parts),
+                search=kind == "hunt",
+                found=counterexample is not None,
+            )
+        )
+    return reports
 
 
 def verify(
@@ -572,7 +588,7 @@ def verify(
     catalog_label: str = "custom",
     cfg: Optional[VerifyConfig] = None,
 ) -> TheoremReport:
-    return _drive("verify", theorem_id, catalog, catalog_label, cfg)
+    return _drive("verify", [theorem_id], catalog, catalog_label, cfg)[0]
 
 
 def hunt_counterexample(
@@ -581,7 +597,7 @@ def hunt_counterexample(
     catalog_label: str = "custom",
     cfg: Optional[VerifyConfig] = None,
 ) -> TheoremReport:
-    return _drive("hunt", variant, catalog, catalog_label, cfg)
+    return _drive("hunt", [variant], catalog, catalog_label, cfg)[0]
 
 
 def replay(counterexample: dict, cfg: Optional[VerifyConfig] = None) -> bool:
@@ -590,8 +606,8 @@ def replay(counterexample: dict, cfg: Optional[VerifyConfig] = None) -> bool:
     spec = THEOREMS.get(theorem_id) or HUNTS[theorem_id]
     S = FinSemigroup(counterexample["table"], name=counterexample["semigroup"])
     tau = PrincipalFilter(S, mask_of(counterexample["base"]))
-    result = _check(spec, S, tau, cfg or VerifyConfig(), count_forced=False)
-    return result is not None and result[2] is not None
+    result = _check(spec, S, tau, lambda: SizeTables(S, tau), cfg or VerifyConfig())
+    return result is not None and result[1] is not None
 
 
 __all__ = [

@@ -391,6 +391,64 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err
 
+    @pytest.mark.parametrize(
+        "completed, state, message",
+        [
+            (None, {"worst": 1}, "'infeasible'"),
+            (None, {"worst": 1, "infeasible": 0, "argmax": {"domain": 63}}, "'argmax'"),
+            (None, {"worst": "1", "infeasible": 0, "argmax": None}, "'worst'"),
+            (10**6, {"worst": -1, "infeasible": 0, "argmax": None}, "'completed'"),
+            (-1, None, "'completed'"),
+        ],
+        ids=[
+            "no-infeasible",
+            "argmax-without-labels",
+            "non-int-worst",
+            "completed-past-the-end",
+            "negative-completed",
+        ],
+    )
+    def test_malformed_checkpoint_state_is_input_error(
+        self, tmp_path, capsys, completed, state, message
+    ):
+        ckpt = tmp_path / "sweep.ckpt"
+        argv = ["search", "--group", "cyclic:6", "--cells", "2",
+                "--checkpoint", str(ckpt)]
+        assert main(argv + ["--time-budget", "0.0"]) == 3
+        capsys.readouterr()
+        saved = json.loads(ckpt.read_text())
+        if completed is not None:
+            saved["completed"] = completed
+        if state is not None:
+            saved["state"] = state
+        ckpt.write_text(json.dumps(saved))
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--theorem", "all", "--catalog", "order<=2"],
+            ["hunt", "--variant", "T3_6_semigroup", "--catalog", "order<=2"],
+        ],
+        ids=["verify", "hunt"],
+    )
+    def test_a_parallel_run_opens_one_pool(self, capsys, monkeypatch, argv):
+        import multiprocessing
+
+        opened = []
+        real_pool = multiprocessing.Pool
+
+        def counting_pool(*args, **kwargs):
+            opened.append(args)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        monkeypatch.setenv("SEMSIZE_WORKERS", "2")
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert opened == [(2,)]
+
     def test_internal_value_error_is_not_an_input_error(self, capsys, monkeypatch):
         import semsize.cli as cli
 

@@ -6,6 +6,7 @@ from semsize import (
     EmptyBase,
     NotAGroup,
     check_hypothesis,
+    default_catalog,
     enumerate_semigroups,
     hypothesis_forces_full_base,
     make_principal,
@@ -216,3 +217,34 @@ class TestHypotheses:
             assert check_hypothesis(
                 make_principal(rz3, base), "left_invariant"
             )
+
+
+def swept_forces_full_base(S, kind):
+    """Reference: no proper base among all 2^n - 2 satisfies the kind."""
+    return not any(
+        check_hypothesis(make_principal(S, base), kind)
+        for base in range(1, S.full_mask)
+    )
+
+
+def test_forced_full_base_matches_the_base_sweep():
+    semigroups = [entry.semigroup for entry in default_catalog()] + [
+        semigroup_from_spec(spec)
+        for spec in (
+            "product:cyclic:2,rightzero:2",
+            "product:null:2,leftzero:2",
+            "product:rightzero:2,cyclic:3",
+            "product:leftzero:2,null:3",
+            "product:cyclic:2,cyclic:3",
+        )
+    ]
+    kinds = ("semigroup_filter", "left_invariant", "left_inverse_invariant",
+             "extrathick_members", "neighborhood_shift")
+    forced = 0
+    for S in semigroups:
+        for kind in kinds + (("left_topological_group",) if S.is_group else ()):
+            value = hypothesis_forces_full_base(S, kind)
+            assert value == swept_forces_full_base(S, kind), (S.name, kind)
+            forced += value
+    # both answers occur, so the comparison is not vacuous
+    assert 0 < forced < len(semigroups) * len(kinds)

@@ -9,10 +9,14 @@ of the partition sweep; the classify fixture pins all five verdicts, with
 their witnesses, on every subset of two small instances.
 """
 
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import semsize.theorems as theorems
+from semsize import order_le_catalog
 from semsize.cli import main
 from semsize.masks import elements
 
@@ -43,6 +47,37 @@ def test_report_matches_golden(name, tmp_path, capsys):
     assert main(CASES[name] + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failing_theorem_stops_only_itself(workers, tmp_path, capsys, monkeypatch):
+    # T2_1 is made to fail on the first base of the catalog's last semigroup,
+    # which lies in the second chunk of a two-worker run; the pool forks, so
+    # its workers see the patched table
+    last = order_le_catalog(3)[-1]
+    target = [list(row) for row in last.semigroup.table]
+
+    def fails_on_last(S, tau, tb, cfg):
+        if [list(row) for row in S.table] == target:
+            return 1, {"claim": "injected"}
+        return 1, None
+
+    spec = replace(theorems.THEOREMS["T2_1"], claim=fails_on_last)
+    monkeypatch.setitem(theorems.THEOREMS, "T2_1", spec)
+    name = "verify_all_order3.jsonl"
+    out = tmp_path / name
+    assert main(CASES[name] + ["--workers", workers, "--out", str(out)]) == 1
+    capsys.readouterr()
+    got = out.read_text().splitlines()
+    want = (GOLDEN / name).read_text().splitlines()
+    assert got[1:] == want[1:]
+    report, golden = json.loads(got[0]), json.loads(want[0])
+    assert report["theorem"] == "T2_1"
+    assert report["counterexample"]["base"] == elements(last.bases[0])
+    assert report["counterexample"]["detail"] == {"claim": "injected"}
+    assert report["instances_checked"] == (
+        golden["instances_checked"] - len(last.bases) + 1
+    )
 
 
 SEARCH_CASES = [

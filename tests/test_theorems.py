@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from semsize import (
@@ -93,6 +95,17 @@ class TestVerify:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             verify("T9_9", small_catalog())
+
+    def test_no_size_tables_outlive_the_run(self):
+        catalog = small_catalog()
+        for tid in THEOREM_IDS:
+            verify(tid, catalog, catalog_label="order<=2")
+        gc.collect()
+        ours = {entry.semigroup for entry in catalog}  # equal by Cayley table
+        alive = [
+            o for o in gc.get_objects() if isinstance(o, SizeTables) and o.S in ours
+        ]
+        assert alive == []
 
 
 class TestHunt:
