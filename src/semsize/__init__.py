@@ -58,14 +58,12 @@ from .partitions import (
     BoundRecord,
     CoverCertificate,
     Partition,
-    delta_worst_case,
     enumerate_partitions,
     min_cover,
     proved_cover_bound,
     recompute_cover,
     stirling2,
     sweep_partitions,
-    worst_case_table,
 )
 from .semigroups import (
     FAMILY_NAMES,

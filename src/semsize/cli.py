@@ -176,13 +176,7 @@ def _parse_subset(text: str, S: FinSemigroup) -> int:
 
 def _cmd_gen(args) -> int:
     S = semigroup_from_spec(args.family)
-    payload = serialize_table(S)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_lines(args.out, [json.dumps(serialize_table(S), indent=2, sort_keys=True)])
     return EXIT_OK
 
 
@@ -332,20 +326,6 @@ def _cmd_search(args) -> int:
     base = _parse_base(args.base, S)
     tau = make_principal(S, base)
     pool = base if args.witness_pool is None else _parse_subset(args.witness_pool, S)
-    if pool == 0:
-        raise SchemaError("witness pool must be non-empty")
-    if args.mode not in MODES:
-        raise SchemaError(f"unknown mode {args.mode!r}")
-    symmetry = None
-    if args.symmetry:
-        fixes = []
-        for perm in automorphisms(S):
-            if mask_of(perm[e] for e in elements(base)) != base:
-                continue
-            if mask_of(perm[e] for e in elements(pool)) != pool:
-                continue
-            fixes.append(perm)
-        symmetry = fixes or None
 
     start_index = 0
     state = None
@@ -384,7 +364,8 @@ def _cmd_search(args) -> int:
         args.mode,
         V=pool,
         widen_U=args.widen_U,
-        symmetry=symmetry,
+        # the sweep keeps the automorphisms that fix its base, pool and domains
+        symmetry=automorphisms(S) if args.symmetry else None,
         progress=progress,
         start_index=start_index,
         state=state,

@@ -42,20 +42,16 @@ def complement(mask: int, width: int) -> int:
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask` (including 0 and mask), in increasing int order.
 
-    Enumerating bit-combinations of the set positions in ascending counter
-    order is ascending in mask value because lower positions sum below any
-    higher single bit.
+    (sub - mask) & mask is ((sub | ~mask) + 1) & mask: adding one with every
+    bit outside mask set carries straight past those bits, so it counts up
+    through the submasks in order.
     """
-    pos = elements(mask)
-    k = len(pos)
-    for c in range(1 << k):
-        sub = 0
-        cc = c
-        while cc:
-            low = cc & -cc
-            sub |= 1 << pos[low.bit_length() - 1]
-            cc ^= low
+    sub = 0
+    while True:
         yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def supersets(base: int, full: int) -> Iterator[int]:

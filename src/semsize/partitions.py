@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -23,7 +24,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .filters import PrincipalFilter
-from .masks import elements, is_subset, mask_of, popcount, supersets
+from .masks import bits, elements, is_subset, mask_of, popcount, supersets
 from .semigroups import (
     FinSemigroup,
     is_subgroup,
@@ -101,6 +102,11 @@ class BoundRecord:
 
 def proved_cover_bound(n: int) -> int:
     return 1 << ((1 << (n - 1)) - 1)
+
+
+def sweep_order_limit(n: int) -> int:
+    """The largest order whose n-cell partitions `sweep_partitions` accepts."""
+    return SWEEP_ORDER_LIMIT.get(n, 8)
 
 
 def _transform_masks(
@@ -226,6 +232,10 @@ def _orbit_min(
     return best
 
 
+def _fixes(perm: Sequence[int], mask: int) -> bool:
+    return mask_of(perm[e] for e in bits(mask)) == mask
+
+
 def enumerate_partitions(
     domain: int,
     n: int,
@@ -233,20 +243,19 @@ def enumerate_partitions(
 ) -> Iterator[Partition]:
     """Surjective n-cell labelings of the domain, one per relabeling class.
 
-    With `symmetry` (a group of permutations of the ambient elements that
-    fix the domain setwise) only the lexicographically least label string of
-    each orbit is produced.  It must be closed under composition: every
-    caller passes `automorphisms(S)` or its stabilizer of some sets, which is
-    a subgroup.
+    With `symmetry` only the lexicographically least label string of each
+    orbit is produced.  It must be a group of permutations of the ambient
+    elements that fix the domain setwise (ValueError otherwise), closed
+    under composition: `sweep_partitions` passes the automorphisms of S that
+    fix its base, its pool and the domain, a subgroup of `automorphisms(S)`.
     """
     m = popcount(domain)
     if n < 1:
         raise InputError("need at least one cell")
     domain_elems = elements(domain)
     if symmetry:
-        for perm in symmetry:
-            if mask_of(perm[e] for e in domain_elems) != domain:
-                raise ValueError("symmetry permutation does not fix the domain")
+        if not all(_fixes(perm, domain) for perm in symmetry):
+            raise ValueError("symmetry permutation does not fix the domain")
         pos = {e: i for i, e in enumerate(domain_elems)}
     for labels in _rgs(m, n):
         if symmetry:
@@ -286,10 +295,35 @@ def _conjecture_bound(mode: str, n: int, absolute: bool) -> int:
     return math.factorial(n)
 
 
-def _resume(parts, start_index, state) -> Tuple[int, int, Optional[Partition]]:
+def _partition_json(p: Optional[Partition]) -> Optional[dict]:
+    return None if p is None else {"domain": p.domain, "labels": list(p.labels)}
+
+
+def _best_cover(S, tau, mode, pool, part: Partition) -> Optional[int]:
+    """The least minimal cover size over the cells of `part`, None if no
+    cell has a cover within the pool."""
+    best: Optional[int] = None
+    for cell_id, cell in enumerate(part.cell_masks()):
+        # the corollary form quotients the difference set, so a quotient
+        # sweep covers A*A^-1 rather than the raw cell
+        cover_set = quotient_pairs(S, cell) if mode == "quotient" else cell
+        cert = min_cover(S, tau, cover_set, mode, pool, cell_id)
+        if cert.size is not None and (best is None or cert.size < best):
+            best = cert.size
+            if best == 1:
+                break
+    return best
+
+
+def _resume(
+    parts, start_index, state, cover, proved
+) -> Tuple[int, int, Optional[Partition]]:
     """(worst, infeasible, argmax) from the snapshot `progress` was handed
     after `start_index` partitions (None at 0: a fresh sweep).  Both may be
-    read from a checkpoint file: SchemaError unless they fit `parts`."""
+    read from a checkpoint file: SchemaError unless the snapshot is one the
+    sweep could have handed over: `worst` is recomputed as `cover(argmax)`,
+    and the infeasible count must fit the completed partitions (none are
+    infeasible under the proved bound)."""
     if type(start_index) is not int or not 0 <= start_index <= len(parts):
         raise SchemaError(
             f"checkpoint: 'completed' must be an integer from 0 to {len(parts)}"
@@ -299,14 +333,27 @@ def _resume(parts, start_index, state) -> Tuple[int, int, Optional[Partition]]:
     if not isinstance(state, dict):
         raise SchemaError("checkpoint: 'state' must be an object")
     worst, infeasible, saved = (state.get(k) for k in ("worst", "infeasible", "argmax"))
-    if type(worst) is not int or type(infeasible) is not int or infeasible < 0:
+    if type(worst) is not int or type(infeasible) is not int:
         raise SchemaError("checkpoint state: 'worst' and 'infeasible' must be integers")
-    if saved is None:
-        return worst, infeasible, None
-    for part in parts[:start_index]:
-        if saved == {"domain": part.domain, "labels": list(part.labels)}:
-            return worst, infeasible, part
-    raise SchemaError("checkpoint state: 'argmax' names no completed partition")
+    argmax = None
+    if saved is not None:
+        done = (p for p in parts[:start_index] if saved == _partition_json(p))
+        argmax = next(done, None)
+        if argmax is None:
+            raise SchemaError("checkpoint state: 'argmax' names no completed partition")
+    # the argmax is a feasible partition, and under the proved bound all are
+    most = 0 if proved else start_index - (argmax is not None)
+    if not 0 <= infeasible <= most:
+        raise SchemaError(f"checkpoint state: 'infeasible' must be from 0 to {most}")
+    if argmax is not None and worst != cover(argmax):
+        raise SchemaError("checkpoint state: 'worst' is not the cover of 'argmax'")
+    if argmax is None and (worst != -1 or infeasible != start_index):
+        # no argmax yet: every completed partition was infeasible
+        raise SchemaError(
+            f"checkpoint state: with no 'argmax', 'worst' must be -1 and "
+            f"'infeasible' {start_index}"
+        )
+    return worst, infeasible, argmax
 
 
 def sweep_partitions(
@@ -323,56 +370,63 @@ def sweep_partitions(
 ) -> BoundRecord:
     """Worst minimal cover size over all n-partitions of each swept domain.
 
-    Default domain is the base only; widen_U additionally sweeps every
-    filter member (order <= 6).  `progress` is an optional callback
-    (index, total, state) used for cooperative checkpointing; start_index
-    and state resume a previous sweep deterministically, and a state that
-    does not fit this sweep raises SchemaError.
+    The domain is the base; widen_U also sweeps every filter member (order
+    <= 6).  The pool V defaults to the base.  `symmetry` is a group of
+    automorphisms of S, typically `automorphisms(S)`: the sweep keeps those
+    that fix the base, the pool and each domain, and checks one partition
+    per orbit of the rest.
+
+    The proved bound 2^(2^(n-1)-1) applies in translate mode over a
+    subgroup base with a pool containing it; there an infeasible partition
+    or a worst cover above the bound raises BoundViolation.  Otherwise a
+    sweep without any feasible partition raises SizeLimitExceeded.
+
+    `progress` is an optional callback (index, total, state) used for
+    cooperative checkpointing; start_index and state resume a previous sweep
+    deterministically, and a state this sweep could not have produced (its
+    `worst` is recomputed from its `argmax`) raises SchemaError.
     """
-    limit = SWEEP_ORDER_LIMIT.get(n, 8)
+    limit = sweep_order_limit(n)
     if S.order > limit:
         raise SizeLimitExceeded(
             f"sweep limited to order <= {limit} for {n} cells"
         )
     if mode not in MODES:
         raise ValueError(f"unknown cover mode {mode!r}")
-    pool = tau.base if V is None else V
     if widen_U and S.order > WIDEN_ORDER_LIMIT:
         raise SizeLimitExceeded(
             f"widened sweeps limited to order <= {WIDEN_ORDER_LIMIT}"
         )
+    pool = tau.base if V is None else V
+    if pool == 0:
+        raise InputError("witness pool must be non-empty")
+    proved = (
+        mode == "translate"
+        and is_subset(tau.base, pool)
+        and is_subgroup(S, tau.base)
+    )
+    if symmetry:
+        symmetry = [p for p in symmetry if _fixes(p, tau.base) and _fixes(p, pool)]
     domains = list(supersets(tau.base, S.full_mask)) if widen_U else [tau.base]
     parts: List[Partition] = []
     for U in domains:
-        if popcount(U) < n:
-            continue
-        syms_U = None
-        if symmetry:
-            elems_U = elements(U)
-            syms_U = [
-                p for p in symmetry if mask_of(p[e] for e in elems_U) == U
-            ] or None
-        parts.extend(enumerate_partitions(U, n, syms_U))
+        if popcount(U) >= n:
+            syms_U = [p for p in symmetry if _fixes(p, U)] if symmetry else None
+            parts.extend(enumerate_partitions(U, n, syms_U or None))
+    if not parts:
+        raise InputError(
+            f"no {n}-cell partitions of the swept domains (base too small)"
+        )
     parts = _balanced_first(parts)
 
-    worst, infeasible, argmax = _resume(parts, start_index, state)
+    cover = partial(_best_cover, S, tau, mode, pool)
+    worst, infeasible, argmax = _resume(parts, start_index, state, cover, proved)
     for idx in range(start_index, len(parts)):
-        part = parts[idx]
-        best: Optional[int] = None
-        for cell_id, cell in enumerate(part.cell_masks()):
-            # the corollary form quotients the difference set, so a quotient
-            # sweep covers A*A^-1 rather than the raw cell
-            cover_set = quotient_pairs(S, cell) if mode == "quotient" else cell
-            cert = min_cover(S, tau, cover_set, mode, pool, cell_id)
-            if cert.size is not None and (best is None or cert.size < best):
-                best = cert.size
-                if best == 1:
-                    break
+        best = cover(parts[idx])
         if best is None:
             infeasible += 1
         elif best > worst:
-            worst = best
-            argmax = part
+            worst, argmax = best, parts[idx]
         if progress is not None:
             progress(
                 idx + 1,
@@ -380,28 +434,20 @@ def sweep_partitions(
                 {
                     "worst": worst,
                     "infeasible": infeasible,
-                    "argmax": None
-                    if argmax is None
-                    else {"domain": argmax.domain, "labels": list(argmax.labels)},
+                    "argmax": _partition_json(argmax),
                 },
             )
-    if not parts:
-        raise InputError(
-            f"no {n}-cell partitions of the swept domains (base too small)"
+    bound = proved_cover_bound(n) if mode in ("translate", "quotient") else None
+    if proved and (infeasible or worst > bound):
+        raise BoundViolation(
+            f"{S.name}: worst_min_F {worst} (infeasible={infeasible}) breaks the "
+            f"proved bound {bound} at n={n}; implementation bug"
         )
     if argmax is None:
-        if mode == "translate" and S.is_group and is_subgroup(S, tau.base):
-            raise BoundViolation(
-                f"{S.name}: every partition infeasible under a proved bound; "
-                "implementation bug"
-            )
         raise SizeLimitExceeded(
             "no feasible partition at these settings; nothing to record"
         )
-
-    absolute = tau.is_trivial
-    bound = proved_cover_bound(n) if mode in ("translate", "quotient") else None
-    record = BoundRecord(
+    return BoundRecord(
         group=S.name or f"order{S.order}",
         order=S.order,
         base=tau.base,
@@ -410,46 +456,13 @@ def sweep_partitions(
         pool=pool,
         worst_min_F=worst,
         proved_bound=bound,
-        conjecture_bound=_conjecture_bound(mode, n, absolute),
+        conjecture_bound=_conjecture_bound(mode, n, tau.is_trivial),
         alt_bound=(1 << (1 << n)) if mode == "delta" else None,
         argmax_partition=argmax,
         partitions_checked=len(parts),
         widened=widen_U,
         infeasible_partitions=infeasible,
     )
-    if (
-        mode == "translate"
-        and S.is_group
-        and is_subgroup(S, tau.base)
-        and is_subset(tau.base, pool)
-        and (infeasible or worst > record.proved_bound)
-    ):
-        raise BoundViolation(
-            f"{S.name}: worst_min_F {worst} (infeasible={infeasible}) breaks the "
-            f"proved bound {record.proved_bound} at n={n}; implementation bug"
-        )
-    return record
-
-
-def worst_case_table(
-    S: FinSemigroup,
-    tau: PrincipalFilter,
-    n: int,
-    mode: str = "translate",
-    V: Optional[int] = None,
-    **kwargs,
-) -> BoundRecord:
-    return sweep_partitions(S, tau, n, mode, V, **kwargs)
-
-
-def delta_worst_case(
-    S: FinSemigroup,
-    tau: PrincipalFilter,
-    n: int,
-    V: Optional[int] = None,
-    **kwargs,
-) -> BoundRecord:
-    return sweep_partitions(S, tau, n, "delta", V, **kwargs)
 
 
 __all__ = [
@@ -463,6 +476,4 @@ __all__ = [
     "enumerate_partitions",
     "stirling2",
     "sweep_partitions",
-    "worst_case_table",
-    "delta_worst_case",
 ]

@@ -98,14 +98,6 @@ class FinSemigroup:
                 return None
         return tuple(inv)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inverse(self, a: int) -> int:
-        if self.inverses is None:
-            raise NotAGroup(f"{self.name or 'semigroup'} has no inverse table")
-        return self.inverses[a]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FinSemigroup) and self.table == other.table
 

@@ -51,7 +51,7 @@ from .filters import (
     hypothesis_forces_full_base,
 )
 from .masks import bits, elements, is_subset, mask_of, popcount
-from .partitions import SWEEP_ORDER_LIMIT, enumerate_partitions, sweep_partitions
+from .partitions import enumerate_partitions, sweep_order_limit, sweep_partitions
 from .semigroups import (
     FinSemigroup,
     is_subgroup,
@@ -269,26 +269,18 @@ def _meets_minimal_is_prethick(S, tau, tb, cfg):
 def _cover_sweep_fits(S, tau, cfg) -> bool:
     return (
         is_subgroup(S, tau.base)
-        and S.order <= SWEEP_ORDER_LIMIT.get(cfg.cells, 8)
+        and S.order <= sweep_order_limit(cfg.cells)
         and popcount(tau.base) >= cfg.cells
     )
 
 
 def _cover_bound(S, tau, tb, cfg):
     """T3_2: every cells-partition of a subgroup base has a cover within the
-    proved bound."""
-    n = cfg.cells
+    proved bound; the sweep raises BoundViolation where one does not."""
     try:
-        record = sweep_partitions(S, tau, n, "translate", V=tau.base)
+        record = sweep_partitions(S, tau, cfg.cells, "translate", V=tau.base)
     except BoundViolation as exc:
-        return 0, {"cells": n, "violation": str(exc)}
-    if record.worst_min_F > record.proved_bound:
-        return record.partitions_checked, {
-            "cells": n,
-            "worst_min_F": record.worst_min_F,
-            "proved_bound": record.proved_bound,
-            "partition_labels": record.argmax_partition.label_string(),
-        }
+        return 0, {"cells": cfg.cells, "violation": str(exc)}
     return record.partitions_checked, None
 
 
@@ -527,28 +519,27 @@ def _drive(
     cfg: Optional[VerifyConfig],
 ) -> List[TheoremReport]:
     """One report per id from one pass over the catalog.  With workers, one
-    pool runs every id on each contiguous chunk of instances, and chunks are
-    merged per id in catalog order up to that id's first counterexample."""
+    pool runs every id on each catalog semigroup as a task of its own, and
+    tasks are merged per id in catalog order up to that id's first
+    counterexample."""
     cfg = cfg or VerifyConfig()
     specs = _SPECS[kind]
     unknown = [tid for tid in ids if tid not in specs]
     if unknown:
         known = ", ".join(sorted(specs))
         raise InputError(f"unknown {kind} id {unknown[0]!r}; known: {known}")
-    pairs = [(entry.semigroup, base) for entry in catalog for base in entry.bases]
+    tasks = [(kind, ids, [(e.semigroup, b) for b in e.bases], cfg) for e in catalog]
     workers = cfg.resolved_workers()
-    if workers > 1 and len(pairs) > workers:
+    if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
-        # specs hold closures, which do not pickle: workers look theirs up by id
-        step = (len(pairs) + workers - 1) // workers
-        chunks = [
-            (kind, ids, pairs[i : i + step], cfg) for i in range(0, len(pairs), step)
-        ]
+        # specs hold closures, which do not pickle: workers look theirs up by
+        # id; the cost of a semigroup varies widely, so each task is handed
+        # out on its own as a worker frees up
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.starmap(_run, chunks)
+            parts = pool.starmap(_run, tasks, chunksize=1)
     else:
-        parts = [_run(kind, ids, pairs, cfg)]
+        parts = [_run(kind, ids, [p for task in tasks for p in task[2]], cfg)]
     reports = []
     for i, tid in enumerate(ids):
         counts: Counter = Counter()
@@ -557,7 +548,7 @@ def _drive(
             part_counts, counterexample, _ = part[i]
             counts.update(part_counts)
             if counterexample is not None:
-                break  # later chunks lie after this counterexample
+                break  # later tasks lie after this counterexample
         notes = specs[tid].notes
         if kind == "hunt":
             notes += ("found" if counterexample else "exhausted the catalog",)

@@ -18,10 +18,10 @@ from semsize import (
     minimal_left_ideals,
     semigroup_from_spec,
     subgroups,
+    sweep_partitions,
     trivial_filter,
     ultrafilter_product,
     verify,
-    worst_case_table,
 )
 from semsize.catalog import entry_for
 from semsize.classify import large_value, thick_value
@@ -103,14 +103,14 @@ def test_criterion_3_partition_cover_bound():
         S = semigroup_from_spec(spec)
         for base in subgroups(S):
             if popcount(base) >= 2:
-                rec = worst_case_table(S, make_principal(S, base), 2, "translate")
+                rec = sweep_partitions(S, make_principal(S, base), 2, "translate")
                 assert rec.worst_min_F <= 2, (spec, elements(base), rec.worst_min_F)
             if S.order <= 8 and popcount(base) >= 3:
-                rec = worst_case_table(S, make_principal(S, base), 3, "translate")
+                rec = sweep_partitions(S, make_principal(S, base), 3, "translate")
                 assert rec.worst_min_F <= 8, (spec, elements(base), rec.worst_min_F)
     z12 = semigroup_from_spec("cyclic:12")
     started = time.perf_counter()
-    rec = worst_case_table(z12, trivial_filter(z12), 2, "translate")
+    rec = sweep_partitions(z12, trivial_filter(z12), 2, "translate")
     elapsed = time.perf_counter() - started
     assert rec.worst_min_F <= 2 and rec.partitions_checked == 2047
     assert elapsed < 10.0, f"Z12 sweep took {elapsed:.1f}s (budget 10s)"
@@ -125,7 +125,7 @@ def test_criterion_4_partition_cover_evidence_table():
         for cells in (2, 3):
             if S.order > (12 if cells == 2 else 8) or S.order < cells:
                 continue
-            rec = worst_case_table(S, trivial_filter(S), cells, "translate")
+            rec = sweep_partitions(S, trivial_filter(S), cells, "translate")
             rows.append((spec, cells, rec.worst_min_F, rec.conjecture_bound))
             assert rec.conjecture_bound == cells  # absolute sweep: |F| <= n
             # exceeding the conjecture is flagged, never a failure

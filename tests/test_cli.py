@@ -2,6 +2,13 @@ import json
 
 import pytest
 
+from semsize import (
+    automorphisms,
+    mask_of,
+    semigroup_from_spec,
+    sweep_partitions,
+    trivial_filter,
+)
 from semsize.cli import main, parse_instance
 
 
@@ -246,6 +253,23 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["worst_min_F"] == 2
 
+    def test_library_symmetry_call_equals_the_cli_record(self, capsys):
+        # the sweep itself drops the automorphisms that move the pool {1}
+        z4 = semigroup_from_spec("cyclic:4")
+        rec = sweep_partitions(
+            z4, trivial_filter(z4), 2, "translate", V=mask_of([1]),
+            symmetry=automorphisms(z4),
+        )
+        code, out, _ = run(
+            capsys, "search", "--group", "cyclic:4", "--cells", "2",
+            "--witness-pool", "1", "--symmetry",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["partitions_checked"] == rec.partitions_checked == 7
+        assert record["infeasible_partitions"] == rec.infeasible_partitions == 3
+        assert record["worst_min_F"] == rec.worst_min_F
+
 
 class TestHunt:
     def test_found_finding_still_exits_zero(self, tmp_path, capsys):
@@ -355,6 +379,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "5")
         assert code == 2 and "no 5-cell partitions" in err
 
+    def test_restricted_pool_with_no_feasible_partition_is_a_limit(self, capsys):
+        # the pool {0} misses the base, so the proved bound does not apply
+        code, _, err = run(
+            capsys, "search", "--group", "cyclic:2", "--cells", "2",
+            "--witness-pool", "0",
+        )
+        assert code == 3 and "no feasible partition" in err
+
     def test_unparsable_checkpoint_is_input_error(self, tmp_path, capsys):
         ckpt = tmp_path / "sweep.ckpt"
         ckpt.write_text("{not json")
@@ -399,6 +431,9 @@ class TestExitCodes:
             (None, {"worst": "1", "infeasible": 0, "argmax": None}, "'worst'"),
             (10**6, {"worst": -1, "infeasible": 0, "argmax": None}, "'completed'"),
             (-1, None, "'completed'"),
+            (None, lambda saved: dict(saved, worst=100), "'worst'"),
+            (None, lambda saved: dict(saved, infeasible=1), "'infeasible'"),
+            (None, {"worst": -1, "infeasible": 0, "argmax": None}, "no 'argmax'"),
         ],
         ids=[
             "no-infeasible",
@@ -406,6 +441,9 @@ class TestExitCodes:
             "non-int-worst",
             "completed-past-the-end",
             "negative-completed",
+            "worst-not-the-argmax-cover",
+            "infeasible-under-the-proved-bound",
+            "no-argmax-after-a-feasible-partition",
         ],
     )
     def test_malformed_checkpoint_state_is_input_error(
@@ -419,7 +457,9 @@ class TestExitCodes:
         saved = json.loads(ckpt.read_text())
         if completed is not None:
             saved["completed"] = completed
-        if state is not None:
+        if callable(state):
+            saved["state"] = state(saved["state"])
+        elif state is not None:
             saved["state"] = state
         ckpt.write_text(json.dumps(saved))
         code, _, err = run(capsys, *argv)

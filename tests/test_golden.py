@@ -52,8 +52,8 @@ def test_report_matches_golden(name, tmp_path, capsys):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_failing_theorem_stops_only_itself(workers, tmp_path, capsys, monkeypatch):
     # T2_1 is made to fail on the first base of the catalog's last semigroup,
-    # which lies in the second chunk of a two-worker run; the pool forks, so
-    # its workers see the patched table
+    # the last task of a two-worker run; the pool forks, so its workers see
+    # the patched table
     last = order_le_catalog(3)[-1]
     target = [list(row) for row in last.semigroup.table]
 

@@ -3,9 +3,9 @@ from itertools import combinations
 import pytest
 
 from semsize import (
+    SchemaError,
     SizeLimitExceeded,
     automorphisms,
-    delta_worst_case,
     enumerate_partitions,
     make_principal,
     mask_of,
@@ -14,8 +14,8 @@ from semsize import (
     recompute_cover,
     semigroup_from_spec,
     stirling2,
+    sweep_partitions,
     trivial_filter,
-    worst_case_table,
 )
 from semsize.masks import elements, is_subset, popcount
 from semsize.partitions import Partition, _canonical_labels
@@ -129,7 +129,7 @@ class TestMinCover:
 
 class TestSweeps:
     def test_z4_two_cells_matches_the_bound(self, z4):
-        rec = worst_case_table(z4, trivial_filter(z4), 2, "translate")
+        rec = sweep_partitions(z4, trivial_filter(z4), 2, "translate")
         assert rec.worst_min_F == 2
         assert rec.proved_bound == proved_cover_bound(2) == 2
         assert rec.conjecture_bound == 2  # absolute sweep: linear conjecture
@@ -138,13 +138,13 @@ class TestSweeps:
 
     def test_z3_two_cells(self):
         z3 = semigroup_from_spec("cyclic:3")
-        rec = worst_case_table(z3, trivial_filter(z3), 2, "translate")
+        rec = sweep_partitions(z3, trivial_filter(z3), 2, "translate")
         assert rec.partitions_checked == 3
         assert rec.worst_min_F <= 2
 
     def test_single_cell_needs_identity_only(self, z6):
         for base in (z6.full_mask, mask_of([0, 2, 4])):
-            rec = worst_case_table(z6, make_principal(z6, base), 1, "translate")
+            rec = sweep_partitions(z6, make_principal(z6, base), 1, "translate")
             assert rec.worst_min_F == 1
 
     def test_quotient_and_translate_agree_on_inverse_closed_pools(self, z6):
@@ -152,12 +152,12 @@ class TestSweeps:
             tau = make_principal(z6, base)
             if popcount(base) < 2:
                 continue
-            q = worst_case_table(z6, tau, 2, "quotient")
-            t = worst_case_table(z6, tau, 2, "translate")
+            q = sweep_partitions(z6, tau, 2, "quotient")
+            t = sweep_partitions(z6, tau, 2, "translate")
             assert q.worst_min_F == t.worst_min_F
 
     def test_delta_sweep_z4(self, z4):
-        rec = delta_worst_case(z4, trivial_filter(z4), 2)
+        rec = sweep_partitions(z4, trivial_filter(z4), 2, "delta")
         assert rec.mode == "delta"
         assert rec.worst_min_F == 2
         assert rec.conjecture_bound == 2  # n! at n = 2
@@ -168,15 +168,15 @@ class TestSweeps:
         # no a-priori worst value here: the sweep itself is the oracle, and
         # the record carries the factorial comparison point
         tau = make_principal(z6, mask_of([0, 2, 4]))
-        rec = delta_worst_case(z6, tau, 2)
+        rec = sweep_partitions(z6, tau, 2, "delta")
         assert rec.conjecture_bound == 2
         assert rec.worst_min_F >= 1
         assert rec.exceeds_conjecture == (rec.worst_min_F > 2)
 
     def test_widened_sweep_runs_and_respects_bound(self, z4):
         tau = make_principal(z4, mask_of([0, 2]))
-        rec = worst_case_table(z4, tau, 2, "translate", widen_U=True)
-        narrow = worst_case_table(z4, tau, 2, "translate")
+        rec = sweep_partitions(z4, tau, 2, "translate", widen_U=True)
+        narrow = sweep_partitions(z4, tau, 2, "translate")
         assert rec.widened and rec.partitions_checked > narrow.partitions_checked
         assert rec.worst_min_F <= rec.proved_bound
 
@@ -201,8 +201,8 @@ class TestSweeps:
 
     def test_symmetric_sweep_equals_full_sweep(self, z4):
         tau = trivial_filter(z4)
-        full = worst_case_table(z4, tau, 2, "translate")
-        sym = worst_case_table(
+        full = sweep_partitions(z4, tau, 2, "translate")
+        sym = sweep_partitions(
             z4, tau, 2, "translate", symmetry=automorphisms(z4)
         )
         assert full.worst_min_F == sym.worst_min_F
@@ -210,26 +210,49 @@ class TestSweeps:
     def test_sweep_order_limit(self):
         s4 = semigroup_from_spec("symmetric:4")
         with pytest.raises(SizeLimitExceeded):
-            worst_case_table(s4, trivial_filter(s4), 2, "translate")
+            sweep_partitions(s4, trivial_filter(s4), 2, "translate")
 
     def test_sweep_is_deterministic(self, z6):
         tau = make_principal(z6, mask_of([0, 2, 4]))
-        a = worst_case_table(z6, tau, 2, "translate")
-        b = worst_case_table(z6, tau, 2, "translate")
+        a = sweep_partitions(z6, tau, 2, "translate")
+        b = sweep_partitions(z6, tau, 2, "translate")
         assert a == b
 
     def test_checkpoint_resume_matches_fresh_run(self, z4):
         tau = trivial_filter(z4)
-        fresh = worst_case_table(z4, tau, 2, "translate")
+        fresh = sweep_partitions(z4, tau, 2, "translate")
         snapshots = {}
 
         def progress(done, total, state):
             snapshots[done] = state
 
-        worst_case_table(z4, tau, 2, "translate", progress=progress)
+        sweep_partitions(z4, tau, 2, "translate", progress=progress)
         cut = 3
-        resumed = worst_case_table(
+        resumed = sweep_partitions(
             z4, tau, 2, "translate", start_index=cut, state=snapshots[cut]
         )
         assert resumed.worst_min_F == fresh.worst_min_F
         assert resumed.argmax_partition == fresh.argmax_partition
+
+    def test_resume_with_infeasible_partitions(self, z4):
+        # the pool {1} misses the base: the first three partitions in sweep
+        # order have no cover, so the argmax comes after them
+        tau, pool = trivial_filter(z4), mask_of([1])
+        snapshots = {}
+
+        def progress(done, total, state):
+            snapshots[done] = state
+
+        fresh = sweep_partitions(z4, tau, 2, "translate", pool, progress=progress)
+        assert fresh.infeasible_partitions == 3
+        for cut, state in snapshots.items():
+            resumed = sweep_partitions(
+                z4, tau, 2, "translate", pool, start_index=cut, state=state
+            )
+            assert resumed == fresh
+        # an argmax is feasible, so at most 3 of the first 4 are infeasible
+        with pytest.raises(SchemaError, match="'infeasible'"):
+            sweep_partitions(
+                z4, tau, 2, "translate", pool, start_index=4,
+                state=dict(snapshots[4], infeasible=4),
+            )

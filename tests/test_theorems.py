@@ -153,8 +153,8 @@ class TestHunt:
 
     @pytest.mark.parametrize("variant", sorted(HUNT_VARIANTS))
     def test_worker_count_does_not_change_the_hunt(self, variant):
-        # two of the three variants stop in the first chunk on a counterexample,
-        # so the merge must drop the later chunk's counts
+        # two of the three variants stop on a counterexample early in the
+        # catalog, so the merge must drop the later tasks' counts
         catalog = order_le_catalog(3)
         serial = hunt_counterexample(variant, catalog, cfg=VerifyConfig(workers=1))
         parallel = hunt_counterexample(variant, catalog, cfg=VerifyConfig(workers=2))
