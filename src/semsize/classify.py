@@ -16,6 +16,9 @@ oracle by the test suite rather than trusted):
               iff it meets every right translate U0*u (u in U0), so the
               large sets are the transversals of those translates, and A
               is small iff it misses every inclusion-minimal one.
+
+The large and prethick witnesses are exact at every order: the fewest
+F <= U0, ties to the least mask, from the cover search `masks.least_cover`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .filters import PrincipalFilter
-from .masks import bits, is_subset, masks_by_popcount, popcount
+from .masks import bits, is_subset, least_cover, popcount
 from .semigroups import (
     FinSemigroup,
     left_quotient,
@@ -34,8 +37,6 @@ from .semigroups import (
     trace_set,
 )
 
-EXACT_WITNESS_LIMIT = 12
-
 PREDICATES = ("large", "thick", "extrathick", "prethick", "small")
 
 
@@ -43,9 +44,10 @@ PREDICATES = ("large", "thick", "extrathick", "prethick", "small")
 class SizeVerdict:
     """Decision for one predicate, with a replayable witness when natural.
 
-    witness is a subset mask: the covering F for large/prethick, the
-    singleton {x} for thick, and for a failed small verdict a minimal large
-    set L whose trimming L - A is not large; None otherwise.
+    witness is a subset mask: a least minimum-size covering F for
+    large/prethick (exact, never greedy), the singleton {x} for thick, and
+    for a failed small verdict a minimal large set L whose trimming L - A
+    is not large; None otherwise.
     """
 
     predicate: str
@@ -132,27 +134,11 @@ def _small_counterwitness(
 # witness search
 
 
-def _min_cover_from_base(
-    S: FinSemigroup, tau: PrincipalFilter, accept
-) -> Optional[int]:
-    """Smallest F <= U0 with accept(F); exact up to |U0| <= EXACT_WITNESS_LIMIT.
-
-    Exact search scans submasks in (cardinality, value) order, so the result
-    is the lexicographically least mask among minimum-cardinality witnesses.
-    Beyond the limit a greedy pass over single elements is used.
-    """
-    U0 = tau.base
-    if popcount(U0) <= EXACT_WITNESS_LIMIT:
-        for F in masks_by_popcount(U0):
-            if F and accept(F):
-                return F
-        return None
-    F = 0
-    for f in bits(U0):
-        F |= 1 << f
-        if accept(F):
-            return F
-    return None
+def _least_witness(S: FinSemigroup, tau: PrincipalFilter, A: int, targets) -> int:
+    """The least (popcount, mask) F <= U0 whose F^-1 A holds some target."""
+    cands = [(f, left_quotient(S, f, A)) for f in bits(tau.base)]
+    covers = (least_cover(E, cands)[0] for E in targets)
+    return min((popcount(F), F) for F in covers if F is not None)[1]
 
 
 def is_tau_large(
@@ -161,9 +147,7 @@ def is_tau_large(
     value = large_value(S, tau, A)
     witness = None
     if value and with_witness:
-        witness = _min_cover_from_base(
-            S, tau, lambda F: is_subset(tau.base, set_quotient(S, F, A))
-        )
+        witness = _least_witness(S, tau, A, [tau.base])
     return SizeVerdict("large", not tau.is_trivial, value, witness)
 
 
@@ -188,9 +172,9 @@ def is_tau_prethick(
     value = prethick_value(S, tau, A)
     witness = None
     if value and with_witness:
-        witness = _min_cover_from_base(
-            S, tau, lambda F: thick_value(S, tau, set_quotient(S, F, A))
-        )
+        # F^-1 A is thick iff it holds a translate U0*x, and a cover of a
+        # translate covers every minimal one inside it
+        witness = _least_witness(S, tau, A, _minimal_translates(S, tau.base))
     return SizeVerdict("prethick", not tau.is_trivial, value, witness)
 
 

@@ -83,8 +83,6 @@ def parse_instance(source: str) -> FinSemigroup:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {source}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{source}: not valid JSON ({exc})") from exc
     return instance_from_payload(payload, where=source)
@@ -138,8 +136,6 @@ def _base_from_json(path: str, S: FinSemigroup) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "base" not in payload:
@@ -476,7 +472,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SizeLimitExceeded, TimeBudgetExceeded) as exc:
         _diag(args, str(exc), kind="limit")
         return EXIT_LIMIT
-    except SemsizeError as exc:
+    except (SemsizeError, OSError) as exc:
+        # an unreadable or unwritable path is the caller's input, not a finding
         _diag(args, str(exc), kind="input")
         return EXIT_INPUT
 

@@ -6,7 +6,7 @@ are kept as ints throughout; the owning semigroup knows the width.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -61,6 +61,40 @@ def supersets(base: int, full: int) -> Iterator[int]:
         yield base | extra
 
 
-def masks_by_popcount(mask: int) -> List[int]:
-    """Submasks of `mask` sorted by (popcount, value)."""
-    return sorted(submasks(mask), key=lambda m: (m.bit_count(), m))
+def least_cover(
+    target: int, cands: Sequence[Tuple[int, int]]
+) -> Tuple[Optional[int], int]:
+    """(F, covered): the least mask F among the fewest candidates whose
+    covered sets hold `target`, and the union of those sets; (None, union
+    of every candidate's set) when no cover exists.
+
+    cands lists (element, covered) pairs in ascending element order.  Depth
+    k of the iterative deepening decides them from the highest element down,
+    excluding first, so its first cover is the least mask of size k.  It
+    cuts a branch when the remaining candidates, or k of the widest of them,
+    cannot cover what is left, and before a candidate that adds nothing.
+    """
+    parts = [covered & target for _, covered in cands]
+    reach, widest = [0], [0]  # union and widest popcount of parts[:i]
+    for m in parts:
+        reach.append(reach[-1] | m)
+        widest.append(max(widest[-1], m.bit_count()))
+
+    def search(i: int, need: int, k: int, F: int) -> Optional[int]:
+        if not need:
+            return F
+        if need & ~reach[i] or need.bit_count() > k * widest[i]:
+            return None
+        i -= 1
+        out = search(i, need, k, F)
+        if out is None and parts[i] & need:
+            out = search(i, need & ~parts[i], k - 1, F | 1 << cands[i][0])
+        return out
+
+    found = (search(len(cands), target, k, 0) for k in range(len(cands) + 1))
+    F = next((F for F in found if F is not None), None)
+    covered = 0
+    for e, m in cands:
+        if F is None or F >> e & 1:
+            covered |= m
+    return F, covered

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .classify import delta_tau
@@ -24,7 +23,9 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .filters import PrincipalFilter
-from .masks import bits, elements, is_subset, mask_of, popcount, supersets
+from .masks import (
+    bits, elements, is_subset, least_cover, mask_of, popcount, supersets,
+)
 from .semigroups import (
     FinSemigroup,
     is_subgroup,
@@ -33,7 +34,6 @@ from .semigroups import (
     translate_set,
 )
 
-COVER_POOL_LIMIT = 16
 SWEEP_ORDER_LIMIT = {1: 12, 2: 12, 3: 8}
 WIDEN_ORDER_LIMIT = 6
 MODES = ("quotient", "translate", "delta")
@@ -138,35 +138,15 @@ def min_cover(
     quotient: union of f^-1 A;  translate: union of f*(A*A^-1);
     delta: union of f*delta(A).  Infeasibility comes back as a certificate
     with witness_F None so sweeps can aggregate it.  Ties at the minimum
-    cardinality break to the lexicographically least mask.
+    cardinality break to the least mask.  The search (`least_cover`) is
+    exact at every pool size.
     """
     if V == 0:
         raise ValueError("witness pool V must be non-empty")
     pool = elements(V)
-    if len(pool) > COVER_POOL_LIMIT:
-        raise SizeLimitExceeded(
-            f"exact cover search limited to |V| <= {COVER_POOL_LIMIT}"
-        )
-    target = tau.base
     masks = _transform_masks(S, tau, A, mode, pool)
-    reach = 0
-    for m in masks:
-        reach |= m
-    if not is_subset(target, reach):
-        return CoverCertificate(cell_id, None, mode, target, reach)
-    for k in range(1, len(pool) + 1):
-        best: Optional[Tuple[int, int]] = None  # (witness mask, covered)
-        for combo in combinations(range(len(pool)), k):
-            covered = 0
-            for i in combo:
-                covered |= masks[i]
-            if is_subset(target, covered):
-                w = mask_of(pool[i] for i in combo)
-                if best is None or w < best[0]:
-                    best = (w, covered)
-        if best is not None:
-            return CoverCertificate(cell_id, best[0], mode, target, best[1])
-    raise AssertionError("unreachable: full pool covers but no subset did")
+    F, covered = least_cover(tau.base, list(zip(pool, masks)))
+    return CoverCertificate(cell_id, F, mode, tau.base, covered)
 
 
 def recompute_cover(

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from semsize import (
     trivial_filter,
 )
 from semsize.classify import large_value, thick_value
-from semsize.masks import elements, is_subset, masks_by_popcount, popcount
+from semsize.masks import bits, elements, is_subset, popcount
 from semsize.semigroups import right_translate
 
 
@@ -55,12 +57,16 @@ class TestLarge:
             F = v.witness
             assert is_subset(F, tau.base)
             assert is_subset(tau.base, set_quotient(z6, F, A))
-            for smaller in masks_by_popcount(tau.base):
-                if popcount(smaller) >= popcount(F):
-                    break
-                assert not (
-                    smaller and is_subset(tau.base, set_quotient(z6, smaller, A))
-                )
+            # brute force: no smaller F covers, and F is the least of its size
+            covers = {
+                k: [
+                    mask_of(c) for c in combinations(elements(tau.base), k)
+                    if is_subset(tau.base, set_quotient(z6, mask_of(c), A))
+                ]
+                for k in range(1, popcount(F) + 1)
+            }
+            assert all(not covers[k] for k in range(1, popcount(F)))
+            assert F == min(covers[popcount(F)])
 
 
 class TestThick:
@@ -161,6 +167,68 @@ class TestSmall:
         assert not large_value(t3, tau, L & ~A)
         for y in elements(L):
             assert not large_value(t3, tau, L & ~(1 << y))
+
+
+def _replays(S, tau, A, large_F, prethick_F):
+    return (
+        is_subset(large_F, tau.base)
+        and is_subset(tau.base, set_quotient(S, large_F, A))
+        and is_subset(prethick_F, tau.base)
+        and thick_value(S, tau, set_quotient(S, prethick_F, A))
+    )
+
+
+class TestExactWitnesses:
+    # past 12 base points the witness search used to fall back to a greedy
+    # prefix of the base; these pin the exact least minimum covers there
+
+    def test_order_27_witnesses_are_one_element(self):
+        t3 = semigroup_from_spec("fulltransformation:3")
+        tau = trivial_filter(t3)
+        A = mask_of([1, 13])
+        large_F = is_tau_large(t3, tau, A).witness
+        prethick_F = is_tau_prethick(t3, tau, A).witness
+        assert large_F == prethick_F == mask_of([13])
+        assert _replays(t3, tau, A, large_F, prethick_F)
+
+    def test_cyclic_24_witnesses_have_12_elements_and_replay(self):
+        z24 = semigroup_from_spec("cyclic:24")
+        tau = trivial_filter(z24)
+        A = mask_of([0, 15, 21])
+        large_F = is_tau_large(z24, tau, A).witness
+        prethick_F = is_tau_prethick(z24, tau, A).witness
+        assert popcount(large_F) == popcount(prethick_F) == 12
+        assert _replays(z24, tau, A, large_F, prethick_F)
+
+    def test_prethick_from_minimal_translates_is_the_per_x_minimum(self):
+        # reference: the least (size, mask) F <= U0 with U0*x <= F^-1 A for
+        # some x in U0, by brute force over every x.  The order-3 tables
+        # include bases whose translates nest, so some targets are dropped
+        cases = [
+            (semigroup_from_spec("cyclic:6"), mask_of([0, 1])),
+            (semigroup_from_spec("rightzero:4"), mask_of([0, 1, 3])),
+        ] + [
+            (S, base)
+            for S in enumerate_semigroups(3)
+            for base in range(1, S.full_mask)
+        ]
+        for S, base in cases:
+            tau = make_principal(S, base)
+            translates = [right_translate(S, base, x) for x in bits(base)]
+            for A in range(S.full_mask + 1):
+                want = None
+                for k in range(1, popcount(base) + 1):
+                    fits = [
+                        mask_of(c) for c in combinations(elements(base), k)
+                        if any(
+                            is_subset(E, set_quotient(S, mask_of(c), A))
+                            for E in translates
+                        )
+                    ]
+                    if fits:
+                        want = min(fits)
+                        break
+                assert is_tau_prethick(S, tau, A).witness == want, (S.name, A)
 
 
 class TestTraceAndDelta:

@@ -468,6 +468,32 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["classify", "--instance", "{tmp}/no/such/table.json", "--subset", "1"],
+            ["classify", "--instance", "cyclic:4", "--subset", "1",
+             "--out", "{tmp}/no/such/dir/x.json"],
+            ["search", "--group", "cyclic:6", "--cells", "2",
+             "--checkpoint", "{tmp}"],
+            ["search", "--group", "cyclic:6", "--cells", "2",
+             "--time-budget", "0", "--checkpoint", "{tmp}/no/such/dir/cp.json"],
+        ],
+        ids=[
+            "unreadable-instance",
+            "unwritable-out",
+            "checkpoint-is-a-directory",
+            "unwritable-checkpoint",
+        ],
+    )
+    def test_file_error_is_input_error(self, tmp_path, capsys, argv):
+        # exit 1 is reserved for counterexamples; a path that cannot be read
+        # or written is the caller's input
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and str(tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["verify", "--theorem", "all", "--catalog", "order<=2"],
             ["hunt", "--variant", "T3_6_semigroup", "--catalog", "order<=2"],
         ],

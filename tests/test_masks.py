@@ -1,3 +1,5 @@
+from itertools import combinations
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -6,8 +8,8 @@ from semsize.masks import (
     complement,
     elements,
     is_subset,
+    least_cover,
     mask_of,
-    masks_by_popcount,
     popcount,
     submasks,
     supersets,
@@ -38,9 +40,36 @@ def test_supersets_within_full():
     assert set(sups) == {0b010, 0b011, 0b110, 0b111}
 
 
-def test_masks_by_popcount_order():
-    out = masks_by_popcount(0b111)
-    assert out == [0, 1, 2, 4, 3, 5, 6, 7]
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+@given(
+    st.integers(min_value=0, max_value=(1 << 12) - 1),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=(1 << 12) - 1),
+        max_size=10,
+    ),
+)
+def test_least_cover_matches_brute_force(target, covers):
+    # fewest candidates first, then the least element mask; when nothing
+    # covers, F is None and covered is the union of every candidate
+    cands = sorted(covers.items())
+    want = None, _union(m for _, m in cands)
+    for k in range(len(cands) + 1):
+        fits = [
+            (mask_of(e for e, _ in c), _union(m for _, m in c))
+            for c in combinations(cands, k)
+            if is_subset(target, _union(m for _, m in c))
+        ]
+        if fits:
+            want = min(fits)
+            break
+    assert least_cover(target, cands) == want
 
 
 @given(st.sets(st.integers(min_value=0, max_value=11)))

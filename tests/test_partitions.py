@@ -121,10 +121,16 @@ class TestMinCover:
         cert = min_cover(rz3, tau, mask_of([1]), "quotient", mask_of([0]))
         assert not cert.feasible and cert.size is None
 
-    def test_pool_limit(self):
+    def test_pool_of_27_needs_no_limit(self):
         t3 = semigroup_from_spec("fulltransformation:3")
-        with pytest.raises(SizeLimitExceeded):
-            min_cover(t3, trivial_filter(t3), 1, "quotient", t3.full_mask)
+        tau = trivial_filter(t3)
+        cert = min_cover(t3, tau, 1, "quotient", t3.full_mask)
+        assert cert.size == 1
+        assert recompute_cover(t3, tau, 1, cert) == cert.covered
+        # a singleton's difference set is {e}: every translate is needed
+        z24 = semigroup_from_spec("cyclic:24")
+        cert = min_cover(z24, trivial_filter(z24), mask_of([0]), "translate", z24.full_mask)
+        assert cert.size == 24 and cert.witness_F == z24.full_mask
 
 
 class TestSweeps:
