@@ -61,6 +61,45 @@ def supersets(base: int, full: int) -> Iterator[int]:
         yield base | extra
 
 
+def union_tables(images: Sequence[int]) -> Tuple[List[int], ...]:
+    """Slice union tables of images[0..n-1]: the unions of the images over
+    every submask of each slice of the n positions.
+
+    The positions are cut into ceil(n/8) slices of equal width (at most 8,
+    only the last may be narrower), so one table has at most 256 entries and
+    `union_of` needs one lookup per slice.
+    """
+    n = len(images)
+    width = -(-n // -(-n // 8))
+    tables = []
+    for lo in range(0, n, width):
+        t = [0]
+        for img in images[lo : lo + width]:
+            t += [m | img for m in t]
+        tables.append(t)
+    return tuple(tables)
+
+
+def union_of(tables: Sequence[List[int]], mask: int) -> int:
+    """Union of the images at the positions in mask, from `union_tables`.
+
+    The last slice is looked up unmasked, so a bit at or above the width
+    raises IndexError.
+    """
+    first = tables[0]
+    if len(tables) == 1:
+        return first[mask]
+    low = len(first) - 1
+    shift = low.bit_length()
+    if len(tables) == 2:  # orders 9 to 16
+        return first[mask & low] | tables[1][mask >> shift]
+    out = 0
+    for t in tables[:-1]:
+        out |= t[mask & low]
+        mask >>= shift
+    return out | tables[-1][mask]
+
+
 def least_cover(
     target: int, cands: Sequence[Tuple[int, int]]
 ) -> Tuple[Optional[int], int]:

@@ -1,8 +1,10 @@
 """Finite semigroups as validated Cayley tables over indices 0..n-1.
 
 The table is row-major: ``table[i][j]`` is the product ``i * j``.  Instances
-are immutable after construction and safe to share across workers; every
-operation below is a pure function of its inputs.
+are immutable after construction, except that each set operation builds its
+slice union tables from the table on first use.  A semigroup pickles as
+(table, name), so it is cheap to send to a worker.  Every operation below is
+a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownFamily,
 )
-from .masks import bits, is_subset, mask_of
+from .masks import bits, is_subset, mask_of, union_of, union_tables
 
 AUTOMORPHISM_ORDER_LIMIT = 12
 
@@ -39,7 +41,19 @@ def associativity_witness(order: int, table: Sequence[Sequence[int]]):
 
 
 class FinSemigroup:
-    """A finite semigroup with cached structural flags and preimage tables."""
+    """A finite semigroup with cached structural flags.
+
+    The set arithmetic below reads four slice union tables, one per
+    operation and element (see `masks.union_tables`):
+
+    * ``quot[a]``  over the preimages {x : a*x == b}   (left_quotient)
+    * ``trace[g]`` over the preimages {x : x*g == b}   (trace_set)
+    * ``row[a]``   over the products {a*b}             (translate_set)
+    * ``col[x]``   over the products {b*x}             (right_translate)
+
+    Each is built on first use, not here, and pickling sends only the
+    Cayley table and the name, so the tables never travel to a worker.
+    """
 
     __slots__ = (
         "order",
@@ -49,8 +63,10 @@ class FinSemigroup:
         "is_group",
         "inverses",
         "full_mask",
-        "left_pre",
-        "col_pre",
+        "quot",
+        "trace",
+        "row",
+        "col",
     )
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = ""):
@@ -64,17 +80,26 @@ class FinSemigroup:
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
         self.is_group = self.identity is not None and self.inverses is not None
-        # left_pre[a][b] = mask {x : a*x == b}; col_pre[g][b] = mask {x : x*g == b}
-        n = self.order
-        left = [[0] * n for _ in range(n)]
-        col = [[0] * n for _ in range(n)]
-        for a in range(n):
-            row = self.table[a]
-            for x in range(n):
-                left[a][row[x]] |= 1 << x
-                col[x][row[x]] |= 1 << a
-        self.left_pre = tuple(tuple(r) for r in left)
-        self.col_pre = tuple(tuple(r) for r in col)
+
+    def __getattr__(self, kind: str):
+        # reached only while a slot is unset: build that table on first use
+        if kind not in ("quot", "trace", "row", "col"):
+            raise AttributeError(kind)
+        # trace and col are quot and row of the transposed table
+        rows = self.table if kind in ("quot", "row") else tuple(zip(*self.table))
+        if kind in ("row", "col"):
+            images = [[1 << v for v in r] for r in rows]
+        else:
+            images = [[0] * self.order for _ in rows]
+            for pre, r in zip(images, rows):
+                for x, v in enumerate(r):
+                    pre[v] |= 1 << x
+        tables = tuple(union_tables(imgs) for imgs in images)
+        setattr(self, kind, tables)
+        return tables
+
+    def __reduce__(self):
+        return (FinSemigroup, (self.table, self.name))
 
     def _find_identity(self) -> Optional[int]:
         n = self.order
@@ -136,20 +161,12 @@ def build_from_table(
 
 def left_quotient(S: FinSemigroup, a: int, B: int) -> int:
     """{x : a*x in B}."""
-    pre = S.left_pre[a]
-    out = 0
-    for b in bits(B):
-        out |= pre[b]
-    return out
+    return union_of(S.quot[a], B)
 
 
 def trace_set(S: FinSemigroup, A: int, g: int) -> int:
     """{x : x*g in A} - the trace of A at the principal ultrafilter of g."""
-    pre = S.col_pre[g]
-    out = 0
-    for b in bits(A):
-        out |= pre[b]
-    return out
+    return union_of(S.trace[g], A)
 
 
 def set_quotient(S: FinSemigroup, A: int, B: int) -> int:
@@ -162,20 +179,12 @@ def set_quotient(S: FinSemigroup, A: int, B: int) -> int:
 
 def translate_set(S: FinSemigroup, a: int, B: int) -> int:
     """{a*b : b in B}."""
-    row = S.table[a]
-    out = 0
-    for b in bits(B):
-        out |= 1 << row[b]
-    return out
+    return union_of(S.row[a], B)
 
 
 def right_translate(S: FinSemigroup, B: int, x: int) -> int:
     """{b*x : b in B}."""
-    t = S.table
-    out = 0
-    for b in bits(B):
-        out |= 1 << t[b][x]
-    return out
+    return union_of(S.col[x], B)
 
 
 def product_set(S: FinSemigroup, A: int, B: int) -> int:
@@ -485,12 +494,7 @@ def subgroups(S: FinSemigroup) -> List[int]:
 
 
 def subset_is_closed(S: FinSemigroup, mask: int) -> bool:
-    for a in bits(mask):
-        row = S.table[a]
-        for b in bits(mask):
-            if not (mask >> row[b]) & 1:
-                return False
-    return True
+    return all(is_subset(translate_set(S, a, mask), mask) for a in bits(mask))
 
 
 __all__ = [

@@ -49,6 +49,16 @@ def test_report_matches_golden(name, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_parallel_verify_matches_golden(tmp_path, capsys):
+    # each task pickles its semigroups as (table, name); the workers build
+    # their own set-arithmetic tables
+    name = "verify_all_order3.jsonl"
+    out = tmp_path / name
+    assert main(CASES[name] + ["--workers", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_failing_theorem_stops_only_itself(workers, tmp_path, capsys, monkeypatch):
     # T2_1 is made to fail on the first base of the catalog's last semigroup,

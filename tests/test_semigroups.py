@@ -1,9 +1,14 @@
+import ast
 import itertools
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_minimal_left_ideals, independent_assoc_ok
 
+import semsize.literal
 from semsize import (
     AssociativityError,
     DimensionError,
@@ -21,9 +26,11 @@ from semsize import (
     minimal_left_ideals,
     product_set,
     quotient_pairs,
+    right_translate,
     semigroup_from_spec,
     set_quotient,
     subgroups,
+    trace_set,
     translate_set,
 )
 from semsize.masks import elements
@@ -287,3 +294,130 @@ def test_subgroups_of_z6(z6):
     assert mask_of([0, 2, 4]) in got
     assert z6.full_mask in got
     assert len(got) == 4
+
+
+# ---------------------------------------------------------------------------
+# the slice union tables behind the set arithmetic
+
+# orders on both sides of every slice width: one slice up to 8 positions,
+# then two (9, 11, 12, 16), three (18, 24) and four (27)
+TABLE_SPECS = (
+    "cyclic:1",
+    "rightzero:3",
+    "null:7",
+    "dihedral:4",
+    "cyclic:9",
+    "leftzero:11",
+    "cyclic:12",
+    "dihedral:8",
+    "product:cyclic:3,cyclic:6",
+    "symmetric:4",
+    "fulltransformation:3",
+)
+TABLE_SEMIGROUPS = {spec: semigroup_from_spec(spec) for spec in TABLE_SPECS}
+TABLE_KINDS = ("quot", "trace", "row", "col")
+
+
+def _set_mask(xs):
+    return sum(1 << x for x in set(xs))
+
+
+def _table_ops(S, a, A, B):
+    return {
+        "left_quotient": left_quotient(S, a, B),
+        "trace_set": trace_set(S, A, a),
+        "translate_set": translate_set(S, a, B),
+        "right_translate": right_translate(S, B, a),
+        "set_quotient": set_quotient(S, A, B),
+        "product_set": product_set(S, A, B),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TABLE_SPECS), st.data())
+def test_table_ops_match_loops_over_the_cayley_table(spec, data):
+    S = TABLE_SEMIGROUPS[spec]
+    n, t = S.order, S.table
+    a = data.draw(st.integers(0, n - 1))
+    A = data.draw(st.integers(0, S.full_mask))
+    B = data.draw(st.integers(0, S.full_mask))
+    As = [x for x in range(n) if A >> x & 1]
+    Bs = [x for x in range(n) if B >> x & 1]
+    assert _table_ops(S, a, A, B) == {
+        "left_quotient": _set_mask(x for x in range(n) if t[a][x] in Bs),
+        "trace_set": _set_mask(x for x in range(n) if t[x][a] in As),
+        "translate_set": _set_mask(t[a][b] for b in Bs),
+        "right_translate": _set_mask(t[b][a] for b in Bs),
+        "set_quotient": _set_mask(
+            x for x in range(n) if any(t[c][x] in Bs for c in As)
+        ),
+        "product_set": _set_mask(t[c][b] for c in As for b in Bs),
+    }
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_a_bit_past_the_order_raises_index_error(spec):
+    S = TABLE_SEMIGROUPS[spec]
+    for past in (1 << S.order, (1 << S.order + 5) | 1):
+        calls = (
+            lambda: left_quotient(S, 0, past),
+            lambda: trace_set(S, past, 0),
+            lambda: translate_set(S, 0, past),
+            lambda: right_translate(S, past, 0),
+            lambda: set_quotient(S, past, 1),
+            lambda: set_quotient(S, 1, past),
+            lambda: product_set(S, past, 1),
+            lambda: product_set(S, 1, past),
+        )
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+
+
+def _built(S):
+    # object.__getattribute__ reads a slot without the build-on-first-use
+    # fallback, so asking does not build
+    kinds = []
+    for kind in TABLE_KINDS:
+        try:
+            object.__getattribute__(S, kind)
+        except AttributeError:
+            continue
+        kinds.append(kind)
+    return kinds
+
+
+def test_tables_are_built_on_first_use_and_never_pickled():
+    S = semigroup_from_spec("cyclic:12")
+    assert _built(S) == []
+    payload = pickle.dumps(S)
+    assert _built(S) == []
+    left_quotient(S, 1, 5)
+    assert _built(S) == ["quot"]
+    samples = [(a, A, (A * 7 + a) & S.full_mask)
+               for a in range(S.order) for A in range(0, S.full_mask + 1, 97)]
+    want = [_table_ops(S, a, A, B) for a, A, B in samples]
+    assert _built(S) == list(TABLE_KINDS)
+    assert len(pickle.dumps(S)) == len(payload)
+    T = pickle.loads(payload)
+    assert T == S and T.name == S.name and T is not S
+    assert _built(T) == []
+    assert [_table_ops(T, a, A, B) for a, A, B in samples] == want
+
+
+def test_literal_oracle_stays_off_the_tables():
+    # literal.py is the ground truth for the table-backed fast path, so it
+    # must reach none of it: not by import and not by attribute
+    forbidden = {
+        "left_quotient", "trace_set", "translate_set", "right_translate",
+        "set_quotient", "product_set", "union_of", "union_tables",
+    }
+    with open(semsize.literal.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert not used & (forbidden | set(TABLE_KINDS))
