@@ -19,6 +19,10 @@ oracle by the test suite rather than trusted):
 
 The large and prethick witnesses are exact at every order: the fewest
 F <= U0, ties to the least mask, from the cover search `masks.least_cover`.
+
+The per-subset predicates answer one subset at any order.  The exhaustive
+sweeps read `SizeTables` instead, whose four tables over all 2^n subsets
+come from one `masks.union_table` of the quotients U0^-1 {b}.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from .filters import PrincipalFilter
-from .masks import bits, is_subset, least_cover, popcount
+from .masks import bits, is_subset, least_cover, popcount, union_table
 from .semigroups import (
     FinSemigroup,
     left_quotient,
@@ -213,48 +217,28 @@ def classify_all(
 class SizeTables:
     """Per-(semigroup, base) predicate tables over every subset mask.
 
-    large/thick/prethick are O(2^n) to fill; the small table, built only on
-    demand, marks the subsets that miss every minimal right translate.
+    All four are read off q = `union_table` of the quotients U0^-1 {b}, so
+    q[A] = U0^-1 A, and the inclusion-minimal right translates: A is large
+    iff q[A] holds U0, thick iff it holds a minimal translate, prethick iff
+    q[A] is thick, and small iff it misses every minimal translate.
     """
 
-    __slots__ = ("S", "tau", "quot", "large", "thick", "prethick", "_small")
+    __slots__ = ("S", "tau", "large", "thick", "prethick", "small")
 
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
         self.S = S
         self.tau = tau
-        n = S.order
         U0 = tau.base
-        # quot[b] = U0^-1 {b}; unions of these give U0^-1 A incrementally
-        quot = [set_quotient(S, U0, 1 << b) for b in range(n)]
-        self.quot = quot
-        translates = sorted({right_translate(S, U0, x) for x in bits(U0)})
-        size = S.full_mask + 1
-        large = [False] * size
-        thick = [False] * size
-        prethick = [False] * size
-        qmask = [0] * size
-        for A in range(size):
-            if A:
-                low = A & -A
-                b = low.bit_length() - 1
-                qmask[A] = qmask[A ^ low] | quot[b]
-            q = qmask[A]
-            large[A] = is_subset(U0, q)
-            thick[A] = any(is_subset(t, A) for t in translates)
-            prethick[A] = any(is_subset(t, q) for t in translates)
-        self.large = large
-        self.thick = thick
-        self.prethick = prethick
-        self._small = None
-
-    @property
-    def small(self) -> List[bool]:
-        if self._small is None:
-            M = 0
-            for E in _minimal_translates(self.S, self.tau.base):
-                M |= E
-            self._small = [not A & M for A in range(self.S.full_mask + 1)]
-        return self._small
+        q = union_table([set_quotient(S, U0, 1 << b) for b in range(S.order)])
+        minimal = _minimal_translates(S, U0)
+        M = 0
+        for E in minimal:
+            M |= E
+        subsets = range(S.full_mask + 1)
+        self.large = [not U0 & ~qA for qA in q]
+        self.thick = [any(not E & ~A for E in minimal) for A in subsets]
+        self.prethick = [self.thick[qA] for qA in q]
+        self.small = [not A & M for A in subsets]
 
 
 __all__ = [

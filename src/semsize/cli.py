@@ -114,20 +114,29 @@ def instance_from_payload(payload: dict, where: str = "<payload>") -> FinSemigro
     return build_from_table(order, table, name=name)
 
 
+def _parse_elements(text: str, what: str, order: Optional[int] = None) -> List[int]:
+    """The elements of a comma-separated list; SchemaError on a token that is
+    not an integer, a negative element or, given the order, one past it."""
+    try:
+        elems = [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        raise SchemaError(f"bad {what} spec {text!r}") from None
+    for e in elems:
+        if order is not None and not 0 <= e < order:
+            raise SchemaError(f"{what} element {e} out of range [0,{order})")
+        if e < 0:
+            raise SchemaError(f"{what} element {e} is negative")
+    return elems
+
+
 def _parse_base(text: str, S: FinSemigroup) -> int:
     if text in ("full", "all", ""):
         return S.full_mask
     if text.endswith(".json") or os.path.exists(text):
         return _base_from_json(text, S)
-    try:
-        elems = [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise SchemaError(f"bad base spec {text!r}") from None
+    elems = _parse_elements(text, "base", S.order)
     if not elems:
         raise EmptyBase("base spec names no elements")
-    for e in elems:
-        if not 0 <= e < S.order:
-            raise SchemaError(f"base element {e} out of range [0,{S.order})")
     return mask_of(elems)
 
 
@@ -156,14 +165,7 @@ def _parse_subset(text: str, S: FinSemigroup) -> int:
         return 0
     if text in ("full", "all"):
         return S.full_mask
-    try:
-        elems = [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise SchemaError(f"bad subset spec {text!r}") from None
-    for e in elems:
-        if not 0 <= e < S.order:
-            raise SchemaError(f"subset element {e} out of range [0,{S.order})")
-    return mask_of(elems)
+    return mask_of(_parse_elements(text, "subset", S.order))
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +210,7 @@ def _build_catalog(args):
     override = None
     if getattr(args, "base", None):
         # one mask applied to every instance; entries it cannot fit are dropped
-        try:
-            parts = [int(tok) for tok in args.base.split(",") if tok != ""]
-        except ValueError:
-            raise SchemaError(
-                f"catalog base override must be an element list, got {args.base!r}"
-            ) from None
-        override = (mask_of(parts),)
+        override = (mask_of(_parse_elements(args.base, "catalog base override")),)
     return catalog_mod.build_catalog(args.catalog, base_override=override)
 
 

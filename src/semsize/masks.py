@@ -61,9 +61,18 @@ def supersets(base: int, full: int) -> Iterator[int]:
         yield base | extra
 
 
+def union_table(images: Sequence[int]) -> List[int]:
+    """t[mask]: the union of images[i] over the bits i of mask, for every
+    mask below 2**len(images); each image doubles the table."""
+    t = [0]
+    for img in images:
+        t += [m | img for m in t]
+    return t
+
+
 def union_tables(images: Sequence[int]) -> Tuple[List[int], ...]:
-    """Slice union tables of images[0..n-1]: the unions of the images over
-    every submask of each slice of the n positions.
+    """Slice union tables of images[0..n-1]: one `union_table` per slice of
+    the n positions.
 
     The positions are cut into ceil(n/8) slices of equal width (at most 8,
     only the last may be narrower), so one table has at most 256 entries and
@@ -71,13 +80,7 @@ def union_tables(images: Sequence[int]) -> Tuple[List[int], ...]:
     """
     n = len(images)
     width = -(-n // -(-n // 8))
-    tables = []
-    for lo in range(0, n, width):
-        t = [0]
-        for img in images[lo : lo + width]:
-            t += [m | img for m in t]
-        tables.append(t)
-    return tuple(tables)
+    return tuple(union_table(images[lo : lo + width]) for lo in range(0, n, width))
 
 
 def union_of(tables: Sequence[List[int]], mask: int) -> int:

@@ -247,7 +247,7 @@ def enumerate_partitions(
 
 
 def stirling2(m: int, n: int) -> int:
-    """Partition count S(m, n), for cross-checking enumeration."""
+    """Partition count S(m, n)."""
     if n == 0:
         return 1 if m == 0 else 0
     if m == 0:

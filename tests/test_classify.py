@@ -392,17 +392,26 @@ def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
     # one-at-a-time implementations
     from semsize.classify import SizeTables, prethick_value, small_value
 
-    for S in (z6, rz3, null3):
-        for base in (1, mask_of([0, 2]) & S.full_mask or 1, S.full_mask):
-            tau = make_principal(S, base)
-            tb = SizeTables(S, tau)
-            for A in range(S.full_mask + 1):
-                assert tb.large[A] == large_value(S, tau, A)
-                assert tb.thick[A] == thick_value(S, tau, A)
-                assert tb.prethick[A] == prethick_value(S, tau, A)
-            small = tb.small
-            for A in range(S.full_mask + 1):
-                assert small[A] == small_value(S, tau, A)
+    # Z12 under its subgroup H = {0, 4, 8}: H*u = H for u in H, so the one
+    # minimal translate is the proper subgroup itself; under {0, 4} the two
+    # translates {0, 4} and {4, 8} are both minimal
+    z12 = semigroup_from_spec("cyclic:12")
+    H, pair = mask_of([0, 4, 8]), mask_of([0, 4])
+    assert classify._minimal_translates(z12, H) == [H]
+    assert classify._minimal_translates(z12, pair) == [pair, pair << 4]
+    cases = [
+        (S, base)
+        for S in (z6, rz3, null3)
+        for base in (1, mask_of([0, 2]) & S.full_mask or 1, S.full_mask)
+    ] + [(z12, H), (z12, pair)]
+    for S, base in cases:
+        tau = make_principal(S, base)
+        tb = SizeTables(S, tau)
+        for A in range(S.full_mask + 1):
+            assert tb.large[A] == large_value(S, tau, A)
+            assert tb.thick[A] == thick_value(S, tau, A)
+            assert tb.prethick[A] == prethick_value(S, tau, A)
+            assert tb.small[A] == small_value(S, tau, A)
 
 
 def test_small_table_matches_the_definition_at_orders_6_to_12():

@@ -371,6 +371,27 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "--theorem", "T9_9")
         assert code == 2
 
+    @pytest.mark.parametrize("base", ["-1", "0,-1", "0,x"])
+    @pytest.mark.parametrize(
+        "verb",
+        [["verify", "--theorem", "T2_1"], ["hunt", "--variant", "T2_6_large"]],
+        ids=["verify", "hunt"],
+    )
+    def test_bad_catalog_base_override_is_input_error(self, capsys, verb, base):
+        # the override is parsed before any semigroup is known, so only a
+        # negative element or a non-integer token can be refused there
+        code, _, err = run(capsys, *verb, "--catalog", "cyclic:2", f"--base={base}")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "catalog base override" in err
+
+    def test_catalog_base_override_drops_the_entries_it_cannot_fit(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--theorem", "T2_1",
+            "--catalog", "cyclic:2;cyclic:6", "--base", "0,4",
+        )
+        assert code == 0
+        assert json.loads(out)["instances_checked"] == 1
+
     def test_zero_cells_is_input_error(self, capsys):
         code, _, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "0")
         assert code == 2 and "at least one cell" in err

@@ -4,9 +4,11 @@ The files under tests/golden/ were written by the CLI before the theorem
 checkers were rewritten as a spec table; any change to a report line (counts,
 counterexample payload, notes, key order) shows up here as a diff.  Two of the
 hunt fixtures carry counterexample payloads, so the counterexample builder is
-pinned too.  The search fixtures pin the JSON record and the appended CSV rows
-of the partition sweep; the classify fixture pins all five verdicts, with
-their witnesses, on every subset of two small instances.
+pinned too.  The default-catalog fixtures were written before the checkers
+read whole-mask tables and T3_5 (iii) was counted from (i).  The search
+fixtures pin the JSON record and the appended CSV rows of the partition
+sweep; the classify fixture pins all five verdicts, with their witnesses,
+on every subset of two small instances.
 """
 
 import json
@@ -38,6 +40,13 @@ CASES = {
     "hunt_T3_6_semigroup_order3.jsonl": [
         "hunt", "--variant", "T3_6_semigroup", "--catalog", "order<=3",
     ],
+    "verify_all_default.jsonl": ["verify", "--theorem", "all", "--catalog", "default"],
+    **{
+        f"hunt_{variant}_default.jsonl": [
+            "hunt", "--variant", variant, "--catalog", "default",
+        ]
+        for variant in ("T2_6_large", "T2_3_no_extrathick", "T3_6_semigroup")
+    },
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from semsize import (
     build_catalog,
+    elements,
     hunt_counterexample,
     mask_of,
     order_le_catalog,
@@ -11,9 +12,11 @@ from semsize import (
     semigroup_from_spec,
     verify,
 )
+import semsize.theorems as theorems
 from semsize.catalog import entry_for, family_catalog
 from semsize.classify import SizeTables
 from semsize.filters import PrincipalFilter
+from semsize.partitions import enumerate_partitions
 from semsize.theorems import HUNT_VARIANTS, THEOREM_IDS, VerifyConfig
 
 
@@ -210,3 +213,75 @@ def test_meets_every_large_matches_literal_sweep():
                     if tb.large[L]
                 )
                 assert complement_form == literal
+
+
+def test_every_partition_of_a_prethick_set_has_a_prethick_cell():
+    # T3_5 (iii) is counted from (i), not swept; the sweep runs here on the
+    # order<=3 catalog and the order <= 6 golden mixed catalog: each 2- and
+    # 3-cell partition of a prethick set has a prethick cell, and the 2^n
+    # subsets of (i) plus those partitions are the instance's assertions
+    mixed = build_catalog(
+        "fulltransformation:2;symmetric:3;cyclic:6;rightzero:4;null:4"
+    )
+    catalog = order_le_catalog(3) + [e for e in mixed if e.semigroup.order <= 6]
+    cfg = VerifyConfig(workers=1)
+    admitted = assertions = 0
+    for entry in catalog:
+        S = entry.semigroup
+        for base in entry.bases:
+            report = verify("T3_5", [entry_for(S, bases=(base,))], cfg=cfg)
+            if not report.instances_checked:
+                continue
+            prethick = SizeTables(S, PrincipalFilter(S, base)).prethick
+            partitions = 0
+            for A in range(S.full_mask + 1):
+                if not prethick[A]:
+                    continue
+                for cells in (2, 3):
+                    for part in enumerate_partitions(A, cells):
+                        partitions += 1
+                        assert any(prethick[c] for c in part.cell_masks()), (
+                            S.name, base, part.label_string(),
+                        )
+            assert report.assertions == S.full_mask + 1 + partitions
+            admitted += 1
+            assertions += report.assertions
+    whole = verify("T3_5", catalog, cfg=cfg)
+    assert (whole.instances_checked, whole.assertions) == (admitted, assertions)
+    assert admitted == 356 + 27  # order<=3, then the mixed catalog
+
+
+_M = 0b101101  # {0, 2, 3, 5} in cyclic:6
+_FLIPPED_PAYLOADS = {
+    # the counterexample detail each claim reported before it went through
+    # _agree, with the named table flipped at _M on cyclic:6, full base
+    "T2_1": ("large", {"subset": [0, 2, 3, 5], "large": False,
+                       "trace_condition": True}),
+    "T2_2": ("thick", {"subset": [0, 2, 3, 5], "thick": True,
+                       "trace_condition": False}),
+    "T2_3": ("thick", {"subset": [0, 2, 3, 5], "thick": True,
+                       "meets_every_large": False}),
+    "T3_5": ("prethick", {"part": "i", "subset": [0, 2, 3, 5],
+                          "prethick": False, "meets_minimal": True}),
+    "T3_6": ("prethick", {"subset": [0, 2, 3, 5], "prethick": False,
+                          "not_small": True}),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(_FLIPPED_PAYLOADS))
+def test_a_flipped_table_entry_is_the_reported_counterexample(tid, monkeypatch):
+    table, payload = _FLIPPED_PAYLOADS[tid]
+
+    class Flipped(SizeTables):
+        def __init__(self, S, tau):
+            super().__init__(S, tau)
+            entries = getattr(self, table)
+            entries[_M] = not entries[_M]
+
+    monkeypatch.setattr(theorems, "SizeTables", Flipped)
+    z6 = semigroup_from_spec("cyclic:6")
+    entry = entry_for(z6, bases=(z6.full_mask,))
+    report = verify(tid, [entry], cfg=VerifyConfig(workers=1))
+    assert report.assertions == _M + 1
+    assert report.counterexample["detail"] == payload
+    assert report.counterexample["detail"]["subset"] == elements(_M)
