@@ -233,47 +233,6 @@ def _cmd_hunt(args) -> int:
     return EXIT_OK
 
 
-_CSV_COLUMNS = [
-    "group",
-    "order",
-    "base",
-    "cells",
-    "mode",
-    "pool",
-    "worst_min_F",
-    "proved_bound",
-    "conjecture_bound",
-    "alt_bound",
-    "exceeds_conjecture",
-    "partitions_checked",
-    "infeasible_partitions",
-    "widened",
-    "argmax_domain",
-    "argmax_labels",
-]
-
-
-def _record_row(rec: BoundRecord) -> List:
-    return [
-        rec.group,
-        rec.order,
-        ",".join(str(e) for e in elements(rec.base)),
-        rec.cells,
-        rec.mode,
-        ",".join(str(e) for e in elements(rec.pool)),
-        rec.worst_min_F,
-        "" if rec.proved_bound is None else rec.proved_bound,
-        rec.conjecture_bound,
-        "" if rec.alt_bound is None else rec.alt_bound,
-        int(rec.exceeds_conjecture),
-        rec.partitions_checked,
-        rec.infeasible_partitions,
-        int(rec.widened),
-        ",".join(str(e) for e in elements(rec.argmax_partition.domain)),
-        rec.argmax_partition.label_string(),
-    ]
-
-
 def _record_json(rec: BoundRecord) -> dict:
     return {
         "group": rec.group,
@@ -296,6 +255,23 @@ def _record_json(rec: BoundRecord) -> dict:
             "cells": rec.argmax_partition.cells,
         },
     }
+
+
+def _record_row(rec: BoundRecord) -> dict:
+    """The CSV row of a record: its JSON fields in order, with the argmax as
+    its domain and label string, lists comma-joined, None as an empty cell
+    and booleans as 0/1."""
+    row = _record_json(rec)
+    row["argmax_domain"] = row.pop("argmax_partition")["domain"]
+    row["argmax_labels"] = rec.argmax_partition.label_string()
+    for key, value in row.items():
+        if isinstance(value, list):
+            row[key] = ",".join(str(e) for e in value)
+        elif value is None:
+            row[key] = ""
+        elif isinstance(value, bool):
+            row[key] = int(value)
+    return row
 
 
 def _checkpoint_key(args) -> str:
@@ -340,14 +316,14 @@ def _cmd_search(args) -> int:
 
     def progress(done, total, snapshot):
         if deadline is not None and time.monotonic() > deadline and done < total:
+            saved = ""
             if args.checkpoint:
                 with open(args.checkpoint, "w", encoding="utf-8") as fh:
                     json.dump(
                         {"key": key, "completed": done, "state": snapshot}, fh
                     )
-            raise TimeBudgetExceeded(
-                f"stopped after {done}/{total} partitions; checkpoint saved"
-            )
+                saved = "; checkpoint saved"
+            raise TimeBudgetExceeded(f"stopped after {done}/{total} partitions{saved}")
 
     record = sweep_partitions(
         S,
@@ -367,12 +343,12 @@ def _cmd_search(args) -> int:
 
     _write_lines(args.out_json, [_dump(_record_json(record))])
     if args.out_csv:
-        fresh = not os.path.exists(args.out_csv)
+        row = _record_row(record)
         with open(args.out_csv, "a", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            if fresh:
-                writer.writerow(_CSV_COLUMNS)
-            writer.writerow(_record_row(record))
+            if fh.tell() == 0:
+                writer.writerow(row.keys())
+            writer.writerow(row.values())
     return EXIT_OK
 
 

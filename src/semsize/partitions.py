@@ -263,7 +263,7 @@ def _balanced_first(parts: List[Partition]) -> List[Partition]:
     # near-balanced partitions empirically carry the worst cases; surface
     # them early so long sweeps report progress meaningfully
     def key(p: Partition):
-        sizes = sorted(popcount(c) for c in p.cell_masks())
+        sizes = sorted(p.labels.count(c) for c in range(p.cells))
         return (sizes[-1] - sizes[0], p.labels)
 
     return sorted(parts, key=key)

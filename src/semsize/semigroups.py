@@ -238,50 +238,44 @@ def minimal_left_ideals(S: FinSemigroup, within: Optional[int] = None) -> List[i
 
 
 def automorphisms(S: FinSemigroup) -> List[Tuple[int, ...]]:
-    """All table-preserving permutations, found by pruned backtracking."""
+    """All table-preserving permutations, in lexicographic order.
+
+    Each product a*b = c goes in the bucket of max(a, b, c).  Elements get
+    their images in index order, and bucket k is checked once, when k gets
+    its image: a, b and c all have theirs by then.  Each product is thus
+    checked exactly once, and a complete assignment preserves the table.
+    Images are tried in increasing order, so the permutations come sorted.
+    """
     n = S.order
     if n > AUTOMORPHISM_ORDER_LIMIT:
         raise SizeLimitExceeded(
             f"automorphism search limited to order <= {AUTOMORPHISM_ORDER_LIMIT}"
         )
     t = S.table
-    img = [-1] * n
+    buckets: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            c = t[a][b]
+            buckets[max(a, b, c)].append((a, b, c))
+    img = [0] * n
     used = [False] * n
     found: List[Tuple[int, ...]] = []
 
-    def consistent(k: int) -> bool:
-        # check pairs involving k whose product is already assigned
-        for i in range(k + 1):
-            for a, b in ((i, k), (k, i)):
-                c = t[a][b]
-                if c <= k and t[img[a]][img[b]] != img[c]:
-                    return False
-        return True
-
-    def preserves_all() -> bool:
-        for a in range(n):
-            for b in range(n):
-                if t[img[a]][img[b]] != img[t[a][b]]:
-                    return False
-        return True
-
     def extend(k: int) -> None:
         if k == n:
-            if preserves_all():
-                found.append(tuple(img))
+            found.append(tuple(img))
             return
         for v in range(n):
             if used[v]:
                 continue
             img[k] = v
-            used[v] = True
-            if consistent(k):
+            if all(t[img[a]][img[b]] == img[c] for a, b, c in buckets[k]):
+                used[v] = True
                 extend(k + 1)
-            used[v] = False
-        img[k] = -1
+                used[v] = False
 
     extend(0)
-    return sorted(found)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,31 @@ class TestSearch:
         assert row.startswith("cyclic:4,4,")
         assert ",2," in row
 
+    def test_csv_header_goes_into_an_existing_empty_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "bounds.csv"
+        csv_path.write_text("")
+        argv = ["search", "--group", "cyclic:4", "--cells", "2",
+                "--out-csv", str(csv_path)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        header, first, second = csv_path.read_text().splitlines()
+        assert header.startswith("group,order,base,cells,mode")
+        assert header.endswith(",argmax_domain,argmax_labels")
+        assert first == second and first.startswith("cyclic:4,4,")
+
+    def test_time_budget_says_checkpoint_saved_only_when_one_is(
+        self, tmp_path, capsys
+    ):
+        argv = ["search", "--group", "cyclic:4", "--cells", "2",
+                "--time-budget", "-1"]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "stopped after" in err and "checkpoint" not in err
+        ckpt = tmp_path / "sweep.ckpt"
+        code, _, err = run(capsys, *argv, "--checkpoint", str(ckpt))
+        assert code == 3 and "checkpoint saved" in err and ckpt.exists()
+
     def test_time_budget_checkpoint_and_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "sweep.ckpt"
         argv = [

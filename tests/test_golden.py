@@ -105,6 +105,8 @@ SEARCH_CASES = [
     ["--group", "cyclic:6", "--cells", "2", "--mode", "delta"],
     ["--group", "dihedral:4", "--cells", "3"],
     ["--group", "cyclic:12", "--cells", "2", "--symmetry"],
+    ["--group", "quaternion8", "--cells", "3", "--symmetry"],
+    ["--group", "product:cyclic:2,cyclic:2,cyclic:2", "--cells", "3", "--symmetry"],
 ]
 
 

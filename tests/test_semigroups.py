@@ -33,6 +33,7 @@ from semsize import (
     trace_set,
     translate_set,
 )
+from semsize.catalog import build_catalog
 from semsize.masks import elements
 from semsize.semigroups import FAMILY_NAMES, associativity_witness
 
@@ -262,6 +263,28 @@ class TestAutomorphisms:
     def test_limit(self):
         with pytest.raises(SizeLimitExceeded):
             automorphisms(semigroup_from_spec("fulltransformation:3"))
+
+    def test_matches_brute_force_in_lexicographic_order(self):
+        # every labeled semigroup of order <= 3 and every family up to order 6
+        semigroups = [
+            e.semigroup for e in build_catalog("default") if e.semigroup.order <= 6
+        ]
+        assert len(semigroups) == 143
+        for S in semigroups:
+            n, t = S.order, S.table
+            reference = [
+                p
+                for p in itertools.permutations(range(n))
+                if all(p[t[a][b]] == t[p[a]][p[b]] for a in range(n) for b in range(n))
+            ]
+            assert automorphisms(S) == reference, S.name
+        assert len(automorphisms(semigroup_from_spec("rightzero:6"))) == 720
+        assert len(automorphisms(semigroup_from_spec("leftzero:6"))) == 720
+
+    def test_cyclic12_is_multiplication_by_the_units(self):
+        assert automorphisms(semigroup_from_spec("cyclic:12")) == [
+            tuple(u * x % 12 for x in range(12)) for u in (1, 5, 7, 11)
+        ]
 
 
 class TestEnumeration:
