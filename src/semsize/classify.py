@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from .filters import PrincipalFilter
-from .masks import bits, is_subset, least_cover, popcount, union_table
+from .masks import bits, is_subset, least_cover, minimal, popcount, union_table
 from .semigroups import (
     FinSemigroup,
     left_quotient,
@@ -107,11 +107,7 @@ def small_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
 
 def _minimal_translates(S: FinSemigroup, U0: int) -> List[int]:
     """The inclusion-minimal right translates U0*u (u in U0), ascending."""
-    translates = {right_translate(S, U0, u) for u in bits(U0)}
-    return sorted(
-        E for E in translates
-        if not any(R != E and is_subset(R, E) for R in translates)
-    )
+    return minimal(right_translate(S, U0, u) for u in bits(U0))
 
 
 def _small_counterwitness(

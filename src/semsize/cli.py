@@ -99,7 +99,7 @@ def instance_from_payload(payload: dict, where: str = "<payload>") -> FinSemigro
     table = payload["table"]
     if not isinstance(name, str):
         raise SchemaError(f"{where}: field 'name' must be a string")
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise SchemaError(f"{where}: field 'order' must be a positive integer")
     if not isinstance(table, list) or len(table) != order:
         raise SchemaError(f"{where}: field 'table' must have {order} rows")
@@ -107,7 +107,7 @@ def instance_from_payload(payload: dict, where: str = "<payload>") -> FinSemigro
         if not isinstance(row, list) or len(row) != order:
             raise SchemaError(f"{where}: table[{i}] must have {order} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < order:
+            if type(v) is not int or not 0 <= v < order:
                 raise SchemaError(
                     f"{where}: table[{i}][{j}] = {v!r} out of range [0,{order})"
                 )
@@ -153,7 +153,7 @@ def _base_from_json(path: str, S: FinSemigroup) -> int:
     if not isinstance(base, list) or not base:
         raise SchemaError(f"{path}: 'base' must be a non-empty list")
     for i, e in enumerate(base):
-        if not isinstance(e, int) or not 0 <= e < S.order:
+        if type(e) is not int or not 0 <= e < S.order:
             raise SchemaError(
                 f"{path}: base[{i}] = {e!r} out of range [0,{S.order})"
             )

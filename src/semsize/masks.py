@@ -61,6 +61,15 @@ def supersets(base: int, full: int) -> Iterator[int]:
         yield base | extra
 
 
+def minimal(family: Iterable[int]) -> List[int]:
+    """The inclusion-minimal members of a family of masks, ascending."""
+    kept: List[int] = []
+    for m in sorted(set(family), key=popcount):
+        if not any(is_subset(k, m) for k in kept):
+            kept.append(m)
+    return sorted(kept)
+
+
 def union_table(images: Sequence[int]) -> List[int]:
     """t[mask]: the union of images[i] over the bits i of mask, for every
     mask below 2**len(images); each image doubles the table."""

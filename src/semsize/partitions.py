@@ -63,7 +63,6 @@ class Partition:
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    cell_id: Optional[int]
     witness_F: Optional[int]
     mode: str
     target: int
@@ -131,12 +130,13 @@ def min_cover(
     A: int,
     mode: str,
     V: int,
-    cell_id: Optional[int] = None,
 ) -> CoverCertificate:
     """Minimum-cardinality F <= V whose mode-transform of A covers the base.
 
     quotient: union of f^-1 A;  translate: union of f*(A*A^-1);
-    delta: union of f*delta(A).  Infeasibility comes back as a certificate
+    delta: union of f*delta(A).  Quotient mode takes A as given and works
+    on any semigroup; the sweep's quotient mode passes A*A^-1 instead (see
+    `sweep_partitions`).  Infeasibility comes back as a certificate
     with witness_F None so sweeps can aggregate it.  Ties at the minimum
     cardinality break to the least mask.  The search (`least_cover`) is
     exact at every pool size.
@@ -146,7 +146,7 @@ def min_cover(
     pool = elements(V)
     masks = _transform_masks(S, tau, A, mode, pool)
     F, covered = least_cover(tau.base, list(zip(pool, masks)))
-    return CoverCertificate(cell_id, F, mode, tau.base, covered)
+    return CoverCertificate(F, mode, tau.base, covered)
 
 
 def recompute_cover(
@@ -283,11 +283,11 @@ def _best_cover(S, tau, mode, pool, part: Partition) -> Optional[int]:
     """The least minimal cover size over the cells of `part`, None if no
     cell has a cover within the pool."""
     best: Optional[int] = None
-    for cell_id, cell in enumerate(part.cell_masks()):
+    for cell in part.cell_masks():
         # the corollary form quotients the difference set, so a quotient
         # sweep covers A*A^-1 rather than the raw cell
         cover_set = quotient_pairs(S, cell) if mode == "quotient" else cell
-        cert = min_cover(S, tau, cover_set, mode, pool, cell_id)
+        cert = min_cover(S, tau, cover_set, mode, pool)
         if cert.size is not None and (best is None or cert.size < best):
             best = cert.size
             if best == 1:
@@ -355,6 +355,11 @@ def sweep_partitions(
     automorphisms of S, typically `automorphisms(S)`: the sweep keeps those
     that fix the base, the pool and each domain, and checks one partition
     per orbit of the rest.
+
+    Each cell A is covered as in `min_cover`, except in quotient mode: the
+    sweep covers with f^-1(A*A^-1), the corollary form, not f^-1 A.  So
+    quotient mode, like translate mode, needs a group (A^-1), and raises
+    NotAGroup on any other semigroup.
 
     The proved bound 2^(2^(n-1)-1) applies in translate mode over a
     subgroup base with a pool containing it; there an infeasible partition

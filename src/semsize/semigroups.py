@@ -10,7 +10,7 @@ a pure function of its inputs.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     AssociativityError,
@@ -20,7 +20,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownFamily,
 )
-from .masks import bits, is_subset, mask_of, union_of, union_tables
+from .masks import bits, is_subset, mask_of, minimal, union_of, union_tables
 
 AUTOMORPHISM_ORDER_LIMIT = 12
 
@@ -222,15 +222,7 @@ def minimal_left_ideals(S: FinSemigroup, within: Optional[int] = None) -> List[i
     if not subset_is_closed(S, W):
         raise NotASubsemigroup(f"within mask {bin(W)} is not closed under the table")
     # {x} | W*x is a left ideal of W: W*(W*x) <= W*x because W is closed
-    principals = sorted(
-        {(1 << x) | right_translate(S, W, x) for x in bits(W)},
-        key=lambda m: (m.bit_count(), m),
-    )
-    minimal: List[int] = []
-    for L in principals:
-        if not any(is_subset(M, L) for M in minimal):
-            minimal.append(L)
-    return sorted(minimal)
+    return minimal((1 << x) | right_translate(S, W, x) for x in bits(W))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +290,21 @@ def enumerate_semigroups(order: int) -> Iterator[FinSemigroup]:
 # named families
 
 
+def _from_rule(order: int, mul: Callable[[int, int], int], name: str) -> FinSemigroup:
+    """The semigroup on 0..order-1 whose product x*y is mul(x, y)."""
+    return FinSemigroup([[mul(x, y) for y in range(order)] for x in range(order)], name)
+
+
+def _composition(maps: Sequence[Tuple[int, ...]], name: str) -> FinSemigroup:
+    """maps under composition: entry (a, b) is the index of maps[a] after maps[b]."""
+    index = {f: i for i, f in enumerate(maps)}
+    return _from_rule(
+        len(maps), lambda a, b: index[tuple(maps[a][i] for i in maps[b])], name
+    )
+
+
 def _cyclic(n: int) -> FinSemigroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FinSemigroup(table, name=f"cyclic:{n}")
+    return _from_rule(n, lambda x, y: (x + y) % n, f"cyclic:{n}")
 
 
 def _dihedral(n: int) -> FinSemigroup:
@@ -311,19 +315,13 @@ def _dihedral(n: int) -> FinSemigroup:
         rot = (a + (b if s == 0 else -b)) % n
         return rot + n * (s ^ t)
 
-    table = [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
-    return FinSemigroup(table, name=f"dihedral:{n}")
+    return _from_rule(2 * n, mul, f"dihedral:{n}")
 
 
 def _symmetric(n: int) -> FinSemigroup:
     if n > 4:
         raise SizeLimitExceeded("symmetric group family limited to n <= 4")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms
-    ]
-    return FinSemigroup(table, name=f"symmetric:{n}")
+    return _composition(sorted(itertools.permutations(range(n))), f"symmetric:{n}")
 
 
 def _quaternion8() -> FinSemigroup:
@@ -345,65 +343,41 @@ def _quaternion8() -> FinSemigroup:
                 sign ^= 1
         return axis + 4 * sign
 
-    table = [[mul(x, y) for y in range(8)] for x in range(8)]
-    return FinSemigroup(table, name="quaternion8")
+    return _from_rule(8, mul, "quaternion8")
 
 
 def _right_zero(n: int) -> FinSemigroup:
-    table = [[j for j in range(n)] for _ in range(n)]
-    return FinSemigroup(table, name=f"rightzero:{n}")
+    return _from_rule(n, lambda x, y: y, f"rightzero:{n}")
 
 
 def _left_zero(n: int) -> FinSemigroup:
-    table = [[i for _ in range(n)] for i in range(n)]
-    return FinSemigroup(table, name=f"leftzero:{n}")
+    return _from_rule(n, lambda x, y: x, f"leftzero:{n}")
 
 
 def _null(n: int) -> FinSemigroup:
-    table = [[0 for _ in range(n)] for _ in range(n)]
-    return FinSemigroup(table, name=f"null:{n}")
+    return _from_rule(n, lambda x, y: 0, f"null:{n}")
 
 
 def _full_transformation(n: int) -> FinSemigroup:
     if n > 3:
         raise SizeLimitExceeded("full transformation family limited to n <= 3")
     maps = sorted(itertools.product(range(n), repeat=n))
-    index = {f: i for i, f in enumerate(maps)}
-    table = [
-        [index[tuple(f[g[i]] for i in range(n))] for g in maps] for f in maps
-    ]
-    return FinSemigroup(table, name=f"fulltransformation:{n}")
+    return _composition(maps, f"fulltransformation:{n}")
 
 
 def direct_product(factors: Sequence[FinSemigroup], name: str = "") -> FinSemigroup:
+    """Componentwise product; tuples are numbered with the first factor most
+    significant."""
     if not factors:
         raise UnknownFamily("direct product needs at least one factor")
-    total = 1
-    for f in factors:
-        total *= f.order
+    elems = list(itertools.product(*(range(f.order) for f in factors)))
+    index = {xs: i for i, xs in enumerate(elems)}
 
-    def decode(x: int) -> List[int]:
-        out = []
-        for f in reversed(factors):
-            x, r = divmod(x, f.order)
-            out.append(r)
-        return out[::-1]
+    def mul(x: int, y: int) -> int:
+        xs, ys = elems[x], elems[y]
+        return index[tuple(f.table[a][b] for f, a, b in zip(factors, xs, ys))]
 
-    def encode(parts: Sequence[int]) -> int:
-        x = 0
-        for f, p in zip(factors, parts):
-            x = x * f.order + p
-        return x
-
-    table = []
-    for x in range(total):
-        xs = decode(x)
-        row = []
-        for y in range(total):
-            ys = decode(y)
-            row.append(encode([f.table[a][b] for f, a, b in zip(factors, xs, ys)]))
-        table.append(row)
-    return FinSemigroup(table, name=name or "product")
+    return _from_rule(len(elems), mul, name or "product")
 
 
 _FAMILY_BUILDERS = {

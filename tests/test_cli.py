@@ -343,6 +343,16 @@ class TestFilterJson:
         )
         assert code == 2 and "base[1]" in err
 
+    def test_boolean_base_element_is_input_error(self, tmp_path, capsys):
+        # JSON true is not the integer 1: the filter schema says "integer"
+        filt = tmp_path / "tau.json"
+        filt.write_text(json.dumps({"base": [True]}))
+        code, _, err = run(
+            capsys, "classify", "--instance", "cyclic:2",
+            "--base", str(filt), "--subset", "1",
+        )
+        assert code == 2 and "base[0] = True" in err
+
 
 class TestExitCodes:
     def test_unknown_family_is_input_error(self, capsys):
@@ -372,6 +382,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", "--instance", str(bad), "--subset", "0")
         assert code == 2
         assert "table[0][1]" in err
+
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"name": "b", "order": 2, "table": [[False, True], [True, False]]},
+             "table[0][0] = False"),
+            ({"name": "b", "order": 2, "table": [[0, 1], [1, False]]},
+             "table[1][1] = False"),
+            ({"name": "b", "order": True, "table": [[0]]}, "'order'"),
+        ],
+    )
+    def test_boolean_is_not_an_integer(self, payload, where, tmp_path, capsys):
+        # the Cayley-table schema says "integer", which excludes JSON booleans
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "classify", "--instance", str(bad), "--subset", "1")
+        assert code == 2 and where in err
 
     def test_nonassociative_table_rejected(self, tmp_path, capsys):
         bad = tmp_path / "nonassoc.json"

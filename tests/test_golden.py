@@ -8,7 +8,9 @@ pinned too.  The default-catalog fixtures were written before the checkers
 read whole-mask tables and T3_5 (iii) was counted from (i).  The search
 fixtures pin the JSON record and the appended CSV rows of the partition
 sweep; the classify fixture pins all five verdicts, with their witnesses,
-on every subset of two small instances.
+on every subset of two small instances.  The families fixture pins the
+Cayley table of every named family at several sizes, and of six products,
+as written before the families shared one table constructor.
 """
 
 import json
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import semsize.theorems as theorems
-from semsize import order_le_catalog
+from semsize import FAMILY_NAMES, order_le_catalog, semigroup_from_spec, serialize_table
 from semsize.cli import main
 from semsize.masks import elements
 
@@ -139,3 +141,18 @@ def test_classify_every_subset_matches_golden(tmp_path, capsys):
             lines += out.read_bytes()
     capsys.readouterr()
     assert lines == (GOLDEN / "classify_subsets.jsonl").read_bytes()
+
+
+def test_family_tables_match_golden():
+    # each line's name is its own family spec
+    want = (GOLDEN / "families.jsonl").read_bytes()
+    names = [json.loads(line)["name"] for line in want.splitlines()]
+    got = b"".join(
+        json.dumps(
+            serialize_table(semigroup_from_spec(name)),
+            sort_keys=True, separators=(",", ":"),
+        ).encode() + b"\n"
+        for name in names
+    )
+    assert got == want
+    assert {name.partition(":")[0] for name in names} == set(FAMILY_NAMES)

@@ -10,6 +10,7 @@ from semsize.masks import (
     is_subset,
     least_cover,
     mask_of,
+    minimal,
     popcount,
     submasks,
     supersets,
@@ -104,3 +105,12 @@ def test_union_tables_are_one_union_table_per_slice(images):
     assert len(tables) == -(-len(images) // 8) and width <= 8
     slices = [images[lo : lo + width] for lo in range(0, len(images), width)]
     assert list(tables) == [union_table(s) for s in slices]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 8) - 1), max_size=12))
+def test_minimal_keeps_the_members_with_no_proper_subset(family):
+    want = sorted(
+        {m for m in family if not any(k != m and is_subset(k, m) for k in family)}
+    )
+    assert minimal(family) == want
+    assert minimal(iter(family)) == want

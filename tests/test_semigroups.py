@@ -33,9 +33,10 @@ from semsize import (
     trace_set,
     translate_set,
 )
-from semsize.catalog import build_catalog
+from semsize.catalog import build_catalog, default_catalog
+from semsize.classify import _minimal_translates
 from semsize.masks import elements
-from semsize.semigroups import FAMILY_NAMES, associativity_witness
+from semsize.semigroups import FAMILY_NAMES, associativity_witness, subset_is_closed
 
 
 class TestBuildFromTable:
@@ -445,3 +446,39 @@ def test_literal_oracle_stays_off_the_tables():
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert not used & (forbidden | set(TABLE_KINDS))
+
+
+def _pairwise_minimal_translates(S, U0):
+    # the pairwise filter that classify used before masks.minimal
+    translates = {right_translate(S, U0, u) for u in elements(U0)}
+    return sorted(
+        E for E in translates
+        if not any(R != E and (R | E) == E for R in translates)
+    )
+
+
+def _greedy_minimal_left_ideals(S, W):
+    # the popcount-sorted loop that minimal_left_ideals used before masks.minimal
+    principals = sorted(
+        {(1 << x) | right_translate(S, W, x) for x in elements(W)},
+        key=lambda m: (bin(m).count("1"), m),
+    )
+    kept = []
+    for L in principals:
+        if not any((M | L) == L for M in kept):
+            kept.append(L)
+    return sorted(kept)
+
+
+def test_minimal_families_equal_the_former_filters_on_the_default_catalog():
+    for entry in default_catalog():
+        S = entry.semigroup
+        assert minimal_left_ideals(S) == _greedy_minimal_left_ideals(S, S.full_mask)
+        for U0 in entry.bases:
+            assert _minimal_translates(S, U0) == _pairwise_minimal_translates(S, U0)
+            if subset_is_closed(S, U0):
+                want = _greedy_minimal_left_ideals(S, U0)
+                assert minimal_left_ideals(S, U0) == want
+            else:
+                with pytest.raises(NotASubsemigroup):
+                    minimal_left_ideals(S, U0)
