@@ -4,7 +4,7 @@ A finite-model laboratory: decide large / thick / prethick / small (and
 their filter-relative forms) on finite semigroups with principal filters,
 verify the covering theorems exhaustively over instance catalogs, and sweep
 partitions of small groups for worst-case cover witnesses against the
-proved and conjectured bounds.
+proved finite cover bound.
 """
 
 from .catalog import (
@@ -59,8 +59,8 @@ from .partitions import (
     CoverCertificate,
     Partition,
     enumerate_partitions,
+    finite_cover_bound,
     min_cover,
-    proved_cover_bound,
     recompute_cover,
     stirling2,
     sweep_partitions,

@@ -61,12 +61,15 @@ class SizeVerdict:
 
 
 def delta_tau(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
-    """{x : x^-1 A meets A inside every filter member} (reduces to the base)."""
-    U0 = tau.base
+    """{x : x^-1 A meets A inside every filter member} (reduces to the base).
+
+    x^-1 A meets A & U0 at a exactly when x*a is in A, so this is the union
+    of the traces of A at the points of A & U0; on a group, with A inside
+    U0, it is A*A^-1.
+    """
     out = 0
-    for x in range(S.order):
-        if left_quotient(S, x, A) & A & U0:
-            out |= 1 << x
+    for a in bits(A & tau.base):
+        out |= trace_set(S, A, a)
     return out
 
 

@@ -243,12 +243,9 @@ def _record_json(rec: BoundRecord) -> dict:
         "pool": elements(rec.pool),
         "worst_min_F": rec.worst_min_F,
         "proved_bound": rec.proved_bound,
-        "conjecture_bound": rec.conjecture_bound,
         "alt_bound": rec.alt_bound,
-        "exceeds_conjecture": rec.exceeds_conjecture,
         "partitions_checked": rec.partitions_checked,
         "infeasible_partitions": rec.infeasible_partitions,
-        "widened": rec.widened,
         "argmax_partition": {
             "domain": elements(rec.argmax_partition.domain),
             "labels": list(rec.argmax_partition.labels),
@@ -259,8 +256,8 @@ def _record_json(rec: BoundRecord) -> dict:
 
 def _record_row(rec: BoundRecord) -> dict:
     """The CSV row of a record: its JSON fields in order, with the argmax as
-    its domain and label string, lists comma-joined, None as an empty cell
-    and booleans as 0/1."""
+    its domain and label string, lists comma-joined and None as an empty
+    cell."""
     row = _record_json(rec)
     row["argmax_domain"] = row.pop("argmax_partition")["domain"]
     row["argmax_labels"] = rec.argmax_partition.label_string()
@@ -269,8 +266,6 @@ def _record_row(rec: BoundRecord) -> dict:
             row[key] = ",".join(str(e) for e in value)
         elif value is None:
             row[key] = ""
-        elif isinstance(value, bool):
-            row[key] = int(value)
     return row
 
 
@@ -282,7 +277,6 @@ def _checkpoint_key(args) -> str:
             "cells": args.cells,
             "mode": args.mode,
             "pool": args.witness_pool,
-            "widen": args.widen_U,
             "symmetry": args.symmetry,
         }
     )
@@ -331,8 +325,7 @@ def _cmd_search(args) -> int:
         args.cells,
         args.mode,
         V=pool,
-        widen_U=args.widen_U,
-        # the sweep keeps the automorphisms that fix its base, pool and domains
+        # the sweep keeps the automorphisms that fix its base and pool
         symmetry=automorphisms(S) if args.symmetry else None,
         progress=progress,
         start_index=start_index,
@@ -405,11 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="translate", choices=list(MODES))
     p.add_argument(
         "--witness-pool", default=None, help="pool V as elements (default: the base)"
-    )
-    p.add_argument(
-        "--widen-U",
-        action="store_true",
-        help="sweep partitions of every filter member, not just the base",
     )
     p.add_argument("--symmetry", action="store_true", help="orbit-reduce partitions")
     p.add_argument("--time-budget", type=float, default=None, help="seconds")

@@ -1,15 +1,21 @@
 """Exact minimal-witness covers and partition sweeps against covering bounds.
 
-The sweep machinery asks, for an n-cell partition of a filter member, how
-small a translate/quotient pool F must be before some cell A satisfies
-F . transform(A) >= U0.  Worst cases over all partitions are compared with
-the proved double-exponential bound and with the conjectured linear /
-factorial bounds, which are recorded as evidence rather than asserted.
+The sweep asks, for an n-cell partition of the filter base U0, how small a
+pool F must be before some cell A satisfies F*delta(A) >= U0, where
+delta(A) is the difference set (`classify.delta_tau`; A*A^-1 on a group).
+Every cover mode reduces to that one cover: on a group the translate mode's
+f*(A*A^-1) is f*delta(A), and the quotient mode's f^-1(A*A^-1) is the
+translate by f^-1, so it sweeps the pool V^-1.
+
+When the base is a subgroup H of order m inside the pool, the worst cover
+is at most finite_cover_bound(m, n) = m // ceil(m/n) <= n, by the packing
+argument of Ruzsa's covering lemma: some cell A has |A| >= ceil(m/n); a
+maximal F <= H with the f*A pairwise disjoint has |F| <= m/|A|, and every
+x*A meets some f*A, so F*A*A^-1 >= H.  The sweep asserts that bound.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -23,11 +29,10 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .filters import PrincipalFilter
-from .masks import (
-    bits, elements, is_subset, least_cover, mask_of, popcount, supersets,
-)
+from .masks import bits, elements, is_subset, least_cover, mask_of, popcount
 from .semigroups import (
     FinSemigroup,
+    inverse_set,
     is_subgroup,
     left_quotient,
     quotient_pairs,
@@ -35,7 +40,6 @@ from .semigroups import (
 )
 
 SWEEP_ORDER_LIMIT = {1: 12, 2: 12, 3: 8}
-WIDEN_ORDER_LIMIT = 6
 MODES = ("quotient", "translate", "delta")
 
 
@@ -87,20 +91,16 @@ class BoundRecord:
     pool: int
     worst_min_F: int
     proved_bound: Optional[int]
-    conjecture_bound: int
     alt_bound: Optional[int]
     argmax_partition: Partition
     partitions_checked: int
-    widened: bool
     infeasible_partitions: int
 
-    @property
-    def exceeds_conjecture(self) -> bool:
-        return self.worst_min_F > self.conjecture_bound
 
-
-def proved_cover_bound(n: int) -> int:
-    return 1 << ((1 << (n - 1)) - 1)
+def finite_cover_bound(m: int, n: int) -> int:
+    """The most translates some cell of an n-cell partition of a subgroup of
+    order m needs: m // ceil(m/n), at most n (see the module docstring)."""
+    return m // -(-m // n)
 
 
 def sweep_order_limit(n: int) -> int:
@@ -135,7 +135,8 @@ def min_cover(
 
     quotient: union of f^-1 A;  translate: union of f*(A*A^-1);
     delta: union of f*delta(A).  Quotient mode takes A as given and works
-    on any semigroup; the sweep's quotient mode passes A*A^-1 instead (see
+    on any semigroup.  The forms differ when A is not inside the base; the
+    sweep's cells are, and it covers every one in delta mode (see
     `sweep_partitions`).  Infeasibility comes back as a certificate
     with witness_F None so sweeps can aggregate it.  Ties at the minimum
     cardinality break to the least mask.  The search (`least_cover`) is
@@ -227,7 +228,7 @@ def enumerate_partitions(
     orbit is produced.  It must be a group of permutations of the ambient
     elements that fix the domain setwise (ValueError otherwise), closed
     under composition: `sweep_partitions` passes the automorphisms of S that
-    fix its base, its pool and the domain, a subgroup of `automorphisms(S)`.
+    fix its base (the domain) and its pool, a subgroup of `automorphisms(S)`.
     """
     m = popcount(domain)
     if n < 1:
@@ -269,25 +270,16 @@ def _balanced_first(parts: List[Partition]) -> List[Partition]:
     return sorted(parts, key=key)
 
 
-def _conjecture_bound(mode: str, n: int, absolute: bool) -> int:
-    if mode in ("translate", "quotient"):
-        return n if absolute else math.factorial(n)
-    return math.factorial(n)
-
-
 def _partition_json(p: Optional[Partition]) -> Optional[dict]:
     return None if p is None else {"domain": p.domain, "labels": list(p.labels)}
 
 
-def _best_cover(S, tau, mode, pool, part: Partition) -> Optional[int]:
-    """The least minimal cover size over the cells of `part`, None if no
-    cell has a cover within the pool."""
+def _best_cover(S, tau, pool, part: Partition) -> Optional[int]:
+    """The least minimal cover f*delta(A) over the cells A of `part`, None
+    if no cell has a cover within the pool."""
     best: Optional[int] = None
     for cell in part.cell_masks():
-        # the corollary form quotients the difference set, so a quotient
-        # sweep covers A*A^-1 rather than the raw cell
-        cover_set = quotient_pairs(S, cell) if mode == "quotient" else cell
-        cert = min_cover(S, tau, cover_set, mode, pool)
+        cert = min_cover(S, tau, cell, "delta", pool)
         if cert.size is not None and (best is None or cert.size < best):
             best = cert.size
             if best == 1:
@@ -342,28 +334,27 @@ def sweep_partitions(
     n: int,
     mode: str,
     V: Optional[int] = None,
-    widen_U: bool = False,
     symmetry: Optional[Sequence[Tuple[int, ...]]] = None,
     progress=None,
     start_index: int = 0,
     state: Optional[dict] = None,
 ) -> BoundRecord:
-    """Worst minimal cover size over all n-partitions of each swept domain.
+    """Worst minimal cover size over all n-partitions of the base.
 
-    The domain is the base; widen_U also sweeps every filter member (order
-    <= 6).  The pool V defaults to the base.  `symmetry` is a group of
-    automorphisms of S, typically `automorphisms(S)`: the sweep keeps those
-    that fix the base, the pool and each domain, and checks one partition
-    per orbit of the rest.
+    The pool V defaults to the base.  `symmetry` is a group of automorphisms
+    of S, typically `automorphisms(S)`: the sweep keeps those that fix the
+    base and the pool, and checks one partition per orbit of the rest.
 
-    Each cell A is covered as in `min_cover`, except in quotient mode: the
-    sweep covers with f^-1(A*A^-1), the corollary form, not f^-1 A.  So
-    quotient mode, like translate mode, needs a group (A^-1), and raises
-    NotAGroup on any other semigroup.
+    Every mode covers each cell A with translates f*delta(A) (`min_cover`'s
+    delta mode).  On a group delta(A) = A*A^-1, so translate mode is that
+    cover over V, and quotient mode, whose f^-1(A*A^-1) is the translate by
+    f^-1, is that cover over V^-1.  Both need a group and raise NotAGroup on
+    any other semigroup; delta mode takes any semigroup.
 
-    The proved bound 2^(2^(n-1)-1) applies in translate mode over a
-    subgroup base with a pool containing it; there an infeasible partition
-    or a worst cover above the bound raises BoundViolation.  Otherwise a
+    When the base is a subgroup contained in V (on a group V^-1 contains it
+    exactly when V does), the record carries finite_cover_bound(|base|, n)
+    as its proved bound, and an infeasible partition or a worst cover above
+    it raises BoundViolation.  Otherwise the proved bound is None, and a
     sweep without any feasible partition raises SizeLimitExceeded.
 
     `progress` is an optional callback (index, total, state) used for
@@ -378,33 +369,20 @@ def sweep_partitions(
         )
     if mode not in MODES:
         raise ValueError(f"unknown cover mode {mode!r}")
-    if widen_U and S.order > WIDEN_ORDER_LIMIT:
-        raise SizeLimitExceeded(
-            f"widened sweeps limited to order <= {WIDEN_ORDER_LIMIT}"
-        )
-    pool = tau.base if V is None else V
-    if pool == 0:
+    if mode != "delta" and not S.is_group:
+        raise NotAGroup(f"{mode} covering needs A*A^-1, hence a group")
+    V = tau.base if V is None else V
+    if V == 0:
         raise InputError("witness pool must be non-empty")
-    proved = (
-        mode == "translate"
-        and is_subset(tau.base, pool)
-        and is_subgroup(S, tau.base)
-    )
+    pool = inverse_set(S, V) if mode == "quotient" else V
+    proved = is_subset(tau.base, V) and is_subgroup(S, tau.base)
     if symmetry:
-        symmetry = [p for p in symmetry if _fixes(p, tau.base) and _fixes(p, pool)]
-    domains = list(supersets(tau.base, S.full_mask)) if widen_U else [tau.base]
-    parts: List[Partition] = []
-    for U in domains:
-        if popcount(U) >= n:
-            syms_U = [p for p in symmetry if _fixes(p, U)] if symmetry else None
-            parts.extend(enumerate_partitions(U, n, syms_U or None))
+        symmetry = [p for p in symmetry if _fixes(p, tau.base) and _fixes(p, V)]
+    parts = _balanced_first(list(enumerate_partitions(tau.base, n, symmetry or None)))
     if not parts:
-        raise InputError(
-            f"no {n}-cell partitions of the swept domains (base too small)"
-        )
-    parts = _balanced_first(parts)
+        raise InputError(f"no {n}-cell partitions of the base (base too small)")
 
-    cover = partial(_best_cover, S, tau, mode, pool)
+    cover = partial(_best_cover, S, tau, pool)
     worst, infeasible, argmax = _resume(parts, start_index, state, cover, proved)
     for idx in range(start_index, len(parts)):
         best = cover(parts[idx])
@@ -422,7 +400,7 @@ def sweep_partitions(
                     "argmax": _partition_json(argmax),
                 },
             )
-    bound = proved_cover_bound(n) if mode in ("translate", "quotient") else None
+    bound = finite_cover_bound(popcount(tau.base), n) if proved else None
     if proved and (infeasible or worst > bound):
         raise BoundViolation(
             f"{S.name}: worst_min_F {worst} (infeasible={infeasible}) breaks the "
@@ -438,14 +416,12 @@ def sweep_partitions(
         base=tau.base,
         cells=n,
         mode=mode,
-        pool=pool,
+        pool=V,
         worst_min_F=worst,
         proved_bound=bound,
-        conjecture_bound=_conjecture_bound(mode, n, tau.is_trivial),
         alt_bound=(1 << (1 << n)) if mode == "delta" else None,
         argmax_partition=argmax,
         partitions_checked=len(parts),
-        widened=widen_U,
         infeasible_partitions=infeasible,
     )
 
@@ -455,7 +431,7 @@ __all__ = [
     "CoverCertificate",
     "BoundRecord",
     "MODES",
-    "proved_cover_bound",
+    "finite_cover_bound",
     "min_cover",
     "recompute_cover",
     "enumerate_partitions",

@@ -136,18 +136,20 @@ class FinSemigroup:
 def build_from_table(
     order: int, table: Sequence[Sequence[int]], name: str = ""
 ) -> FinSemigroup:
-    """Validate shape, entry range and associativity, then construct."""
-    if order < 1:
-        raise DimensionError(f"order must be >= 1, got {order}")
+    """Validate shape, entry range and associativity, then construct.
+
+    The order and every entry must be ints proper: a bool is not one."""
+    if type(order) is not int or order < 1:
+        raise DimensionError(f"order must be an integer >= 1, got {order!r}")
     if len(table) != order:
         raise DimensionError(f"expected {order} rows, got {len(table)}")
     for i, row in enumerate(table):
         if len(row) != order:
             raise DimensionError(f"row {i} has {len(row)} entries, expected {order}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < order:
+            if type(v) is not int or not 0 <= v < order:
                 raise DimensionError(
-                    f"table[{i}][{j}] = {v!r} out of range [0,{order})"
+                    f"table[{i}][{j}] = {v!r} is not an integer in [0,{order})"
                 )
     witness = associativity_witness(order, table)
     if witness is not None:

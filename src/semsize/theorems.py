@@ -291,8 +291,9 @@ def _cover_sweep_fits(S, tau, cfg) -> bool:
 
 
 def _cover_bound(S, tau, tb, cfg):
-    """T3_2: every cells-partition of a subgroup base has a cover within the
-    proved bound; the sweep raises BoundViolation where one does not."""
+    """T3_2: every cells-partition of a subgroup base of order m has a cell
+    covered by at most m // ceil(m/cells) translates of its difference set;
+    the sweep raises BoundViolation where none is."""
     try:
         record = sweep_partitions(S, tau, cfg.cells, "translate", V=tau.base)
     except BoundViolation as exc:

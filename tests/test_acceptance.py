@@ -14,6 +14,7 @@ from semsize import (
     classify_all,
     default_catalog,
     enumerate_semigroups,
+    finite_cover_bound,
     make_principal,
     minimal_left_ideals,
     semigroup_from_spec,
@@ -102,12 +103,15 @@ def test_criterion_3_partition_cover_bound():
     for spec in GROUP_SPECS:
         S = semigroup_from_spec(spec)
         for base in subgroups(S):
-            if popcount(base) >= 2:
+            m = popcount(base)
+            if m >= 2:
                 rec = sweep_partitions(S, make_principal(S, base), 2, "translate")
-                assert rec.worst_min_F <= 2, (spec, elements(base), rec.worst_min_F)
-            if S.order <= 8 and popcount(base) >= 3:
+                assert rec.worst_min_F <= finite_cover_bound(m, 2) <= 2, (
+                    spec, elements(base), rec.worst_min_F)
+            if S.order <= 8 and m >= 3:
                 rec = sweep_partitions(S, make_principal(S, base), 3, "translate")
-                assert rec.worst_min_F <= 8, (spec, elements(base), rec.worst_min_F)
+                assert rec.worst_min_F <= finite_cover_bound(m, 3) <= 3, (
+                    spec, elements(base), rec.worst_min_F)
     z12 = semigroup_from_spec("cyclic:12")
     started = time.perf_counter()
     rec = sweep_partitions(z12, trivial_filter(z12), 2, "translate")
@@ -119,26 +123,27 @@ def test_criterion_3_partition_cover_bound():
 
 def test_criterion_4_partition_cover_evidence_table():
     rows = []
-    flagged = []
+    attained = []
     for spec in GROUP_SPECS:
         S = semigroup_from_spec(spec)
         for cells in (2, 3):
             if S.order > (12 if cells == 2 else 8) or S.order < cells:
                 continue
             rec = sweep_partitions(S, trivial_filter(S), cells, "translate")
-            rows.append((spec, cells, rec.worst_min_F, rec.conjecture_bound))
-            assert rec.conjecture_bound == cells  # absolute sweep: |F| <= n
-            # exceeding the conjecture is flagged, never a failure
-            assert rec.exceeds_conjecture == (rec.worst_min_F > cells)
-            if rec.exceeds_conjecture:
-                flagged.append((spec, cells, rec.worst_min_F))
+            bound = finite_cover_bound(S.order, cells)
+            rows.append((spec, cells, rec.worst_min_F, bound))
+            # the packing argument: some cell is covered by at most
+            # m // ceil(m/n) <= n translates of its difference set
+            assert rec.proved_bound == bound <= cells
+            assert rec.worst_min_F <= bound, (spec, cells, rec.worst_min_F)
+            if rec.worst_min_F == bound:
+                attained.append((spec, cells))
     assert rows, "evidence table is empty"
-    status = (
-        f"{len(flagged)} instance(s) above the linear conjecture"
-        if flagged
-        else "no instance above the linear conjecture at desk scale"
+    _announce(
+        4,
+        f"evidence table over {len(rows)} sweeps; all within m // ceil(m/n), "
+        f"{len(attained)} attain it",
     )
-    _announce(4, f"evidence table over {len(rows)} sweeps; {status}")
 
 
 def test_criterion_5_absolute_duality():

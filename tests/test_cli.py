@@ -248,22 +248,30 @@ class TestSearch:
         )
         assert json.loads(fresh_out) == resumed
 
-    def test_widen_flag(self, capsys):
+    @pytest.mark.parametrize("mode", ["translate", "quotient"])
+    def test_group_modes_on_a_semigroup_exit_2(self, capsys, mode):
+        code, out, err = run(
+            capsys, "search", "--group", "rightzero:3", "--cells", "2",
+            "--mode", mode,
+        )
+        assert code == 2 and out == "" and "group" in err
+
+    def test_delta_mode_on_a_semigroup_records_no_proved_bound(self, capsys):
         code, out, _ = run(
-            capsys,
-            "search",
-            "--group",
-            "cyclic:4",
-            "--base",
-            "0,2",
-            "--cells",
-            "2",
-            "--widen-U",
+            capsys, "search", "--group", "rightzero:3", "--cells", "2",
+            "--mode", "delta",
         )
         assert code == 0
         record = json.loads(out)
-        assert record["widened"] is True
-        assert record["partitions_checked"] == 14
+        assert record["proved_bound"] is None
+        assert "conjecture_bound" not in record and "widened" not in record
+
+    def test_removed_widen_option_exits_2(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--group", "cyclic:4", "--base", "0,2",
+            "--cells", "2", "--widen-U",
+        )
+        assert code == 2 and out == ""
 
     def test_symmetry_flag(self, capsys):
         code, out, _ = run(

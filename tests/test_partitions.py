@@ -2,23 +2,28 @@ from itertools import combinations
 
 import pytest
 
+import semsize.partitions
 from semsize import (
+    BoundViolation,
+    NotAGroup,
     SchemaError,
     SizeLimitExceeded,
     automorphisms,
     enumerate_partitions,
+    finite_cover_bound,
     make_principal,
     mask_of,
     min_cover,
-    proved_cover_bound,
     recompute_cover,
     semigroup_from_spec,
     stirling2,
+    subgroups,
     sweep_partitions,
     trivial_filter,
 )
-from semsize.masks import elements, is_subset, popcount
-from semsize.partitions import Partition, _canonical_labels
+from semsize.catalog import default_catalog
+from semsize.masks import bits, elements, is_subset, popcount
+from semsize.partitions import MODES, Partition, _balanced_first, _canonical_labels
 from semsize.semigroups import quotient_pairs, translate_set
 
 
@@ -137,9 +142,7 @@ class TestSweeps:
     def test_z4_two_cells_matches_the_bound(self, z4):
         rec = sweep_partitions(z4, trivial_filter(z4), 2, "translate")
         assert rec.worst_min_F == 2
-        assert rec.proved_bound == proved_cover_bound(2) == 2
-        assert rec.conjecture_bound == 2  # absolute sweep: linear conjecture
-        assert not rec.exceeds_conjecture
+        assert rec.proved_bound == finite_cover_bound(4, 2) == 2
         assert rec.partitions_checked == 7
 
     def test_z3_two_cells(self):
@@ -153,38 +156,138 @@ class TestSweeps:
             rec = sweep_partitions(z6, make_principal(z6, base), 1, "translate")
             assert rec.worst_min_F == 1
 
-    def test_quotient_and_translate_agree_on_inverse_closed_pools(self, z6):
-        for base in (mask_of([0, 3]), mask_of([0, 2, 4]), z6.full_mask):
-            tau = make_principal(z6, base)
-            if popcount(base) < 2:
+    def test_every_mode_matches_its_per_mode_cover(self):
+        # the sweep covers every cell with f*delta(A); the reference covers
+        # each mode its own way: f*(A*A^-1), f^-1(A*A^-1) over the pool
+        # itself, and f*delta(A)
+        reference = {
+            "translate": lambda S, tau, A, V: min_cover(S, tau, A, "translate", V),
+            "quotient": lambda S, tau, A, V: min_cover(
+                S, tau, quotient_pairs(S, A), "quotient", V
+            ),
+            "delta": lambda S, tau, A, V: min_cover(S, tau, A, "delta", V),
+        }
+        swept = 0
+        for entry in default_catalog():
+            S = entry.semigroup
+            if not S.is_group or S.order > 6:
                 continue
-            q = sweep_partitions(z6, tau, 2, "quotient")
-            t = sweep_partitions(z6, tau, 2, "translate")
-            assert q.worst_min_F == t.worst_min_F
+            for base in entry.bases:
+                if popcount(base) < 2:
+                    continue
+                tau = make_principal(S, base)
+                parts = _balanced_first(list(enumerate_partitions(base, 2)))
+                for V in (base, S.full_mask):
+                    for mode in MODES:
+                        worst, argmax, infeasible = -1, None, 0
+                        for part in parts:
+                            sizes = [
+                                reference[mode](S, tau, A, V).size
+                                for A in part.cell_masks()
+                            ]
+                            sizes = [k for k in sizes if k is not None]
+                            if not sizes:
+                                infeasible += 1
+                            elif min(sizes) > worst:
+                                worst, argmax = min(sizes), part
+                        case = (S.name, elements(base), elements(V), mode)
+                        if argmax is None:
+                            with pytest.raises(SizeLimitExceeded):
+                                sweep_partitions(S, tau, 2, mode, V)
+                            continue
+                        rec = sweep_partitions(S, tau, 2, mode, V)
+                        got = (rec.worst_min_F, rec.argmax_partition,
+                               rec.infeasible_partitions)
+                        assert got == (worst, argmax, infeasible), case
+                        swept += 1
+        assert swept == 980
 
     def test_delta_sweep_z4(self, z4):
         rec = sweep_partitions(z4, trivial_filter(z4), 2, "delta")
         assert rec.mode == "delta"
         assert rec.worst_min_F == 2
-        assert rec.conjecture_bound == 2  # n! at n = 2
         assert rec.alt_bound == 16  # 2^(2^n)
-        assert rec.proved_bound is None
+        assert rec.proved_bound == finite_cover_bound(4, 2) == 2
 
     def test_delta_sweep_z6_relative(self, z6):
-        # no a-priori worst value here: the sweep itself is the oracle, and
-        # the record carries the factorial comparison point
+        # the base {0,2,4} is a subgroup of order 3: a 2-element cell A has
+        # A*A^-1 = {0,2,4}, so one translate covers it
         tau = make_principal(z6, mask_of([0, 2, 4]))
         rec = sweep_partitions(z6, tau, 2, "delta")
-        assert rec.conjecture_bound == 2
-        assert rec.worst_min_F >= 1
-        assert rec.exceeds_conjecture == (rec.worst_min_F > 2)
+        assert rec.proved_bound == finite_cover_bound(3, 2) == 1
+        assert rec.worst_min_F == 1
 
-    def test_widened_sweep_runs_and_respects_bound(self, z4):
-        tau = make_principal(z4, mask_of([0, 2]))
-        rec = sweep_partitions(z4, tau, 2, "translate", widen_U=True)
-        narrow = sweep_partitions(z4, tau, 2, "translate")
-        assert rec.widened and rec.partitions_checked > narrow.partitions_checked
-        assert rec.worst_min_F <= rec.proved_bound
+    def test_delta_sweep_on_a_semigroup_has_no_proved_bound(self, rz3):
+        rec = sweep_partitions(rz3, trivial_filter(rz3), 2, "delta", rz3.full_mask)
+        assert rec.proved_bound is None and rec.worst_min_F >= 1
+
+    @pytest.mark.parametrize("mode", ["translate", "quotient"])
+    def test_group_modes_refuse_a_semigroup_up_front(self, rz3, mode):
+        with pytest.raises(NotAGroup):
+            sweep_partitions(rz3, trivial_filter(rz3), 2, mode)
+        # before it looks for partitions: the base {0} has no 2-cell one
+        with pytest.raises(NotAGroup):
+            sweep_partitions(rz3, make_principal(rz3, mask_of([0])), 2, mode)
+
+    def test_finite_cover_bound(self):
+        assert [finite_cover_bound(8, n) for n in range(1, 9)] == [
+            1, 2, 2, 4, 4, 4, 4, 8
+        ]
+        assert finite_cover_bound(11, 6) == 5 and finite_cover_bound(12, 5) == 4
+        for m in range(1, 25):
+            for n in range(1, m + 1):
+                assert finite_cover_bound(m, n) <= n
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_worst_above_the_finite_bound_is_a_violation(self, monkeypatch, mode):
+        # the Z6 sweeps reach worst 2 == finite_cover_bound(6, 2); held to one
+        # less, every mode must raise where the base is a subgroup in V
+        z6 = semigroup_from_spec("cyclic:6")
+        tau = trivial_filter(z6)
+        assert sweep_partitions(z6, tau, 2, mode).worst_min_F == 2
+        monkeypatch.setattr(
+            semsize.partitions, "finite_cover_bound", lambda m, n: 1
+        )
+        with pytest.raises(BoundViolation):
+            sweep_partitions(z6, tau, 2, mode)
+        # {0,1} is no subgroup: no bound is proved, so none is asserted
+        tau = make_principal(z6, mask_of([0, 1]))
+        assert sweep_partitions(z6, tau, 2, mode, z6.full_mask).proved_bound is None
+
+    def test_packing_certificate_bounds_every_least_cover(self):
+        # for a cell A of a subgroup H (order m) with |A| >= ceil(m/n), a
+        # maximal F <= H with pairwise disjoint f*A has F*A*A^-1 >= H and
+        # |F| <= m // |A| <= finite_cover_bound(m, n); least_cover can only
+        # do better
+        checked = 0
+        specs = ["cyclic:%d" % k for k in range(1, 9)] + [
+            "symmetric:3", "dihedral:4", "quaternion8",
+            "product:cyclic:2,cyclic:2,cyclic:2",
+        ]
+        for spec in specs:
+            S = semigroup_from_spec(spec)
+            for H in subgroups(S):
+                m, tau = popcount(H), make_principal(S, H)
+                for A in range(1, H + 1):
+                    if A & ~H:
+                        continue
+                    F, used = 0, 0
+                    for f in bits(H):
+                        fA = translate_set(S, f, A)
+                        if not fA & used:
+                            F, used = F | 1 << f, used | fA
+                    pairs = quotient_pairs(S, A)
+                    covered = 0
+                    for f in bits(F):
+                        covered |= translate_set(S, f, pairs)
+                    assert is_subset(H, covered), (spec, H, A)
+                    cert = min_cover(S, tau, A, "translate", H)
+                    assert cert.size <= popcount(F) <= m // popcount(A)
+                    for n in range(1, m + 1):
+                        if popcount(A) >= -(-m // n):
+                            assert popcount(F) <= finite_cover_bound(m, n)
+                    checked += 1
+        assert checked == 1622
 
     def test_symmetry_members_of_an_orbit_agree(self, z4):
         # compute best-over-cells for every partition and check constancy

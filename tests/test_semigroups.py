@@ -72,6 +72,21 @@ class TestBuildFromTable:
         with pytest.raises(DimensionError):
             build_from_table(2, [[0, 1], [0, 2]])
 
+    @pytest.mark.parametrize(
+        "order, table",
+        [
+            (2, [[False, True], [True, False]]),
+            (2, [[0, 1], [1, False]]),
+            (True, [[0]]),
+            (1.0, [[0]]),
+            (2, [[0, 1.0], [1, 0]]),
+        ],
+    )
+    def test_non_int_order_or_entry_rejected(self, order, table):
+        # bool is an int subclass: a table of booleans is not a Cayley table
+        with pytest.raises(DimensionError):
+            build_from_table(order, table)
+
 
 class TestFamilies:
     def test_cyclic4(self, z4):
