@@ -38,7 +38,6 @@ from .errors import (
     SchemaError,
     SemsizeError,
     SizeLimitExceeded,
-    TimeBudgetExceeded,
     UnknownFamily,
 )
 from .filters import (

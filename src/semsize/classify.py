@@ -27,7 +27,7 @@ come from one `masks.union_table` of the quotients U0^-1 {b}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .filters import PrincipalFilter
@@ -193,18 +193,11 @@ def is_tau_small(
 def classify_all(
     S: FinSemigroup, tau: PrincipalFilter, A: int, with_witness: bool = True
 ) -> List[SizeVerdict]:
-    large = is_tau_large(S, tau, A, with_witness)
-    if _minimal_translates(S, tau.base) == [tau.base]:
-        # every translate holds U0 and U0 is one of them, so prethick is
-        # large and both witnesses are the same least cover of U0
-        prethick = replace(large, predicate="prethick")
-    else:
-        prethick = is_tau_prethick(S, tau, A, with_witness)
     return [
-        large,
+        is_tau_large(S, tau, A, with_witness),
         is_tau_thick(S, tau, A, with_witness),
         is_tau_extrathick(S, tau, A, with_witness),
-        prethick,
+        is_tau_prethick(S, tau, A, with_witness),
         is_tau_small(S, tau, A, with_witness),
     ]
 

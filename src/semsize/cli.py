@@ -1,20 +1,18 @@
 """Command-line surface: gen, classify, verify, search, hunt.
 
 Exit codes: 0 success / no counterexample; 1 counterexample on a proved
-statement or a broken proved bound; 2 input error; 3 size or time limit
-exceeded.  Diagnostics go to stderr, as JSON when --json is set.  Report
-files are byte-identical across reruns of the same configuration.
+statement or a broken proved bound; 2 input error; 3 size limit exceeded.
+Diagnostics go to stderr, as JSON when --json is set.  Report files are
+byte-identical across reruns of the same configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
-import time
 from typing import List, Optional, Sequence
 
 from . import catalog as catalog_mod
@@ -25,7 +23,6 @@ from .errors import (
     SchemaError,
     SemsizeError,
     SizeLimitExceeded,
-    TimeBudgetExceeded,
 )
 from .filters import make_principal
 from .masks import elements, mask_of
@@ -269,55 +266,11 @@ def _record_row(rec: BoundRecord) -> dict:
     return row
 
 
-def _checkpoint_key(args) -> str:
-    blob = _dump(
-        {
-            "group": args.group,
-            "base": args.base,
-            "cells": args.cells,
-            "mode": args.mode,
-            "pool": args.witness_pool,
-            "symmetry": args.symmetry,
-        }
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _cmd_search(args) -> int:
     S = parse_instance(args.group)
     base = _parse_base(args.base, S)
     tau = make_principal(S, base)
     pool = base if args.witness_pool is None else _parse_subset(args.witness_pool, S)
-
-    start_index = 0
-    state = None
-    key = _checkpoint_key(args)
-    if args.checkpoint and os.path.exists(args.checkpoint):
-        with open(args.checkpoint, "r", encoding="utf-8") as fh:
-            try:
-                saved = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(
-                    f"{args.checkpoint}: not a checkpoint ({exc})"
-                ) from exc
-        if not isinstance(saved, dict):
-            raise SchemaError(f"{args.checkpoint}: not a checkpoint (no JSON object)")
-        if saved.get("key") == key:
-            # sweep_partitions checks both against the partitions it sweeps
-            start_index, state = saved.get("completed"), saved.get("state")
-
-    deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
-
-    def progress(done, total, snapshot):
-        if deadline is not None and time.monotonic() > deadline and done < total:
-            saved = ""
-            if args.checkpoint:
-                with open(args.checkpoint, "w", encoding="utf-8") as fh:
-                    json.dump(
-                        {"key": key, "completed": done, "state": snapshot}, fh
-                    )
-                saved = "; checkpoint saved"
-            raise TimeBudgetExceeded(f"stopped after {done}/{total} partitions{saved}")
 
     record = sweep_partitions(
         S,
@@ -327,12 +280,7 @@ def _cmd_search(args) -> int:
         V=pool,
         # the sweep keeps the automorphisms that fix its base and pool
         symmetry=automorphisms(S) if args.symmetry else None,
-        progress=progress,
-        start_index=start_index,
-        state=state,
     )
-    if args.checkpoint and os.path.exists(args.checkpoint):
-        os.remove(args.checkpoint)
 
     _write_lines(args.out_json, [_dump(_record_json(record))])
     if args.out_csv:
@@ -400,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--witness-pool", default=None, help="pool V as elements (default: the base)"
     )
     p.add_argument("--symmetry", action="store_true", help="orbit-reduce partitions")
-    p.add_argument("--time-budget", type=float, default=None, help="seconds")
-    p.add_argument("--checkpoint", default=None, help="resume file for long sweeps")
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=_cmd_search)
@@ -429,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundViolation as exc:
         _diag(args, str(exc), kind="bound_violation")
         return EXIT_COUNTEREXAMPLE
-    except (SizeLimitExceeded, TimeBudgetExceeded) as exc:
+    except SizeLimitExceeded as exc:
         _diag(args, str(exc), kind="limit")
         return EXIT_LIMIT
     except (SemsizeError, OSError) as exc:

@@ -58,6 +58,3 @@ class SchemaError(SemsizeError):
 class BoundViolation(SemsizeError):
     """A proved covering bound was exceeded by an exact sweep (fatal)."""
 
-
-class TimeBudgetExceeded(SemsizeError):
-    """Cooperative time budget ran out; a checkpoint was written."""

@@ -17,17 +17,10 @@ x*A meets some f*A, so F*A*A^-1 >= H.  The sweep asserts that bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .classify import delta_tau
-from .errors import (
-    BoundViolation,
-    InputError,
-    NotAGroup,
-    SchemaError,
-    SizeLimitExceeded,
-)
+from .errors import BoundViolation, InputError, NotAGroup, SizeLimitExceeded
 from .filters import PrincipalFilter
 from .masks import bits, elements, is_subset, least_cover, mask_of, popcount
 from .semigroups import (
@@ -261,17 +254,13 @@ def stirling2(m: int, n: int) -> int:
 
 
 def _balanced_first(parts: List[Partition]) -> List[Partition]:
-    # near-balanced partitions empirically carry the worst cases; surface
-    # them early so long sweeps report progress meaningfully
+    # the sweep keeps the first maximizer it meets, so this order (most
+    # balanced first, then by label string) decides which one is the argmax
     def key(p: Partition):
         sizes = sorted(p.labels.count(c) for c in range(p.cells))
         return (sizes[-1] - sizes[0], p.labels)
 
     return sorted(parts, key=key)
-
-
-def _partition_json(p: Optional[Partition]) -> Optional[dict]:
-    return None if p is None else {"domain": p.domain, "labels": list(p.labels)}
 
 
 def _best_cover(S, tau, pool, part: Partition) -> Optional[int]:
@@ -287,47 +276,6 @@ def _best_cover(S, tau, pool, part: Partition) -> Optional[int]:
     return best
 
 
-def _resume(
-    parts, start_index, state, cover, proved
-) -> Tuple[int, int, Optional[Partition]]:
-    """(worst, infeasible, argmax) from the snapshot `progress` was handed
-    after `start_index` partitions (None at 0: a fresh sweep).  Both may be
-    read from a checkpoint file: SchemaError unless the snapshot is one the
-    sweep could have handed over: `worst` is recomputed as `cover(argmax)`,
-    and the infeasible count must fit the completed partitions (none are
-    infeasible under the proved bound)."""
-    if type(start_index) is not int or not 0 <= start_index <= len(parts):
-        raise SchemaError(
-            f"checkpoint: 'completed' must be an integer from 0 to {len(parts)}"
-        )
-    if state is None and start_index == 0:
-        return -1, 0, None
-    if not isinstance(state, dict):
-        raise SchemaError("checkpoint: 'state' must be an object")
-    worst, infeasible, saved = (state.get(k) for k in ("worst", "infeasible", "argmax"))
-    if type(worst) is not int or type(infeasible) is not int:
-        raise SchemaError("checkpoint state: 'worst' and 'infeasible' must be integers")
-    argmax = None
-    if saved is not None:
-        done = (p for p in parts[:start_index] if saved == _partition_json(p))
-        argmax = next(done, None)
-        if argmax is None:
-            raise SchemaError("checkpoint state: 'argmax' names no completed partition")
-    # the argmax is a feasible partition, and under the proved bound all are
-    most = 0 if proved else start_index - (argmax is not None)
-    if not 0 <= infeasible <= most:
-        raise SchemaError(f"checkpoint state: 'infeasible' must be from 0 to {most}")
-    if argmax is not None and worst != cover(argmax):
-        raise SchemaError("checkpoint state: 'worst' is not the cover of 'argmax'")
-    if argmax is None and (worst != -1 or infeasible != start_index):
-        # no argmax yet: every completed partition was infeasible
-        raise SchemaError(
-            f"checkpoint state: with no 'argmax', 'worst' must be -1 and "
-            f"'infeasible' {start_index}"
-        )
-    return worst, infeasible, argmax
-
-
 def sweep_partitions(
     S: FinSemigroup,
     tau: PrincipalFilter,
@@ -335,9 +283,6 @@ def sweep_partitions(
     mode: str,
     V: Optional[int] = None,
     symmetry: Optional[Sequence[Tuple[int, ...]]] = None,
-    progress=None,
-    start_index: int = 0,
-    state: Optional[dict] = None,
 ) -> BoundRecord:
     """Worst minimal cover size over all n-partitions of the base.
 
@@ -356,11 +301,6 @@ def sweep_partitions(
     as its proved bound, and an infeasible partition or a worst cover above
     it raises BoundViolation.  Otherwise the proved bound is None, and a
     sweep without any feasible partition raises SizeLimitExceeded.
-
-    `progress` is an optional callback (index, total, state) used for
-    cooperative checkpointing; start_index and state resume a previous sweep
-    deterministically, and a state this sweep could not have produced (its
-    `worst` is recomputed from its `argmax`) raises SchemaError.
     """
     limit = sweep_order_limit(n)
     if S.order > limit:
@@ -382,24 +322,13 @@ def sweep_partitions(
     if not parts:
         raise InputError(f"no {n}-cell partitions of the base (base too small)")
 
-    cover = partial(_best_cover, S, tau, pool)
-    worst, infeasible, argmax = _resume(parts, start_index, state, cover, proved)
-    for idx in range(start_index, len(parts)):
-        best = cover(parts[idx])
+    worst, infeasible, argmax = -1, 0, None
+    for part in parts:
+        best = _best_cover(S, tau, pool, part)
         if best is None:
             infeasible += 1
         elif best > worst:
-            worst, argmax = best, parts[idx]
-        if progress is not None:
-            progress(
-                idx + 1,
-                len(parts),
-                {
-                    "worst": worst,
-                    "infeasible": infeasible,
-                    "argmax": _partition_json(argmax),
-                },
-            )
+            worst, argmax = best, part
     bound = finite_cover_bound(popcount(tau.base), n) if proved else None
     if proved and (infeasible or worst > bound):
         raise BoundViolation(

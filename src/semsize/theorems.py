@@ -47,7 +47,6 @@ discounted, otherwise the check could never be effective.
 from __future__ import annotations
 
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
@@ -109,15 +108,10 @@ class TheoremReport:
     counterexample: Optional[dict]
     vacuity_warning: bool
     notes: Tuple[str, ...]
-    # seconds this theorem's own checks took (with the SizeTables it was the
-    # first to read), summed over the pass and the workers
-    elapsed: float
     search: bool = False
     found: bool = False
 
     def to_json_dict(self) -> dict:
-        # elapsed is intentionally absent: reports must be byte-identical
-        # across reruns of the same config
         out = {
             "theorem": self.theorem_id,
             "catalog": self.catalog_label,
@@ -454,14 +448,13 @@ def _check(
 
 def _run(
     kind: str, ids: Sequence[str], pairs: Sequence[Tuple[FinSemigroup, int]], cfg
-) -> List[Tuple[Counter, Optional[dict], float]]:
+) -> List[Tuple[Counter, Optional[dict]]]:
     """Per id, from one pass: counts up to and including its first
-    counterexample, that counterexample or None, and its checks' seconds.
+    counterexample, and that counterexample or None.
     An instance's `SizeTables` are built for the first spec that reads them."""
     specs = [_SPECS[kind][tid] for tid in ids]
     counts = [Counter() for _ in ids]
     found: List[Optional[dict]] = [None] * len(ids)
-    elapsed = [0.0] * len(ids)
     for S, base in pairs:
         tau = PrincipalFilter(S, base)
         built: List[SizeTables] = []
@@ -474,9 +467,7 @@ def _run(
         for i, spec in enumerate(specs):
             if found[i] is not None:
                 continue  # this id stopped at its counterexample
-            started = time.perf_counter()
             result = _check(spec, S, tau, tables, cfg)
-            elapsed[i] += time.perf_counter() - started
             if result is None:
                 counts[i]["skipped"] += 1
                 continue
@@ -503,7 +494,7 @@ def _run(
                     "detail": detail,
                     "theorem": ids[i],
                 }
-    return list(zip(counts, found, elapsed))
+    return list(zip(counts, found))
 
 
 def _drive(
@@ -540,7 +531,7 @@ def _drive(
         counts: Counter = Counter()
         counterexample = None
         for part in parts:
-            part_counts, counterexample, _ = part[i]
+            part_counts, counterexample = part[i]
             counts.update(part_counts)
             if counterexample is not None:
                 break  # later tasks lie after this counterexample
@@ -560,7 +551,6 @@ def _drive(
                 counterexample=counterexample,
                 vacuity_warning=counts["effective"] == 0,
                 notes=notes,
-                elapsed=sum(part[i][2] for part in parts),
                 search=kind == "hunt",
                 found=counterexample is not None,
             )

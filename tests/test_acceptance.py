@@ -118,6 +118,15 @@ def test_criterion_3_partition_cover_bound():
     elapsed = time.perf_counter() - started
     assert rec.worst_min_F <= 2 and rec.partitions_checked == 2047
     assert elapsed < 10.0, f"Z12 sweep took {elapsed:.1f}s (budget 10s)"
+    # a sweep cannot be stopped or resumed, so the slowest sweeps the order
+    # limits accept are held to the same budget
+    for spec, mode in (("quaternion8", "translate"), ("leftzero:8", "delta")):
+        S = semigroup_from_spec(spec)
+        started = time.perf_counter()
+        slow = sweep_partitions(S, trivial_filter(S), 4, mode)
+        took = time.perf_counter() - started
+        assert slow.partitions_checked == 1701
+        assert took < 10.0, f"{spec} 4-cell sweep took {took:.1f}s (budget 10s)"
     _announce(3, f"cover bound holds everywhere; Z12 sweep {elapsed:.2f}s")
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,7 @@ from semsize import (
 )
 import semsize.classify as classify
 from semsize.classify import large_value, thick_value
-from semsize.masks import bits, elements, is_subset, least_cover, popcount
+from semsize.masks import bits, elements, is_subset, popcount
 from semsize.semigroups import right_translate
 
 
@@ -201,25 +202,14 @@ class TestExactWitnesses:
         assert popcount(large_F) == popcount(prethick_F) == 12
         assert _replays(z24, tau, A, large_F, prethick_F)
 
-    def test_classify_all_searches_once_when_u0_is_the_only_translate(
-        self, monkeypatch
-    ):
-        # on a group with the full base every translate is U0 itself, so the
-        # prethick verdict reuses the large one's cover search
+    def test_prethick_is_large_when_u0_is_the_only_translate(self):
+        # on a group with the full base every translate is U0 itself, so
+        # prethick is large, with the same least cover of U0 as witness
         z24 = semigroup_from_spec("cyclic:24")
         tau = trivial_filter(z24)
         A = mask_of([0, 15, 21])
-        want = [is_tau_large(z24, tau, A), is_tau_prethick(z24, tau, A)]
-        calls = []
-
-        def counted(target, cands):
-            calls.append(target)
-            return least_cover(target, cands)
-
-        monkeypatch.setattr(classify, "least_cover", counted)
         verdicts = {v.predicate: v for v in classify_all(z24, tau, A)}
-        assert calls == [tau.base]
-        assert [verdicts["large"], verdicts["prethick"]] == want
+        assert verdicts["prethick"] == replace(verdicts["large"], predicate="prethick")
 
     def test_prethick_from_minimal_translates_is_the_per_x_minimum(self):
         # reference: the least (size, mask) F <= U0 with U0*x <= F^-1 A for

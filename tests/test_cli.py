@@ -201,53 +201,6 @@ class TestSearch:
         assert header.endswith(",argmax_domain,argmax_labels")
         assert first == second and first.startswith("cyclic:4,4,")
 
-    def test_time_budget_says_checkpoint_saved_only_when_one_is(
-        self, tmp_path, capsys
-    ):
-        argv = ["search", "--group", "cyclic:4", "--cells", "2",
-                "--time-budget", "-1"]
-        code, _, err = run(capsys, *argv)
-        assert code == 3
-        assert "stopped after" in err and "checkpoint" not in err
-        ckpt = tmp_path / "sweep.ckpt"
-        code, _, err = run(capsys, *argv, "--checkpoint", str(ckpt))
-        assert code == 3 and "checkpoint saved" in err and ckpt.exists()
-
-    def test_time_budget_checkpoint_and_resume(self, tmp_path, capsys):
-        ckpt = tmp_path / "sweep.ckpt"
-        argv = [
-            "search",
-            "--group",
-            "cyclic:6",
-            "--cells",
-            "2",
-            "--mode",
-            "translate",
-            "--checkpoint",
-            str(ckpt),
-        ]
-        code = main(argv + ["--time-budget", "0.0"])
-        capsys.readouterr()
-        assert code == 3
-        assert ckpt.exists()
-        saved = json.loads(ckpt.read_text())
-        assert saved["completed"] >= 1
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert not ckpt.exists()
-        resumed = json.loads(out)
-        code, fresh_out, _ = run(
-            capsys,
-            "search",
-            "--group",
-            "cyclic:6",
-            "--cells",
-            "2",
-            "--mode",
-            "translate",
-        )
-        assert json.loads(fresh_out) == resumed
-
     @pytest.mark.parametrize("mode", ["translate", "quotient"])
     def test_group_modes_on_a_semigroup_exit_2(self, capsys, mode):
         code, out, err = run(
@@ -272,6 +225,16 @@ class TestSearch:
             "--cells", "2", "--widen-U",
         )
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "option", [["--checkpoint", "x"], ["--time-budget", "1"]],
+        ids=["checkpoint", "time-budget"],
+    )
+    def test_removed_resume_options_exit_2(self, capsys, option):
+        code, out, err = run(
+            capsys, "search", "--group", "cyclic:6", "--cells", "2", *option
+        )
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
     def test_symmetry_flag(self, capsys):
         code, out, _ = run(
@@ -468,84 +431,6 @@ class TestExitCodes:
         )
         assert code == 3 and "no feasible partition" in err
 
-    def test_unparsable_checkpoint_is_input_error(self, tmp_path, capsys):
-        ckpt = tmp_path / "sweep.ckpt"
-        ckpt.write_text("{not json")
-        code, _, err = run(
-            capsys, "search", "--group", "cyclic:4", "--cells", "2",
-            "--checkpoint", str(ckpt),
-        )
-        assert code == 2 and "not a checkpoint" in err
-
-    def test_checkpoint_without_an_object_is_input_error(self, tmp_path, capsys):
-        ckpt = tmp_path / "sweep.ckpt"
-        ckpt.write_text("[]")
-        code, _, err = run(
-            capsys, "search", "--group", "cyclic:4", "--cells", "2",
-            "--checkpoint", str(ckpt),
-        )
-        assert code == 2 and "not a checkpoint" in err
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [("completed", "3", "'completed'"), ("state", [], "'state'")],
-    )
-    def test_malformed_matching_checkpoint_is_input_error(
-        self, tmp_path, capsys, field, value, message
-    ):
-        ckpt = tmp_path / "sweep.ckpt"
-        argv = ["search", "--group", "cyclic:6", "--cells", "2",
-                "--checkpoint", str(ckpt)]
-        assert main(argv + ["--time-budget", "0.0"]) == 3
-        capsys.readouterr()
-        saved = json.loads(ckpt.read_text())
-        saved[field] = value
-        ckpt.write_text(json.dumps(saved))
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and message in err
-
-    @pytest.mark.parametrize(
-        "completed, state, message",
-        [
-            (None, {"worst": 1}, "'infeasible'"),
-            (None, {"worst": 1, "infeasible": 0, "argmax": {"domain": 63}}, "'argmax'"),
-            (None, {"worst": "1", "infeasible": 0, "argmax": None}, "'worst'"),
-            (10**6, {"worst": -1, "infeasible": 0, "argmax": None}, "'completed'"),
-            (-1, None, "'completed'"),
-            (None, lambda saved: dict(saved, worst=100), "'worst'"),
-            (None, lambda saved: dict(saved, infeasible=1), "'infeasible'"),
-            (None, {"worst": -1, "infeasible": 0, "argmax": None}, "no 'argmax'"),
-        ],
-        ids=[
-            "no-infeasible",
-            "argmax-without-labels",
-            "non-int-worst",
-            "completed-past-the-end",
-            "negative-completed",
-            "worst-not-the-argmax-cover",
-            "infeasible-under-the-proved-bound",
-            "no-argmax-after-a-feasible-partition",
-        ],
-    )
-    def test_malformed_checkpoint_state_is_input_error(
-        self, tmp_path, capsys, completed, state, message
-    ):
-        ckpt = tmp_path / "sweep.ckpt"
-        argv = ["search", "--group", "cyclic:6", "--cells", "2",
-                "--checkpoint", str(ckpt)]
-        assert main(argv + ["--time-budget", "0.0"]) == 3
-        capsys.readouterr()
-        saved = json.loads(ckpt.read_text())
-        if completed is not None:
-            saved["completed"] = completed
-        if callable(state):
-            saved["state"] = state(saved["state"])
-        elif state is not None:
-            saved["state"] = state
-        ckpt.write_text(json.dumps(saved))
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and message in err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -553,15 +438,15 @@ class TestExitCodes:
             ["classify", "--instance", "cyclic:4", "--subset", "1",
              "--out", "{tmp}/no/such/dir/x.json"],
             ["search", "--group", "cyclic:6", "--cells", "2",
-             "--checkpoint", "{tmp}"],
+             "--out-json", "{tmp}/no/such/dir/x.json"],
             ["search", "--group", "cyclic:6", "--cells", "2",
-             "--time-budget", "0", "--checkpoint", "{tmp}/no/such/dir/cp.json"],
+             "--out-csv", "{tmp}/no/such/dir/x.csv"],
         ],
         ids=[
             "unreadable-instance",
             "unwritable-out",
-            "checkpoint-is-a-directory",
-            "unwritable-checkpoint",
+            "unwritable-search-json",
+            "unwritable-search-csv",
         ],
     )
     def test_file_error_is_input_error(self, tmp_path, capsys, argv):
