@@ -55,12 +55,10 @@ from .literal import LiteralContext, literal_oracle
 from .masks import bits, complement, elements, is_subset, mask_of, popcount
 from .partitions import (
     BoundRecord,
-    CoverCertificate,
     Partition,
     enumerate_partitions,
     finite_cover_bound,
     min_cover,
-    recompute_cover,
     stirling2,
     sweep_partitions,
 )

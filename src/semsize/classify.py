@@ -17,8 +17,8 @@ oracle by the test suite rather than trusted):
               large sets are the transversals of those translates, and A
               is small iff it misses every inclusion-minimal one.
 
-The large and prethick witnesses are exact at every order: the fewest
-F <= U0, ties to the least mask, from the cover search `masks.least_cover`.
+The large and prethick witnesses are exact at every order: the cover search
+`masks.least_cover` returns the least mask among the fewest F <= U0.
 
 The per-subset predicates answer one subset at any order.  The exhaustive
 sweeps read `SizeTables` instead, whose four tables over all 2^n subsets
@@ -28,7 +28,8 @@ come from one `masks.union_table` of the quotients U0^-1 {b}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from .filters import PrincipalFilter
 from .masks import bits, is_subset, least_cover, minimal, popcount, union_table
@@ -137,10 +138,18 @@ def _small_counterwitness(
 # witness search
 
 
-def _least_witness(S: FinSemigroup, tau: PrincipalFilter, A: int, targets) -> int:
-    """The least (popcount, mask) F <= U0 whose F^-1 A holds some target."""
+@lru_cache(maxsize=1)
+def _least_witness(
+    S: FinSemigroup, tau: PrincipalFilter, A: int, targets: Tuple[int, ...]
+) -> int:
+    """The least (popcount, mask) F <= U0 whose F^-1 A holds some target.
+
+    The last answer is kept: on a base that is its own only minimal
+    translate, large and prethick ask for the same cover of U0, and
+    `classify_all` then searches it once.
+    """
     cands = [(f, left_quotient(S, f, A)) for f in bits(tau.base)]
-    covers = (least_cover(E, cands)[0] for E in targets)
+    covers = (least_cover(E, cands) for E in targets)
     return min((popcount(F), F) for F in covers if F is not None)[1]
 
 
@@ -150,7 +159,7 @@ def is_tau_large(
     value = large_value(S, tau, A)
     witness = None
     if value and with_witness:
-        witness = _least_witness(S, tau, A, [tau.base])
+        witness = _least_witness(S, tau, A, (tau.base,))
     return SizeVerdict("large", not tau.is_trivial, value, witness)
 
 
@@ -177,7 +186,9 @@ def is_tau_prethick(
     if value and with_witness:
         # F^-1 A is thick iff it holds a translate U0*x, and a cover of a
         # translate covers every minimal one inside it
-        witness = _least_witness(S, tau, A, _minimal_translates(S, tau.base))
+        witness = _least_witness(
+            S, tau, A, tuple(_minimal_translates(S, tau.base))
+        )
     return SizeVerdict("prethick", not tau.is_trivial, value, witness)
 
 

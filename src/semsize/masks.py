@@ -112,12 +112,9 @@ def union_of(tables: Sequence[List[int]], mask: int) -> int:
     return out | tables[-1][mask]
 
 
-def least_cover(
-    target: int, cands: Sequence[Tuple[int, int]]
-) -> Tuple[Optional[int], int]:
-    """(F, covered): the least mask F among the fewest candidates whose
-    covered sets hold `target`, and the union of those sets; (None, union
-    of every candidate's set) when no cover exists.
+def least_cover(target: int, cands: Sequence[Tuple[int, int]]) -> Optional[int]:
+    """The least mask F among the fewest candidates whose covered sets hold
+    `target`, or None when no cover exists.
 
     cands lists (element, covered) pairs in ascending element order.  Depth
     k of the iterative deepening decides them from the highest element down,
@@ -143,9 +140,4 @@ def least_cover(
         return out
 
     found = (search(len(cands), target, k, 0) for k in range(len(cands) + 1))
-    F = next((F for F in found if F is not None), None)
-    covered = 0
-    for e, m in cands:
-        if F is None or F >> e & 1:
-            covered |= m
-    return F, covered
+    return next((F for F in found if F is not None), None)

@@ -1,4 +1,4 @@
-"""Exact minimal-witness covers and partition sweeps against covering bounds.
+"""Exact least-cover witnesses and partition sweeps against covering bounds.
 
 The sweep asks, for an n-cell partition of the filter base U0, how small a
 pool F must be before some cell A satisfies F*delta(A) >= U0, where
@@ -59,22 +59,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class CoverCertificate:
-    witness_F: Optional[int]
-    mode: str
-    target: int
-    covered: int
-
-    @property
-    def feasible(self) -> bool:
-        return self.witness_F is not None
-
-    @property
-    def size(self) -> Optional[int]:
-        return None if self.witness_F is None else popcount(self.witness_F)
-
-
-@dataclass(frozen=True)
 class BoundRecord:
     group: str
     order: int
@@ -101,59 +85,39 @@ def sweep_order_limit(n: int) -> int:
     return SWEEP_ORDER_LIMIT.get(n, 8)
 
 
-def _transform_masks(
-    S: FinSemigroup, tau: PrincipalFilter, A: int, mode: str, pool: Sequence[int]
-) -> List[int]:
-    if mode == "quotient":
-        return [left_quotient(S, f, A) for f in pool]
-    if mode == "translate":
-        if not S.is_group:
-            raise NotAGroup("translate covering needs A*A^-1, hence a group")
-        pairs = quotient_pairs(S, A) if A else 0
-        return [translate_set(S, f, pairs) for f in pool]
-    if mode == "delta":
-        d = delta_tau(S, tau, A)
-        return [translate_set(S, f, d) for f in pool]
-    raise ValueError(f"unknown cover mode {mode!r}")
-
-
 def min_cover(
     S: FinSemigroup,
     tau: PrincipalFilter,
     A: int,
     mode: str,
     V: int,
-) -> CoverCertificate:
-    """Minimum-cardinality F <= V whose mode-transform of A covers the base.
+) -> Optional[int]:
+    """The least minimum-cardinality F <= V whose mode-transform of A covers
+    the base, or None when no F <= V does.
 
     quotient: union of f^-1 A;  translate: union of f*(A*A^-1);
     delta: union of f*delta(A).  Quotient mode takes A as given and works
     on any semigroup.  The forms differ when A is not inside the base; the
     sweep's cells are, and it covers every one in delta mode (see
-    `sweep_partitions`).  Infeasibility comes back as a certificate
-    with witness_F None so sweeps can aggregate it.  Ties at the minimum
-    cardinality break to the least mask.  The search (`least_cover`) is
-    exact at every pool size.
+    `sweep_partitions`).  The search (`least_cover`) is exact at every pool
+    size.
     """
     if V == 0:
         raise ValueError("witness pool V must be non-empty")
     pool = elements(V)
-    masks = _transform_masks(S, tau, A, mode, pool)
-    F, covered = least_cover(tau.base, list(zip(pool, masks)))
-    return CoverCertificate(F, mode, tau.base, covered)
-
-
-def recompute_cover(
-    S: FinSemigroup, tau: PrincipalFilter, A: int, cert: CoverCertificate
-) -> int:
-    """Re-derive the covered mask from (mode, witness, cell) for validation."""
-    if cert.witness_F is None:
-        return 0
-    masks = _transform_masks(S, tau, A, cert.mode, elements(cert.witness_F))
-    covered = 0
-    for m in masks:
-        covered |= m
-    return covered
+    if mode == "quotient":
+        masks = [left_quotient(S, f, A) for f in pool]
+    elif mode == "translate":
+        if not S.is_group:
+            raise NotAGroup("translate covering needs A*A^-1, hence a group")
+        pairs = quotient_pairs(S, A) if A else 0
+        masks = [translate_set(S, f, pairs) for f in pool]
+    elif mode == "delta":
+        d = delta_tau(S, tau, A)
+        masks = [translate_set(S, f, d) for f in pool]
+    else:
+        raise ValueError(f"unknown cover mode {mode!r}")
+    return least_cover(tau.base, list(zip(pool, masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +232,9 @@ def _best_cover(S, tau, pool, part: Partition) -> Optional[int]:
     if no cell has a cover within the pool."""
     best: Optional[int] = None
     for cell in part.cell_masks():
-        cert = min_cover(S, tau, cell, "delta", pool)
-        if cert.size is not None and (best is None or cert.size < best):
-            best = cert.size
+        F = min_cover(S, tau, cell, "delta", pool)
+        if F is not None and (best is None or popcount(F) < best):
+            best = popcount(F)
             if best == 1:
                 break
     return best
@@ -357,12 +321,10 @@ def sweep_partitions(
 
 __all__ = [
     "Partition",
-    "CoverCertificate",
     "BoundRecord",
     "MODES",
     "finite_cover_bound",
     "min_cover",
-    "recompute_cover",
     "enumerate_partitions",
     "stirling2",
     "sweep_partitions",

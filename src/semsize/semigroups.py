@@ -22,7 +22,9 @@ from .errors import (
 )
 from .masks import bits, is_subset, mask_of, minimal, union_of, union_tables
 
-AUTOMORPHISM_ORDER_LIMIT = 12
+# 6!, the automorphism count of leftzero:6 and rightzero:6; a structure with
+# more (n! for leftzero:n) would hold its whole list in memory
+AUTOMORPHISM_COUNT_LIMIT = 720
 
 
 def associativity_witness(order: int, table: Sequence[Sequence[int]]):
@@ -239,12 +241,10 @@ def automorphisms(S: FinSemigroup) -> List[Tuple[int, ...]]:
     its image: a, b and c all have theirs by then.  Each product is thus
     checked exactly once, and a complete assignment preserves the table.
     Images are tried in increasing order, so the permutations come sorted.
+    Raises SizeLimitExceeded as soon as more than AUTOMORPHISM_COUNT_LIMIT
+    are found.
     """
     n = S.order
-    if n > AUTOMORPHISM_ORDER_LIMIT:
-        raise SizeLimitExceeded(
-            f"automorphism search limited to order <= {AUTOMORPHISM_ORDER_LIMIT}"
-        )
     t = S.table
     buckets: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
     for a in range(n):
@@ -257,6 +257,10 @@ def automorphisms(S: FinSemigroup) -> List[Tuple[int, ...]]:
 
     def extend(k: int) -> None:
         if k == n:
+            if len(found) == AUTOMORPHISM_COUNT_LIMIT:
+                raise SizeLimitExceeded(
+                    f"more than {AUTOMORPHISM_COUNT_LIMIT} automorphisms"
+                )
             found.append(tuple(img))
             return
         for v in range(n):
@@ -446,21 +450,32 @@ def serialize_table(S: FinSemigroup) -> dict:
 
 
 def is_subgroup(S: FinSemigroup, mask: int) -> bool:
-    """mask is a subgroup of the group S."""
-    if not S.is_group or mask == 0:
-        return False
-    return is_subset(inverse_set(S, mask), mask) and subset_is_closed(S, mask)
+    """mask is a subgroup of the group S: a non-empty closed subset of a
+    finite group holds the powers of each element, hence e and inverses."""
+    return S.is_group and mask != 0 and subset_is_closed(S, mask)
 
 
 def subgroups(S: FinSemigroup) -> List[int]:
-    """All subgroup masks of a group, ascending."""
+    """All subgroup masks of a group, ascending.
+
+    Each is the closure under the product of some H | {g} with H a smaller
+    subgroup, starting from {e}: a subgroup is reached by adding its points
+    one at a time.
+    """
     if not S.is_group:
         raise NotAGroup("subgroup enumeration needs a group")
-    found = []
-    for m in range(1, S.full_mask + 1):
-        if (m >> S.identity) & 1 and is_subgroup(S, m):
-            found.append(m)
-    return found
+    found = {1 << S.identity}
+    todo = list(found)
+    while todo:
+        H = todo.pop()
+        for g in bits(S.full_mask & ~H):
+            K, grown = 0, H | 1 << g
+            while grown != K:
+                K, grown = grown, grown | product_set(S, grown, grown)
+            if K not in found:
+                found.add(K)
+                todo.append(K)
+    return sorted(found)
 
 
 def subset_is_closed(S: FinSemigroup, mask: int) -> bool:

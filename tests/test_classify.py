@@ -211,6 +211,18 @@ class TestExactWitnesses:
         verdicts = {v.predicate: v for v in classify_all(z24, tau, A)}
         assert verdicts["prethick"] == replace(verdicts["large"], predicate="prethick")
 
+    def test_classify_all_searches_u0_once(self, monkeypatch):
+        # large and prethick ask for the same least cover of U0 here
+        calls = []
+        search = classify.least_cover
+        monkeypatch.setattr(
+            classify, "least_cover", lambda *a: calls.append(a) or search(*a)
+        )
+        classify._least_witness.cache_clear()
+        z24 = semigroup_from_spec("cyclic:24")
+        classify_all(z24, trivial_filter(z24), mask_of([0, 15, 21]))
+        assert len(calls) == 1
+
     def test_prethick_from_minimal_translates_is_the_per_x_minimum(self):
         # reference: the least (size, mask) F <= U0 with U0*x <= F^-1 A for
         # some x in U0, by brute force over every x.  The order-3 tables

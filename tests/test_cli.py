@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -414,6 +415,16 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["instances_checked"] == 1
+
+    def test_too_many_automorphisms_is_a_limit_error(self, capsys):
+        # leftzero:9 has 9! automorphisms; the search stops past 720
+        start = time.perf_counter()
+        code, _, _ = run(
+            capsys, "search", "--group", "leftzero:9", "--cells", "2",
+            "--mode", "delta", "--symmetry",
+        )
+        assert code == 3
+        assert time.perf_counter() - start < 5
 
     def test_zero_cells_is_input_error(self, capsys):
         code, _, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "0")

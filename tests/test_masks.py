@@ -59,13 +59,13 @@ def _union(masks):
     ),
 )
 def test_least_cover_matches_brute_force(target, covers):
-    # fewest candidates first, then the least element mask; when nothing
-    # covers, F is None and covered is the union of every candidate
+    # fewest candidates first, then the least element mask; None when
+    # nothing covers
     cands = sorted(covers.items())
-    want = None, _union(m for _, m in cands)
+    want = None
     for k in range(len(cands) + 1):
         fits = [
-            (mask_of(e for e, _ in c), _union(m for _, m in c))
+            mask_of(e for e, _ in c)
             for c in combinations(cands, k)
             if is_subset(target, _union(m for _, m in c))
         ]

@@ -13,7 +13,6 @@ from semsize import (
     make_principal,
     mask_of,
     min_cover,
-    recompute_cover,
     semigroup_from_spec,
     stirling2,
     subgroups,
@@ -23,7 +22,7 @@ from semsize import (
 from semsize.catalog import default_catalog
 from semsize.masks import bits, elements, is_subset, popcount
 from semsize.partitions import MODES, Partition, _balanced_first, _canonical_labels
-from semsize.semigroups import quotient_pairs, translate_set
+from semsize.semigroups import left_quotient, quotient_pairs, translate_set
 
 
 class TestEnumeratePartitions:
@@ -79,32 +78,44 @@ class TestEnumeratePartitions:
             )
 
 
+def _covered(S, A, mode, F):
+    """The union of the mode-transforms of A over the points of F, built
+    here from the set arithmetic rather than from `min_cover`."""
+    out = 0
+    for f in bits(F):
+        if mode == "quotient":
+            out |= left_quotient(S, f, A)
+        else:
+            out |= translate_set(S, f, quotient_pairs(S, A))
+    return out
+
+
 class TestMinCover:
     def test_translate_examples(self, z4):
         z3 = semigroup_from_spec("cyclic:3")
-        cert = min_cover(z3, trivial_filter(z3), mask_of([1, 2]), "translate", z3.full_mask)
-        assert cert.size == 1
-        cert = min_cover(z4, trivial_filter(z4), mask_of([0, 1]), "translate", z4.full_mask)
-        assert cert.size == 2
-        cert = min_cover(z4, trivial_filter(z4), z4.full_mask, "translate", z4.full_mask)
-        assert cert.size == 1 and cert.witness_F == mask_of([z4.identity])
+        F = min_cover(z3, trivial_filter(z3), mask_of([1, 2]), "translate", z3.full_mask)
+        assert popcount(F) == 1
+        F = min_cover(z4, trivial_filter(z4), mask_of([0, 1]), "translate", z4.full_mask)
+        assert popcount(F) == 2
+        F = min_cover(z4, trivial_filter(z4), z4.full_mask, "translate", z4.full_mask)
+        assert F == mask_of([z4.identity])
 
-    def test_certificate_recomputes(self, z4):
+    def test_witness_covers_the_base(self, z4):
         tau = trivial_filter(z4)
         for A in range(1, 16):
-            cert = min_cover(z4, tau, A, "translate", z4.full_mask)
-            covered = recompute_cover(z4, tau, A, cert)
-            assert covered == cert.covered
-            assert is_subset(cert.target, covered)
+            F = min_cover(z4, tau, A, "translate", z4.full_mask)
+            assert is_subset(F, z4.full_mask)
+            assert is_subset(tau.base, _covered(z4, A, "translate", F))
 
     def test_exactness_against_brute_force(self, z6):
         tau = trivial_filter(z6)
         pool = elements(z6.full_mask)
         for A in (mask_of([0]), mask_of([0, 1]), mask_of([1, 3]), mask_of([0, 1, 2])):
-            cert = min_cover(z6, tau, A, "translate", z6.full_mask)
+            F = min_cover(z6, tau, A, "translate", z6.full_mask)
+            assert is_subset(tau.base, _covered(z6, A, "translate", F))
             pairs = quotient_pairs(z6, A)
             transforms = [translate_set(z6, f, pairs) for f in pool]
-            for k in range(1, cert.size):
+            for k in range(1, popcount(F)):
                 for combo in combinations(range(len(pool)), k):
                     covered = 0
                     for i in combo:
@@ -118,23 +129,22 @@ class TestMinCover:
         big_pool = z6.full_mask
         a = min_cover(z6, tau, A, "translate", small_pool)
         b = min_cover(z6, tau, A, "translate", big_pool)
-        assert b.size <= a.size
+        assert popcount(b) <= popcount(a)
 
     def test_infeasible_is_a_verdict(self, rz3):
         tau = trivial_filter(rz3)
-        cert = min_cover(rz3, tau, mask_of([1]), "quotient", mask_of([0]))
-        assert not cert.feasible and cert.size is None
+        assert min_cover(rz3, tau, mask_of([1]), "quotient", mask_of([0])) is None
 
     def test_pool_of_27_needs_no_limit(self):
         t3 = semigroup_from_spec("fulltransformation:3")
         tau = trivial_filter(t3)
-        cert = min_cover(t3, tau, 1, "quotient", t3.full_mask)
-        assert cert.size == 1
-        assert recompute_cover(t3, tau, 1, cert) == cert.covered
+        F = min_cover(t3, tau, 1, "quotient", t3.full_mask)
+        assert popcount(F) == 1
+        assert _covered(t3, 1, "quotient", F) == t3.full_mask
         # a singleton's difference set is {e}: every translate is needed
         z24 = semigroup_from_spec("cyclic:24")
-        cert = min_cover(z24, trivial_filter(z24), mask_of([0]), "translate", z24.full_mask)
-        assert cert.size == 24 and cert.witness_F == z24.full_mask
+        F = min_cover(z24, trivial_filter(z24), mask_of([0]), "translate", z24.full_mask)
+        assert F == z24.full_mask
 
 
 class TestSweeps:
@@ -180,11 +190,11 @@ class TestSweeps:
                     for mode in MODES:
                         worst, argmax, infeasible = -1, None, 0
                         for part in parts:
-                            sizes = [
-                                reference[mode](S, tau, A, V).size
+                            covers = [
+                                reference[mode](S, tau, A, V)
                                 for A in part.cell_masks()
                             ]
-                            sizes = [k for k in sizes if k is not None]
+                            sizes = [popcount(F) for F in covers if F is not None]
                             if not sizes:
                                 infeasible += 1
                             elif min(sizes) > worst:
@@ -280,8 +290,8 @@ class TestSweeps:
                     for f in bits(F):
                         covered |= translate_set(S, f, pairs)
                     assert is_subset(H, covered), (spec, H, A)
-                    cert = min_cover(S, tau, A, "translate", H)
-                    assert cert.size <= popcount(F) <= m // popcount(A)
+                    least = min_cover(S, tau, A, "translate", H)
+                    assert popcount(least) <= popcount(F) <= m // popcount(A)
                     for n in range(1, m + 1):
                         if popcount(A) >= -(-m // n):
                             assert popcount(F) <= finite_cover_bound(m, n)
@@ -296,10 +306,10 @@ class TestSweeps:
         best = {}
         for part in enumerate_partitions(z4.full_mask, 2):
             sizes = [
-                min_cover(z4, tau, cell, "translate", z4.full_mask).size
+                popcount(min_cover(z4, tau, cell, "translate", z4.full_mask))
                 for cell in part.cell_masks()
             ]
-            best[part.labels] = min(s for s in sizes if s is not None)
+            best[part.labels] = min(sizes)
         for labels, value in best.items():
             for perm in autos:
                 moved = _canonical_labels(

@@ -21,6 +21,7 @@ from semsize import (
     build_from_table,
     enumerate_semigroups,
     inverse_set,
+    is_subgroup,
     left_quotient,
     mask_of,
     minimal_left_ideals,
@@ -276,9 +277,17 @@ class TestAutomorphisms:
             for q in autos:
                 assert tuple(p[q[i]] for i in range(6)) in autos
 
-    def test_limit(self):
+    def test_more_than_720_automorphisms_is_a_limit(self):
+        # leftzero:7 has 7! = 5040: the search stops at the 721st
         with pytest.raises(SizeLimitExceeded):
-            automorphisms(semigroup_from_spec("fulltransformation:3"))
+            automorphisms(semigroup_from_spec("leftzero:7"))
+
+    def test_order_24_structures_are_searched(self):
+        assert automorphisms(semigroup_from_spec("cyclic:24")) == [
+            tuple(u * x % 24 for x in range(24)) for u in (1, 5, 7, 11, 13, 17, 19, 23)
+        ]
+        assert len(automorphisms(semigroup_from_spec("symmetric:4"))) == 24
+        assert len(automorphisms(semigroup_from_spec("fulltransformation:3"))) == 6
 
     def test_matches_brute_force_in_lexicographic_order(self):
         # every labeled semigroup of order <= 3 and every family up to order 6
@@ -324,6 +333,37 @@ class TestEnumeration:
     def test_limit(self):
         with pytest.raises(SizeLimitExceeded):
             next(enumerate_semigroups(4))
+
+
+def _brute_subgroups(S):
+    """Every mask holding e that is closed under the product and inverses,
+    by a scan of all 2^n masks."""
+    n, t, e = S.order, S.table, S.identity
+    found = []
+    for m in range(1, 1 << n):
+        els = [x for x in range(n) if m >> x & 1]
+        if (
+            m >> e & 1
+            and all(m >> t[a][b] & 1 for a in els for b in els)
+            and all(any(t[a][b] == e for b in els) for a in els)
+        ):
+            found.append(m)
+    return found
+
+
+def test_subgroups_match_brute_force_on_the_default_groups():
+    groups = {e.semigroup for e in default_catalog() if e.semigroup.is_group}
+    assert len(groups) == 18
+    for S in groups:
+        want = _brute_subgroups(S)
+        assert subgroups(S) == want, S.name
+        # is_subgroup needs no inverse test: closed and non-empty suffices
+        assert [m for m in range(1 << S.order) if is_subgroup(S, m)] == want
+
+
+def test_subgroup_counts_at_order_24():
+    assert len(subgroups(semigroup_from_spec("symmetric:4"))) == 30
+    assert len(subgroups(semigroup_from_spec("cyclic:24"))) == 8
 
 
 def test_subgroups_of_z6(z6):
