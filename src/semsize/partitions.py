@@ -148,26 +148,19 @@ def _rgs(m: int, n: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(0, 0)
 
 
-def _canonical_labels(labels: Sequence[int]) -> Tuple[int, ...]:
-    remap = {}
-    out = []
-    for lab in labels:
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out.append(remap[lab])
-    return tuple(out)
-
-
-def _orbit_min(
-    part: Tuple[int, ...], domain_elems: Sequence[int], pos: dict, group
-) -> Tuple[int, ...]:
-    best = part
-    for perm in group:
-        moved = tuple(part[pos[perm[e]]] for e in domain_elems)
-        cand = _canonical_labels(moved)
-        if cand < best:
-            best = cand
-    return best
+def _is_orbit_min(labels: Tuple[int, ...], moves: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether no image labels[move[i]] relabels to a smaller string than
+    `labels`.  Each image is relabeled only up to its first difference from
+    `labels`, and the test stops at the first smaller image."""
+    for move in moves:
+        remap: dict = {}
+        for i, p in enumerate(move):
+            lab = remap.setdefault(labels[p], len(remap))
+            if lab != labels[i]:
+                if lab < labels[i]:
+                    return False
+                break
+    return True
 
 
 def _fixes(perm: Sequence[int], mask: int) -> bool:
@@ -186,22 +179,24 @@ def enumerate_partitions(
     elements that fix the domain setwise (ValueError otherwise), closed
     under composition: `sweep_partitions` passes the automorphisms of S that
     fix its base (the domain) and its pool, a subgroup of `automorphisms(S)`.
+    Each permutation becomes a tuple of domain positions once; a string is
+    dropped at the first permutation whose image relabels to a smaller one.
     """
     m = popcount(domain)
     if n < 1:
         raise InputError("need at least one cell")
-    domain_elems = elements(domain)
+    moves: List[Tuple[int, ...]] = []
     if symmetry:
         if not all(_fixes(perm, domain) for perm in symmetry):
             raise ValueError("symmetry permutation does not fix the domain")
+        domain_elems = elements(domain)
         pos = {e: i for i, e in enumerate(domain_elems)}
+        moves = [tuple(pos[perm[e]] for e in domain_elems) for perm in symmetry]
     for labels in _rgs(m, n):
-        if symmetry:
-            # labels are already relabel-canonical; (pi . P)(x) = P(pi^-1 x),
-            # but sweeping the whole group makes the direction immaterial
-            if _orbit_min(labels, domain_elems, pos, symmetry) != labels:
-                continue
-        yield Partition(domain, labels, n)
+        # labels are already relabel-canonical; (pi . P)(x) = P(pi^-1 x),
+        # but sweeping the whole group makes the direction immaterial
+        if _is_orbit_min(labels, moves):
+            yield Partition(domain, labels, n)
 
 
 def stirling2(m: int, n: int) -> int:
@@ -227,14 +222,23 @@ def _balanced_first(parts: List[Partition]) -> List[Partition]:
     return sorted(parts, key=key)
 
 
-def _best_cover(S, tau, pool, part: Partition) -> Optional[int]:
+def _best_cover(S, tau, pool, part: Partition, covers: dict) -> Optional[int]:
     """The least minimal cover f*delta(A) over the cells A of `part`, None
-    if no cell has a cover within the pool."""
+    if no cell has a cover within the pool.
+
+    A cell enters the cover only through d = delta(A), so `covers` keeps the
+    size of d's least cover (None when it has none) for the rest of the
+    sweep, and each difference set is searched once.
+    """
     best: Optional[int] = None
     for cell in part.cell_masks():
-        F = min_cover(S, tau, cell, "delta", pool)
-        if F is not None and (best is None or popcount(F) < best):
-            best = popcount(F)
+        d = delta_tau(S, tau, cell)
+        if d not in covers:
+            F = min_cover(S, tau, cell, "delta", pool)
+            covers[d] = None if F is None else popcount(F)
+        size = covers[d]
+        if size is not None and (best is None or size < best):
+            best = size
             if best == 1:
                 break
     return best
@@ -258,7 +262,9 @@ def sweep_partitions(
     delta mode).  On a group delta(A) = A*A^-1, so translate mode is that
     cover over V, and quotient mode, whose f^-1(A*A^-1) is the translate by
     f^-1, is that cover over V^-1.  Both need a group and raise NotAGroup on
-    any other semigroup; delta mode takes any semigroup.
+    any other semigroup; delta mode takes any semigroup.  Cells with the
+    same difference set have the same least cover, so the sweep searches
+    each difference set once and keeps its size until it returns.
 
     When the base is a subgroup contained in V (on a group V^-1 contains it
     exactly when V does), the record carries finite_cover_bound(|base|, n)
@@ -287,8 +293,9 @@ def sweep_partitions(
         raise InputError(f"no {n}-cell partitions of the base (base too small)")
 
     worst, infeasible, argmax = -1, 0, None
+    covers: dict = {}
     for part in parts:
-        best = _best_cover(S, tau, pool, part)
+        best = _best_cover(S, tau, pool, part, covers)
         if best is None:
             infeasible += 1
         elif best > worst:

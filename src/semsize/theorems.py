@@ -21,6 +21,7 @@ of a spec:
 * ``admit(S, tau, cfg)``: any further admission test (size limits, cells);
 * ``annotate_forced``: see the degeneracy rule below; ``tables``: False when
   the claim reads no `SizeTables` (it then gets None, and none are built);
+  a spec that reads them skips instances above `TABLE_ORDER_LIMIT`;
 * ``finding``: a hunt's counterexample text; ``notes``: fixed report notes.
 
 A claim reads whole-mask tables, one entry per subset: the `SizeTables`,
@@ -75,6 +76,10 @@ from .semigroups import (
 # T3_5 (iii) holds by (i) at every order; its partitions are counted as
 # assertions only up to this order, which the reports are defined by
 REGULARITY_ORDER_LIMIT = 6
+
+# each of the four `SizeTables` has 2^order entries; 12 is the largest order
+# in the default catalog, and a spec that reads the tables skips larger ones
+TABLE_ORDER_LIMIT = 12
 
 
 @dataclass
@@ -434,6 +439,8 @@ def _check(
     """(assertions, detail) for an admitted instance, else None; `tables()`
     returns the instance's SizeTables."""
     if spec.groups is not None and S.is_group != spec.groups:
+        return None
+    if spec.tables and S.order > TABLE_ORDER_LIMIT:
         return None
     kind = spec.hypothesis
     if kind is not None and check_hypothesis(tau, kind) == spec.negate:

@@ -11,6 +11,7 @@ import pytest
 from conftest import brute_minimal_left_ideals
 
 from semsize import (
+    automorphisms,
     classify_all,
     default_catalog,
     enumerate_semigroups,
@@ -127,6 +128,15 @@ def test_criterion_3_partition_cover_bound():
         took = time.perf_counter() - started
         assert slow.partitions_checked == 1701
         assert took < 10.0, f"{spec} 4-cell sweep took {took:.1f}s (budget 10s)"
+    # the orbit reduction under the 720 automorphisms of this product
+    S = semigroup_from_spec("product:leftzero:6,cyclic:2")
+    started = time.perf_counter()
+    orbits = sweep_partitions(
+        S, trivial_filter(S), 2, "delta", symmetry=automorphisms(S)
+    )
+    took = time.perf_counter() - started
+    assert orbits.partitions_checked == 43
+    assert took < 10.0, f"{S.name} symmetric sweep took {took:.1f}s (budget 10s)"
     _announce(3, f"cover bound holds everywhere; Z12 sweep {elapsed:.2f}s")
 
 

@@ -21,8 +21,14 @@ from semsize import (
 )
 from semsize.catalog import default_catalog
 from semsize.masks import bits, elements, is_subset, popcount
-from semsize.partitions import MODES, Partition, _balanced_first, _canonical_labels
-from semsize.semigroups import left_quotient, quotient_pairs, translate_set
+from semsize.partitions import MODES, Partition, _balanced_first
+
+
+def _canonical_labels(labels):
+    """The label string relabeled in order of first occurrence."""
+    remap = {}
+    return tuple(remap.setdefault(lab, len(remap)) for lab in labels)
+from semsize.semigroups import inverse_set, left_quotient, quotient_pairs, translate_set
 
 
 class TestEnumeratePartitions:
@@ -68,6 +74,35 @@ class TestEnumeratePartitions:
             rep = min(orbit)
             seen.add(rep)
         assert {p.labels for p in reduced} == seen
+
+    @pytest.mark.parametrize(
+        "spec, cells, orbits",
+        [
+            ("cyclic:12", 2, 623),
+            ("quaternion8", 3, 70),
+            ("product:cyclic:2,cyclic:2,cyclic:2", 3, 22),
+            ("product:leftzero:6,cyclic:2", 2, 43),
+        ],
+    )
+    def test_symmetry_keeps_the_least_string_of_each_orbit(self, spec, cells, orbits):
+        # reference: the least canonical image of each label string over
+        # every automorphism, one orbit at a time
+        S = semigroup_from_spec(spec)
+        autos = automorphisms(S)
+        least = set()
+        seen = set()
+        for part in enumerate_partitions(S.full_mask, cells):
+            if part.labels in seen:
+                continue
+            orbit = {
+                _canonical_labels(tuple(part.labels[perm[e]] for e in range(S.order)))
+                for perm in autos
+            }
+            seen |= orbit
+            least.add(min(orbit))
+        reduced = [p.labels for p in enumerate_partitions(S.full_mask, cells, autos)]
+        assert reduced == sorted(least)
+        assert len(reduced) == orbits
 
     def test_symmetry_must_fix_domain(self, z4):
         with pytest.raises(ValueError):
@@ -335,6 +370,60 @@ class TestSweeps:
         a = sweep_partitions(z6, tau, 2, "translate")
         b = sweep_partitions(z6, tau, 2, "translate")
         assert a == b
+
+    def test_each_difference_set_is_covered_once_per_sweep(self, monkeypatch):
+        # Z12 at 2 cells: 2047 partitions, 2414 cells searched without the
+        # memo, but only 31 distinct difference sets
+        calls = []
+        real = semsize.partitions.min_cover
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semsize.partitions, "min_cover", counted)
+        z12 = semigroup_from_spec("cyclic:12")
+        rec = sweep_partitions(z12, trivial_filter(z12), 2, "translate")
+        assert (rec.partitions_checked, len(calls)) == (2047, 31)
+
+    def test_memo_sweep_equals_a_sweep_that_covers_every_cell(self):
+        # reference: every cell of every partition gets its own least cover
+        def reference(S, tau, n, mode, V):
+            pool = inverse_set(S, V) if mode == "quotient" else V
+            parts = _balanced_first(list(enumerate_partitions(tau.base, n)))
+            worst, argmax, infeasible = -1, None, 0
+            for part in parts:
+                covers = [
+                    min_cover(S, tau, A, "delta", pool) for A in part.cell_masks()
+                ]
+                sizes = [popcount(F) for F in covers if F is not None]
+                if not sizes:
+                    infeasible += 1
+                elif min(sizes) > worst:
+                    worst, argmax = min(sizes), part
+            return worst, argmax, infeasible, len(parts)
+
+        cases = [(spec, n, mode) for spec in ("cyclic:6", "symmetric:3", "dihedral:4")
+                 for n in (2, 3) for mode in MODES]
+        cases += [("leftzero:4", n, "delta") for n in (2, 3)]
+        swept = 0
+        for spec, n, mode in cases:
+            S = semigroup_from_spec(spec)
+            tau = trivial_filter(S)
+            # the pool {0, 1} leaves some partitions without a cover, and on
+            # leftzero:4 every one
+            for V in (S.full_mask, mask_of([0, 1])):
+                want = reference(S, tau, n, mode, V)
+                if want[1] is None:
+                    with pytest.raises(SizeLimitExceeded):
+                        sweep_partitions(S, tau, n, mode, V)
+                    continue
+                rec = sweep_partitions(S, tau, n, mode, V)
+                got = (rec.worst_min_F, rec.argmax_partition,
+                       rec.infeasible_partitions, rec.partitions_checked)
+                assert got == want, (spec, n, mode, elements(V))
+                swept += 1
+        assert swept == 38
 
     def test_sweep_counts_infeasible_partitions(self, z4):
         # the pool {1} misses the base: the first three partitions in sweep

@@ -4,6 +4,7 @@
 a name or signature it uses goes away.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -41,3 +42,27 @@ def test_delta_search_op_meets_the_proved_bound():
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.splitlines()[0])
     assert (record["worst_min_F"], record["proved_bound"]) == (2, 2)
+
+
+def _workloads():
+    """perfbench/workloads.py, imported without writing bytecode there."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_symmetry_search_op_passes_the_benchmark_check():
+    # the benchmark's check pins the orbit count (623 for Z12 at 2 cells)
+    wl = _workloads()
+    op = next(op for op in wl.SEARCHES if op.get("symmetry"))
+    proc = _child("op", json.dumps(op), "0")
+    report = "\n".join(proc.stdout.splitlines()[:-1])  # drop the span line
+    problem, records = wl.check_op(op, proc.returncode, report)
+    assert problem is None, (problem, proc.stderr)
+    assert records[0]["partitions_checked"] == wl.PARTITIONS_Z12_2_SYMMETRY == 623

@@ -285,3 +285,22 @@ def test_a_flipped_table_entry_is_the_reported_counterexample(tid, monkeypatch):
     assert report.assertions == _M + 1
     assert report.counterexample["detail"] == payload
     assert report.counterexample["detail"]["subset"] == elements(_M)
+
+
+def test_specs_that_read_tables_skip_orders_above_the_limit():
+    # each SizeTables table has 2^order entries: above TABLE_ORDER_LIMIT an
+    # instance is skipped before its tables are built
+    class Built(Exception):
+        pass
+
+    def tables():
+        raise Built
+
+    spec, cfg = theorems.THEOREMS["T2_1"], VerifyConfig()
+    assert theorems.TABLE_ORDER_LIMIT == 12
+    z24 = semigroup_from_spec("cyclic:24")
+    z24_full = PrincipalFilter(z24, z24.full_mask)
+    assert theorems._check(spec, z24, z24_full, tables, cfg) is None
+    z12 = semigroup_from_spec("cyclic:12")
+    with pytest.raises(Built):
+        theorems._check(spec, z12, PrincipalFilter(z12, z12.full_mask), tables, cfg)
