@@ -75,7 +75,6 @@ from .semigroups import (
     left_quotient,
     minimal_left_ideals,
     product_set,
-    quotient_pairs,
     right_translate,
     semigroup_from_spec,
     serialize_table,

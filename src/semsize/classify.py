@@ -226,11 +226,9 @@ class SizeTables:
     q[A] is thick, and small iff it misses every minimal translate.
     """
 
-    __slots__ = ("S", "tau", "large", "thick", "prethick", "small")
+    __slots__ = ("large", "thick", "prethick", "small")
 
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
-        self.S = S
-        self.tau = tau
         U0 = tau.base
         q = union_table([set_quotient(S, U0, 1 << b) for b in range(S.order)])
         minimal = _minimal_translates(S, U0)

@@ -207,7 +207,10 @@ def _build_catalog(args):
     override = None
     if getattr(args, "base", None):
         # one mask applied to every instance; entries it cannot fit are dropped
-        override = (mask_of(_parse_elements(args.base, "catalog base override")),)
+        elems = _parse_elements(args.base, "catalog base override")
+        if not elems:
+            raise EmptyBase("base spec names no elements")
+        override = (mask_of(elems),)
     return catalog_mod.build_catalog(args.catalog, base_override=override)
 
 

@@ -1,11 +1,9 @@
 """Exact least-cover witnesses and partition sweeps against covering bounds.
 
 The sweep asks, for an n-cell partition of the filter base U0, how small a
-pool F must be before some cell A satisfies F*delta(A) >= U0, where
-delta(A) is the difference set (`classify.delta_tau`; A*A^-1 on a group).
-Every cover mode reduces to that one cover: on a group the translate mode's
-f*(A*A^-1) is f*delta(A), and the quotient mode's f^-1(A*A^-1) is the
-translate by f^-1, so it sweeps the pool V^-1.
+pool F must be before some cell A covers U0 with translates of its
+difference set delta(A) (`classify.delta_tau`; A*A^-1 on a group), in the
+form its mode names (see `min_cover`).
 
 When the base is a subgroup H of order m inside the pool, the worst cover
 is at most finite_cover_bound(m, n) = m // ceil(m/n) <= n, by the packing
@@ -23,14 +21,7 @@ from .classify import delta_tau
 from .errors import BoundViolation, InputError, NotAGroup, SizeLimitExceeded
 from .filters import PrincipalFilter
 from .masks import bits, elements, is_subset, least_cover, mask_of, popcount
-from .semigroups import (
-    FinSemigroup,
-    inverse_set,
-    is_subgroup,
-    left_quotient,
-    quotient_pairs,
-    translate_set,
-)
+from .semigroups import FinSemigroup, is_subgroup, translate_set
 
 SWEEP_ORDER_LIMIT = {1: 12, 2: 12, 3: 8}
 MODES = ("quotient", "translate", "delta")
@@ -85,6 +76,19 @@ def sweep_order_limit(n: int) -> int:
     return SWEEP_ORDER_LIMIT.get(n, 8)
 
 
+def _check_mode(S: FinSemigroup, mode: str, V: int) -> None:
+    """Raise unless `mode` is a cover mode that S admits and V a non-empty
+    pool of elements of S."""
+    if mode not in MODES:
+        raise ValueError(f"unknown cover mode {mode!r}")
+    if mode != "delta" and not S.is_group:
+        raise NotAGroup(f"{mode} covering needs A*A^-1, hence a group")
+    if V == 0:
+        raise InputError("witness pool must be non-empty")
+    if V & ~S.full_mask:
+        raise InputError(f"witness pool has elements past the order {S.order}")
+
+
 def min_cover(
     S: FinSemigroup,
     tau: PrincipalFilter,
@@ -92,32 +96,23 @@ def min_cover(
     mode: str,
     V: int,
 ) -> Optional[int]:
-    """The least minimum-cardinality F <= V whose mode-transform of A covers
-    the base, or None when no F <= V does.
+    """The least minimum-cardinality F <= V whose translates of delta(A)
+    cover the base, or None when no F <= V does.
 
-    quotient: union of f^-1 A;  translate: union of f*(A*A^-1);
-    delta: union of f*delta(A).  Quotient mode takes A as given and works
-    on any semigroup.  The forms differ when A is not inside the base; the
-    sweep's cells are, and it covers every one in delta mode (see
-    `sweep_partitions`).  The search (`least_cover`) is exact at every pool
-    size.
+    delta(A) is the difference set `delta_tau(S, tau, A)`, which is A*A^-1
+    on a group when A lies inside the base.  Each f in V contributes
+    translate: f*delta(A), the cover F*A*A^-1;
+    quotient: f^-1*delta(A), the cover F^-1(A*A^-1);
+    delta: f*delta(A) on any semigroup, the cover F*delta_tau(A).
+    Translate and quotient need a group and raise NotAGroup elsewhere; an
+    empty pool, or one with elements past the order, raises InputError.
+    The witness is a mask over V, and the search (`least_cover`) is exact
+    at every pool size.
     """
-    if V == 0:
-        raise ValueError("witness pool V must be non-empty")
-    pool = elements(V)
-    if mode == "quotient":
-        masks = [left_quotient(S, f, A) for f in pool]
-    elif mode == "translate":
-        if not S.is_group:
-            raise NotAGroup("translate covering needs A*A^-1, hence a group")
-        pairs = quotient_pairs(S, A) if A else 0
-        masks = [translate_set(S, f, pairs) for f in pool]
-    elif mode == "delta":
-        d = delta_tau(S, tau, A)
-        masks = [translate_set(S, f, d) for f in pool]
-    else:
-        raise ValueError(f"unknown cover mode {mode!r}")
-    return least_cover(tau.base, list(zip(pool, masks)))
+    _check_mode(S, mode, V)
+    d = delta_tau(S, tau, A)
+    g = S.inverses if mode == "quotient" else range(S.order)
+    return least_cover(tau.base, [(f, translate_set(S, g[f], d)) for f in bits(V)])
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +217,9 @@ def _balanced_first(parts: List[Partition]) -> List[Partition]:
     return sorted(parts, key=key)
 
 
-def _best_cover(S, tau, pool, part: Partition, covers: dict) -> Optional[int]:
-    """The least minimal cover f*delta(A) over the cells A of `part`, None
-    if no cell has a cover within the pool.
+def _best_cover(S, tau, mode, V, part: Partition, covers: dict) -> Optional[int]:
+    """The least `min_cover` size over the cells A of `part`, None if no
+    cell has a cover within the pool V.
 
     A cell enters the cover only through d = delta(A), so `covers` keeps the
     size of d's least cover (None when it has none) for the rest of the
@@ -234,7 +229,7 @@ def _best_cover(S, tau, pool, part: Partition, covers: dict) -> Optional[int]:
     for cell in part.cell_masks():
         d = delta_tau(S, tau, cell)
         if d not in covers:
-            F = min_cover(S, tau, cell, "delta", pool)
+            F = min_cover(S, tau, cell, mode, V)
             covers[d] = None if F is None else popcount(F)
         size = covers[d]
         if size is not None and (best is None or size < best):
@@ -258,33 +253,26 @@ def sweep_partitions(
     of S, typically `automorphisms(S)`: the sweep keeps those that fix the
     base and the pool, and checks one partition per orbit of the rest.
 
-    Every mode covers each cell A with translates f*delta(A) (`min_cover`'s
-    delta mode).  On a group delta(A) = A*A^-1, so translate mode is that
-    cover over V, and quotient mode, whose f^-1(A*A^-1) is the translate by
-    f^-1, is that cover over V^-1.  Both need a group and raise NotAGroup on
-    any other semigroup; delta mode takes any semigroup.  Cells with the
-    same difference set have the same least cover, so the sweep searches
-    each difference set once and keeps its size until it returns.
+    Each cell is covered as `min_cover` covers it in `mode`, and the mode
+    and pool are checked as there before any partition is enumerated.
+    Cells with the same difference set have the same least cover, so the
+    sweep searches each difference set once and keeps its size until it
+    returns.
 
-    When the base is a subgroup contained in V (on a group V^-1 contains it
-    exactly when V does), the record carries finite_cover_bound(|base|, n)
-    as its proved bound, and an infeasible partition or a worst cover above
-    it raises BoundViolation.  Otherwise the proved bound is None, and a
-    sweep without any feasible partition raises SizeLimitExceeded.
+    When the base is a subgroup contained in V (quotient mode translates by
+    V^-1, which contains it exactly when V does), the record carries
+    finite_cover_bound(|base|, n) as its proved bound, and an infeasible
+    partition or a worst cover above it raises BoundViolation.  Otherwise
+    the proved bound is None, and a sweep without any feasible partition
+    raises SizeLimitExceeded.
     """
     limit = sweep_order_limit(n)
     if S.order > limit:
         raise SizeLimitExceeded(
             f"sweep limited to order <= {limit} for {n} cells"
         )
-    if mode not in MODES:
-        raise ValueError(f"unknown cover mode {mode!r}")
-    if mode != "delta" and not S.is_group:
-        raise NotAGroup(f"{mode} covering needs A*A^-1, hence a group")
     V = tau.base if V is None else V
-    if V == 0:
-        raise InputError("witness pool must be non-empty")
-    pool = inverse_set(S, V) if mode == "quotient" else V
+    _check_mode(S, mode, V)
     proved = is_subset(tau.base, V) and is_subgroup(S, tau.base)
     if symmetry:
         symmetry = [p for p in symmetry if _fixes(p, tau.base) and _fixes(p, V)]
@@ -295,7 +283,7 @@ def sweep_partitions(
     worst, infeasible, argmax = -1, 0, None
     covers: dict = {}
     for part in parts:
-        best = _best_cover(S, tau, pool, part, covers)
+        best = _best_cover(S, tau, mode, V, part, covers)
         if best is None:
             infeasible += 1
         elif best > worst:

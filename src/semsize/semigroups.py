@@ -208,11 +208,6 @@ def inverse_set(S: FinSemigroup, A: int) -> int:
     return out
 
 
-def quotient_pairs(S: FinSemigroup, A: int) -> int:
-    """A * A^-1 = {a * b^-1 : a, b in A} on a group."""
-    return product_set(S, A, inverse_set(S, A))
-
-
 # ---------------------------------------------------------------------------
 # ideal structure
 
@@ -498,7 +493,6 @@ __all__ = [
     "right_translate",
     "product_set",
     "inverse_set",
-    "quotient_pairs",
     "minimal_left_ideals",
     "automorphisms",
     "is_subgroup",

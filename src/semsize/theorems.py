@@ -90,6 +90,10 @@ class VerifyConfig:
     cells: int = 2                    # partition sweep width for T3_2
     workers: int = 0                  # 0 = take SEMSIZE_WORKERS, default 1
 
+    def __post_init__(self):
+        if self.workers < 0:
+            raise InputError(f"worker count {self.workers} is negative")
+
     def resolved_workers(self) -> int:
         if self.workers > 0:
             return self.workers

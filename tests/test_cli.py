@@ -408,6 +408,25 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and "catalog base override" in err
 
+    @pytest.mark.parametrize(
+        "verb",
+        [["verify", "--theorem", "T2_1"], ["hunt", "--variant", "T2_6_large"]],
+        ids=["verify", "hunt"],
+    )
+    def test_empty_catalog_base_override_is_input_error(self, capsys, verb):
+        # "," names no element, as it does for classify --base
+        code, out, err = run(capsys, *verb, "--catalog", "cyclic:4", "--base", ",")
+        assert (code, out) == (2, "")
+        assert "base spec names no elements" in err
+
+    def test_negative_worker_count_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--theorem", "T2_1", "--catalog", "cyclic:4",
+            "--workers", "-3",
+        )
+        assert (code, out) == (2, "")
+        assert "worker count -3 is negative" in err
+
     def test_catalog_base_override_drops_the_entries_it_cannot_fit(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--theorem", "T2_1",

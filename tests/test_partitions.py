@@ -20,15 +20,21 @@ from semsize import (
     trivial_filter,
 )
 from semsize.catalog import default_catalog
-from semsize.masks import bits, elements, is_subset, popcount
+from semsize.errors import InputError
+from semsize.masks import bits, elements, is_subset, least_cover, popcount
 from semsize.partitions import MODES, Partition, _balanced_first
+from semsize.semigroups import (
+    inverse_set,
+    left_quotient,
+    product_set,
+    translate_set,
+)
 
 
 def _canonical_labels(labels):
     """The label string relabeled in order of first occurrence."""
     remap = {}
     return tuple(remap.setdefault(lab, len(remap)) for lab in labels)
-from semsize.semigroups import inverse_set, left_quotient, quotient_pairs, translate_set
 
 
 class TestEnumeratePartitions:
@@ -113,15 +119,25 @@ class TestEnumeratePartitions:
             )
 
 
-def _covered(S, A, mode, F):
-    """The union of the mode-transforms of A over the points of F, built
-    here from the set arithmetic rather than from `min_cover`."""
+def _pairs(S, A):
+    """A*A^-1 on a group, from the set arithmetic."""
+    return product_set(S, A, inverse_set(S, A))
+
+
+def _delta(S, base, A):
+    """{x : x*a in A for some a in A & base}, read straight off the table."""
+    return mask_of(
+        x for x in range(S.order)
+        if any((A >> S.table[x][a]) & 1 for a in bits(A & base))
+    )
+
+
+def _covered(S, d, F):
+    """The union of the translates f*d over the points of F, built here
+    from the set arithmetic rather than from `min_cover`."""
     out = 0
     for f in bits(F):
-        if mode == "quotient":
-            out |= left_quotient(S, f, A)
-        else:
-            out |= translate_set(S, f, quotient_pairs(S, A))
+        out |= translate_set(S, f, d)
     return out
 
 
@@ -140,15 +156,15 @@ class TestMinCover:
         for A in range(1, 16):
             F = min_cover(z4, tau, A, "translate", z4.full_mask)
             assert is_subset(F, z4.full_mask)
-            assert is_subset(tau.base, _covered(z4, A, "translate", F))
+            assert is_subset(tau.base, _covered(z4, _pairs(z4, A), F))
 
     def test_exactness_against_brute_force(self, z6):
         tau = trivial_filter(z6)
         pool = elements(z6.full_mask)
         for A in (mask_of([0]), mask_of([0, 1]), mask_of([1, 3]), mask_of([0, 1, 2])):
             F = min_cover(z6, tau, A, "translate", z6.full_mask)
-            assert is_subset(tau.base, _covered(z6, A, "translate", F))
-            pairs = quotient_pairs(z6, A)
+            pairs = _pairs(z6, A)
+            assert is_subset(tau.base, _covered(z6, pairs, F))
             transforms = [translate_set(z6, f, pairs) for f in pool]
             for k in range(1, popcount(F)):
                 for combo in combinations(range(len(pool)), k):
@@ -166,16 +182,18 @@ class TestMinCover:
         b = min_cover(z6, tau, A, "translate", big_pool)
         assert popcount(b) <= popcount(a)
 
-    def test_infeasible_is_a_verdict(self, rz3):
-        tau = trivial_filter(rz3)
-        assert min_cover(rz3, tau, mask_of([1]), "quotient", mask_of([0])) is None
+    def test_infeasible_is_a_verdict(self):
+        # x*1 = 0 for every x, so delta({1}) is empty and covers nothing
+        null3 = semigroup_from_spec("null:3")
+        tau = trivial_filter(null3)
+        assert min_cover(null3, tau, mask_of([1]), "delta", null3.full_mask) is None
 
     def test_pool_of_27_needs_no_limit(self):
         t3 = semigroup_from_spec("fulltransformation:3")
         tau = trivial_filter(t3)
-        F = min_cover(t3, tau, 1, "quotient", t3.full_mask)
-        assert popcount(F) == 1
-        assert _covered(t3, 1, "quotient", F) == t3.full_mask
+        F = min_cover(t3, tau, mask_of([0]), "delta", t3.full_mask)
+        assert popcount(F) == 3
+        assert _covered(t3, _delta(t3, tau.base, mask_of([0])), F) == t3.full_mask
         # a singleton's difference set is {e}: every translate is needed
         z24 = semigroup_from_spec("cyclic:24")
         F = min_cover(z24, trivial_filter(z24), mask_of([0]), "translate", z24.full_mask)
@@ -201,16 +219,19 @@ class TestSweeps:
             assert rec.worst_min_F == 1
 
     def test_every_mode_matches_its_per_mode_cover(self):
-        # the sweep covers every cell with f*delta(A); the reference covers
-        # each mode its own way: f*(A*A^-1), f^-1(A*A^-1) over the pool
-        # itself, and f*delta(A)
-        reference = {
-            "translate": lambda S, tau, A, V: min_cover(S, tau, A, "translate", V),
-            "quotient": lambda S, tau, A, V: min_cover(
-                S, tau, quotient_pairs(S, A), "quotient", V
-            ),
-            "delta": lambda S, tau, A, V: min_cover(S, tau, A, "delta", V),
-        }
+        # the reference builds each mode's cover here: f*(A*A^-1),
+        # f^-1(A*A^-1) as a left quotient, and f*delta(A) with delta read
+        # off the table
+        def reference(S, base, A, mode, V):
+            if mode == "delta":
+                d = _delta(S, base, A)
+                cands = [(f, translate_set(S, f, d)) for f in bits(V)]
+            else:
+                step = left_quotient if mode == "quotient" else translate_set
+                pairs = _pairs(S, A)
+                cands = [(f, step(S, f, pairs)) for f in bits(V)]
+            return least_cover(base, cands)
+
         swept = 0
         for entry in default_catalog():
             S = entry.semigroup
@@ -226,7 +247,7 @@ class TestSweeps:
                         worst, argmax, infeasible = -1, None, 0
                         for part in parts:
                             covers = [
-                                reference[mode](S, tau, A, V)
+                                reference(S, base, A, mode, V)
                                 for A in part.cell_masks()
                             ]
                             sizes = [popcount(F) for F in covers if F is not None]
@@ -245,6 +266,40 @@ class TestSweeps:
                         assert got == (worst, argmax, infeasible), case
                         swept += 1
         assert swept == 980
+
+    def test_one_cell_sweep_is_min_cover_of_the_base(self):
+        # the sweep's single cell is the base itself: the two definitions of
+        # a mode's cover must agree, pools without the identity included
+        cases = []
+        for entry in default_catalog():
+            S = entry.semigroup
+            if not S.is_group or S.order > 6:
+                continue
+            pools = [S.full_mask & ~(1 << S.identity)] if S.order > 1 else []
+            for base in entry.bases:
+                cases += [(S, base, V) for V in [base, S.full_mask] + pools]
+        z6 = semigroup_from_spec("cyclic:6")
+        cases.append((z6, mask_of([0, 2]), mask_of([2])))
+        for S, base, V in cases:
+            tau = make_principal(S, base)
+            for mode in MODES:
+                F = min_cover(S, tau, base, mode, V)
+                if F is None:
+                    with pytest.raises(SizeLimitExceeded):
+                        sweep_partitions(S, tau, 1, mode, V)
+                    continue
+                rec = sweep_partitions(S, tau, 1, mode, V)
+                assert rec.worst_min_F == popcount(F), (S.name, base, V, mode)
+        # 2^-1 + delta({0,2}) = 4 + {0,2,4} covers the base from the pool {2}
+        tau = make_principal(z6, mask_of([0, 2]))
+        assert popcount(min_cover(z6, tau, tau.base, "quotient", mask_of([2]))) == 1
+
+    def test_pool_past_the_order_is_an_input_error(self, z4):
+        tau = trivial_filter(z4)
+        with pytest.raises(InputError):
+            sweep_partitions(z4, tau, 2, "translate", 0b110001)
+        with pytest.raises(InputError):
+            min_cover(z4, tau, mask_of([0, 1]), "translate", 0b100000)
 
     def test_delta_sweep_z4(self, z4):
         rec = sweep_partitions(z4, trivial_filter(z4), 2, "delta")
@@ -320,7 +375,7 @@ class TestSweeps:
                         fA = translate_set(S, f, A)
                         if not fA & used:
                             F, used = F | 1 << f, used | fA
-                    pairs = quotient_pairs(S, A)
+                    pairs = _pairs(S, A)
                     covered = 0
                     for f in bits(F):
                         covered |= translate_set(S, f, pairs)

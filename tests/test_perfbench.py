@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -66,3 +68,18 @@ def test_symmetry_search_op_passes_the_benchmark_check():
     problem, records = wl.check_op(op, proc.returncode, report)
     assert problem is None, (problem, proc.stderr)
     assert records[0]["partitions_checked"] == wl.PARTITIONS_Z12_2_SYMMETRY == 623
+
+
+
+@pytest.mark.parametrize("mode", ["translate", "quotient", "delta"])
+def test_two_cell_mode_op_passes_the_benchmark_check(mode):
+    # the Z12 two-cell sweep in each cover mode, as the benchmark runs it
+    wl = _workloads()
+    op = next(op for op in wl.SEARCHES if op["group"] == "cyclic:12"
+              and op["mode"] == mode and not op.get("symmetry"))
+    proc = _child("op", json.dumps(op), "0")
+    report = "\n".join(proc.stdout.splitlines()[:-1])  # drop the span line
+    problem, records = wl.check_op(op, proc.returncode, report)
+    assert problem is None, (problem, proc.stderr)
+    assert records[0]["partitions_checked"] == wl.PARTITIONS_Z12_2 == 2047
+    assert records[0]["infeasible_partitions"] == 0

@@ -19,6 +19,7 @@ from semsize import (
     automorphisms,
     build_family,
     build_from_table,
+    delta_tau,
     enumerate_semigroups,
     inverse_set,
     is_subgroup,
@@ -26,13 +27,13 @@ from semsize import (
     mask_of,
     minimal_left_ideals,
     product_set,
-    quotient_pairs,
     right_translate,
     semigroup_from_spec,
     set_quotient,
     subgroups,
     trace_set,
     translate_set,
+    trivial_filter,
 )
 from semsize.catalog import build_catalog, default_catalog
 from semsize.classify import _minimal_translates
@@ -190,15 +191,15 @@ class TestSetArithmetic:
         big = set_quotient(z6, A2, B2)
         assert small | big == big
 
-    def test_quotient_pairs_examples(self, z4):
-        assert quotient_pairs(z4, mask_of([0, 1])) == mask_of([0, 1, 3])
+    def test_delta_tau_examples(self, z4):
+        # under the trivial filter delta(A) is A*A^-1 on a group
+        tau = trivial_filter(z4)
+        assert delta_tau(z4, tau, mask_of([0, 1])) == mask_of([0, 1, 3])
         z3 = semigroup_from_spec("cyclic:3")
-        assert quotient_pairs(z3, mask_of([1, 2])) == z3.full_mask
-        assert quotient_pairs(z4, mask_of([z4.identity])) == mask_of([0])
+        assert delta_tau(z3, trivial_filter(z3), mask_of([1, 2])) == z3.full_mask
+        assert delta_tau(z4, tau, mask_of([z4.identity])) == mask_of([0])
 
-    def test_quotient_pairs_needs_group(self, rz3):
-        with pytest.raises(NotAGroup):
-            quotient_pairs(rz3, mask_of([0]))
+    def test_inverse_set_needs_group(self, rz3):
         with pytest.raises(NotAGroup):
             inverse_set(rz3, mask_of([0]))
 

@@ -100,15 +100,17 @@ class TestVerify:
             verify("T9_9", small_catalog())
 
     def test_no_size_tables_outlive_the_run(self):
+        def live_tables():
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, SizeTables)]
+
+        # held, so no table built by the run can take the id of an old one
+        before = live_tables()
         catalog = small_catalog()
         for tid in THEOREM_IDS:
             verify(tid, catalog, catalog_label="order<=2")
-        gc.collect()
-        ours = {entry.semigroup for entry in catalog}  # equal by Cayley table
-        alive = [
-            o for o in gc.get_objects() if isinstance(o, SizeTables) and o.S in ours
-        ]
-        assert alive == []
+        old = {id(o) for o in before}
+        assert [o for o in live_tables() if id(o) not in old] == []
 
 
 class TestHunt:
