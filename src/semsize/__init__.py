@@ -3,7 +3,7 @@
 A finite-model laboratory: decide large / thick / prethick / small (and
 their filter-relative forms) on finite semigroups with principal filters,
 verify the covering theorems exhaustively over instance catalogs, and sweep
-partitions of small groups for worst-case cover witnesses against the
+partitions of small semigroups for worst-case cover witnesses against the
 proved finite cover bound.
 """
 
@@ -70,7 +70,6 @@ from .semigroups import (
     build_from_table,
     direct_product,
     enumerate_semigroups,
-    inverse_set,
     is_subgroup,
     left_quotient,
     minimal_left_ideals,

@@ -75,7 +75,8 @@ def delta_tau(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fast boolean forms (used by the sweeps; verdict wrappers add witnesses)
+# boolean forms for one subset (`SizeTables` serves the catalog sweeps;
+# the verdict wrappers below add witnesses)
 
 
 def large_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:

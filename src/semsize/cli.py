@@ -19,6 +19,7 @@ from . import catalog as catalog_mod
 from .classify import classify_all
 from .errors import (
     BoundViolation,
+    DimensionError,
     EmptyBase,
     SchemaError,
     SemsizeError,
@@ -92,23 +93,12 @@ def instance_from_payload(payload: dict, where: str = "<payload>") -> FinSemigro
         if key not in payload:
             raise SchemaError(f"{where}: missing field {key!r}")
     name = payload["name"]
-    order = payload["order"]
-    table = payload["table"]
     if not isinstance(name, str):
         raise SchemaError(f"{where}: field 'name' must be a string")
-    if type(order) is not int or order < 1:
-        raise SchemaError(f"{where}: field 'order' must be a positive integer")
-    if not isinstance(table, list) or len(table) != order:
-        raise SchemaError(f"{where}: field 'table' must have {order} rows")
-    for i, row in enumerate(table):
-        if not isinstance(row, list) or len(row) != order:
-            raise SchemaError(f"{where}: table[{i}] must have {order} entries")
-        for j, v in enumerate(row):
-            if type(v) is not int or not 0 <= v < order:
-                raise SchemaError(
-                    f"{where}: table[{i}][{j}] = {v!r} out of range [0,{order})"
-                )
-    return build_from_table(order, table, name=name)
+    try:
+        return build_from_table(payload["order"], payload["table"], name=name)
+    except DimensionError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _parse_elements(text: str, what: str, order: Optional[int] = None) -> List[int]:

@@ -33,7 +33,7 @@ class SizeLimitExceeded(SemsizeError):
 
 
 class NotAGroup(SemsizeError):
-    """Operation needs inverses but the semigroup has none."""
+    """Operation is defined on groups only, and the semigroup is not one."""
 
 
 class NotASubsemigroup(SemsizeError):

@@ -1,15 +1,21 @@
 """Exact least-cover witnesses and partition sweeps against covering bounds.
 
 The sweep asks, for an n-cell partition of the filter base U0, how small a
-pool F must be before some cell A covers U0 with translates of its
-difference set delta(A) (`classify.delta_tau`; A*A^-1 on a group), in the
-form its mode names (see `min_cover`).
+pool F must be before some cell A covers U0 with translates or quotients
+of its difference set delta(A) (`classify.delta_tau`; A*A^-1 on a group),
+in the form its mode names (see `min_cover`).  Every mode runs on every
+semigroup.
 
 When the base is a subgroup H of order m inside the pool, the worst cover
 is at most finite_cover_bound(m, n) = m // ceil(m/n) <= n, by the packing
 argument of Ruzsa's covering lemma: some cell A has |A| >= ceil(m/n); a
 maximal F <= H with the f*A pairwise disjoint has |F| <= m/|A|, and every
 x*A meets some f*A, so F*A*A^-1 >= H.  The sweep asserts that bound.
+
+When the filter is left inverse invariant and U0 prethick, every finite
+partition of U0 has a cell A whose delta(A) is large (T3_5 (iii) with
+T3_7): some F <= U0 has F^-1 delta(A) >= U0.  A quotient sweep whose pool
+holds U0 asserts that every partition has such a cell.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .classify import delta_tau
-from .errors import BoundViolation, InputError, NotAGroup, SizeLimitExceeded
-from .filters import PrincipalFilter
+from .classify import delta_tau, prethick_value
+from .errors import BoundViolation, InputError, SizeLimitExceeded
+from .filters import PrincipalFilter, check_hypothesis
 from .masks import bits, elements, is_subset, least_cover, mask_of, popcount
-from .semigroups import FinSemigroup, is_subgroup, translate_set
+from .semigroups import FinSemigroup, is_subgroup, left_quotient, translate_set
 
 SWEEP_ORDER_LIMIT = {1: 12, 2: 12, 3: 8}
 MODES = ("quotient", "translate", "delta")
@@ -77,12 +83,10 @@ def sweep_order_limit(n: int) -> int:
 
 
 def _check_mode(S: FinSemigroup, mode: str, V: int) -> None:
-    """Raise unless `mode` is a cover mode that S admits and V a non-empty
-    pool of elements of S."""
+    """Raise unless `mode` is a cover mode and V a non-empty pool of
+    elements of S."""
     if mode not in MODES:
         raise ValueError(f"unknown cover mode {mode!r}")
-    if mode != "delta" and not S.is_group:
-        raise NotAGroup(f"{mode} covering needs A*A^-1, hence a group")
     if V == 0:
         raise InputError("witness pool must be non-empty")
     if V & ~S.full_mask:
@@ -96,23 +100,22 @@ def min_cover(
     mode: str,
     V: int,
 ) -> Optional[int]:
-    """The least minimum-cardinality F <= V whose translates of delta(A)
-    cover the base, or None when no F <= V does.
+    """The least minimum-cardinality F <= V whose translates or quotients
+    of delta(A) cover the base, or None when no F <= V does.
 
     delta(A) is the difference set `delta_tau(S, tau, A)`, which is A*A^-1
     on a group when A lies inside the base.  Each f in V contributes
-    translate: f*delta(A), the cover F*A*A^-1;
-    quotient: f^-1*delta(A), the cover F^-1(A*A^-1);
-    delta: f*delta(A) on any semigroup, the cover F*delta_tau(A).
-    Translate and quotient need a group and raise NotAGroup elsewhere; an
-    empty pool, or one with elements past the order, raises InputError.
-    The witness is a mask over V, and the search (`least_cover`) is exact
-    at every pool size.
+    quotient: f^-1 delta(A) = {x : f*x in delta(A)} (`left_quotient`), so
+    with V = U0 the cover is the `is_tau_large` witness of delta(A);
+    translate and delta: f*delta(A), the cover F*A*A^-1 on a group.
+    Every mode runs on every semigroup; an empty pool, or one with
+    elements past the order, raises InputError.  The witness is a mask
+    over V, and the search (`least_cover`) is exact at every pool size.
     """
     _check_mode(S, mode, V)
     d = delta_tau(S, tau, A)
-    g = S.inverses if mode == "quotient" else range(S.order)
-    return least_cover(tau.base, [(f, translate_set(S, g[f], d)) for f in bits(V)])
+    step = left_quotient if mode == "quotient" else translate_set
+    return least_cover(tau.base, [(f, step(S, f, d)) for f in bits(V)])
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +262,13 @@ def sweep_partitions(
     sweep searches each difference set once and keeps its size until it
     returns.
 
-    When the base is a subgroup contained in V (quotient mode translates by
-    V^-1, which contains it exactly when V does), the record carries
+    When the base is a subgroup contained in V, the record carries
     finite_cover_bound(|base|, n) as its proved bound, and an infeasible
     partition or a worst cover above it raises BoundViolation.  Otherwise
-    the proved bound is None, and a sweep without any feasible partition
-    raises SizeLimitExceeded.
+    the proved bound is None.  A quotient sweep whose V holds the base of
+    a left inverse invariant filter with a prethick base also raises
+    BoundViolation on an infeasible partition (see the module docstring).
+    Any other sweep without a feasible partition raises SizeLimitExceeded.
     """
     limit = sweep_order_limit(n)
     if S.order > limit:
@@ -293,6 +297,17 @@ def sweep_partitions(
         raise BoundViolation(
             f"{S.name}: worst_min_F {worst} (infeasible={infeasible}) breaks the "
             f"proved bound {bound} at n={n}; implementation bug"
+        )
+    if (
+        infeasible
+        and mode == "quotient"
+        and is_subset(tau.base, V)
+        and check_hypothesis(tau, "left_inverse_invariant")
+        and prethick_value(S, tau, tau.base)
+    ):
+        raise BoundViolation(
+            f"{S.name}: {infeasible} partitions of a prethick base have no cell "
+            f"with a large difference set at n={n}; implementation bug"
         )
     if argmax is None:
         raise SizeLimitExceeded(

@@ -63,7 +63,6 @@ class FinSemigroup:
         "name",
         "identity",
         "is_group",
-        "inverses",
         "full_mask",
         "quot",
         "trace",
@@ -80,8 +79,10 @@ class FinSemigroup:
         self.name = name
         self.full_mask = (1 << self.order) - 1
         self.identity = self._find_identity()
-        self.inverses = self._find_inverses()
-        self.is_group = self.identity is not None and self.inverses is not None
+        # an e in every row is a right inverse for every x, and in a monoid
+        # x*y == y*z == e gives x == z: each right inverse is two-sided
+        e = self.identity
+        self.is_group = e is not None and all(e in row for row in self.table)
 
     def __getattr__(self, kind: str):
         # reached only while a slot is unset: build that table on first use
@@ -111,20 +112,6 @@ class FinSemigroup:
                 return e
         return None
 
-    def _find_inverses(self) -> Optional[Tuple[int, ...]]:
-        e = self.identity
-        if e is None:
-            return None
-        inv = []
-        for x in range(self.order):
-            for y in range(self.order):
-                if self.table[x][y] == e and self.table[y][x] == e:
-                    inv.append(y)
-                    break
-            else:
-                return None
-        return tuple(inv)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FinSemigroup) and self.table == other.table
 
@@ -140,14 +127,15 @@ def build_from_table(
 ) -> FinSemigroup:
     """Validate shape, entry range and associativity, then construct.
 
-    The order and every entry must be ints proper: a bool is not one."""
+    The table and its rows must be lists or tuples, and the order and every
+    entry ints proper: a bool is not one."""
     if type(order) is not int or order < 1:
-        raise DimensionError(f"order must be an integer >= 1, got {order!r}")
-    if len(table) != order:
-        raise DimensionError(f"expected {order} rows, got {len(table)}")
+        raise DimensionError(f"'order' must be an integer >= 1, got {order!r}")
+    if not isinstance(table, (list, tuple)) or len(table) != order:
+        raise DimensionError(f"'table' must be a list of {order} rows")
     for i, row in enumerate(table):
-        if len(row) != order:
-            raise DimensionError(f"row {i} has {len(row)} entries, expected {order}")
+        if not isinstance(row, (list, tuple)) or len(row) != order:
+            raise DimensionError(f"table[{i}] must be a list of {order} entries")
         for j, v in enumerate(row):
             if type(v) is not int or not 0 <= v < order:
                 raise DimensionError(
@@ -196,15 +184,6 @@ def product_set(S: FinSemigroup, A: int, B: int) -> int:
     out = 0
     for a in bits(A):
         out |= translate_set(S, a, B)
-    return out
-
-
-def inverse_set(S: FinSemigroup, A: int) -> int:
-    if S.inverses is None:
-        raise NotAGroup("inverse_set needs a group")
-    out = 0
-    for a in bits(A):
-        out |= 1 << S.inverses[a]
     return out
 
 
@@ -492,7 +471,6 @@ __all__ = [
     "translate_set",
     "right_translate",
     "product_set",
-    "inverse_set",
     "minimal_left_ideals",
     "automorphisms",
     "is_subgroup",

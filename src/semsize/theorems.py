@@ -99,9 +99,12 @@ class VerifyConfig:
             return self.workers
         text = os.environ.get("SEMSIZE_WORKERS", "1")
         try:
-            return max(1, int(text))
+            workers = int(text)
         except ValueError:
             raise InputError(f"SEMSIZE_WORKERS is not an integer: {text!r}") from None
+        if workers < 0:
+            raise InputError(f"SEMSIZE_WORKERS={workers} is negative")
+        return max(1, workers)
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -203,12 +206,30 @@ class TestSearch:
         assert first == second and first.startswith("cyclic:4,4,")
 
     @pytest.mark.parametrize("mode", ["translate", "quotient"])
-    def test_group_modes_on_a_semigroup_exit_2(self, capsys, mode):
+    def test_group_modes_on_a_semigroup_exit_0(self, capsys, mode):
+        argv = ["search", "--group", "rightzero:3", "--cells", "2"]
+        code, out, err = run(capsys, *argv, "--mode", mode)
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert (record["worst_min_F"], record["proved_bound"]) == (1, None)
+        if mode == "translate":
+            # translate and delta compute one cover
+            _, delta, _ = run(capsys, *argv, "--mode", "delta")
+            assert record == {**json.loads(delta), "mode": "translate",
+                              "alt_bound": None}
+
+    def test_infeasible_admitted_quotient_sweep_exits_1(self, capsys, monkeypatch):
+        # the trivial filter of rightzero:3 is left inverse invariant with a
+        # prethick base, so some cell of every partition must be covered
+        import semsize.partitions
+
+        monkeypatch.setattr(semsize.partitions, "min_cover", lambda *args: None)
         code, out, err = run(
             capsys, "search", "--group", "rightzero:3", "--cells", "2",
-            "--mode", mode,
+            "--mode", "quotient",
         )
-        assert code == 2 and out == "" and "group" in err
+        assert (code, out) == (1, "")
+        assert "large difference set" in err
 
     def test_delta_mode_on_a_semigroup_records_no_proved_bound(self, capsys):
         code, out, _ = run(
@@ -427,6 +448,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "worker count -3 is negative" in err
 
+    @pytest.mark.parametrize("verb", ["verify", "hunt"])
+    def test_negative_worker_variable_is_input_error(self, capsys, monkeypatch, verb):
+        monkeypatch.setenv("SEMSIZE_WORKERS", "-3")
+        argv = (["verify", "--theorem", "T2_1"] if verb == "verify"
+                else ["hunt", "--variant", "T2_6_large"])
+        code, out, err = run(capsys, *argv, "--catalog", "cyclic:4")
+        assert (code, out) == (2, "")
+        assert "SEMSIZE_WORKERS=-3 is negative" in err
+        # 0 still means a serial run
+        monkeypatch.setenv("SEMSIZE_WORKERS", "0")
+        assert run(capsys, *argv, "--catalog", "cyclic:4")[0] == 0
+
     def test_catalog_base_override_drops_the_entries_it_cannot_fit(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--theorem", "T2_1",
@@ -520,3 +553,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "classify_all", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["classify", "--instance", "cyclic:2", "--subset", "0"])
+
+
+def test_readme_commands_exit_0(tmp_path, capsys, monkeypatch):
+    # every command of the README's "Command line" block runs as shown
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("semsize ")]
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()

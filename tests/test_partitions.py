@@ -1,15 +1,19 @@
 from itertools import combinations
 
+from dataclasses import replace
+
 import pytest
 
 import semsize.partitions
 from semsize import (
     BoundViolation,
-    NotAGroup,
     SizeLimitExceeded,
     automorphisms,
+    check_hypothesis,
+    delta_tau,
     enumerate_partitions,
     finite_cover_bound,
+    is_tau_large,
     make_principal,
     mask_of,
     min_cover,
@@ -19,16 +23,12 @@ from semsize import (
     sweep_partitions,
     trivial_filter,
 )
-from semsize.catalog import default_catalog
+from semsize.catalog import default_catalog, family_catalog, order_le_catalog
+from semsize.classify import prethick_value
 from semsize.errors import InputError
 from semsize.masks import bits, elements, is_subset, least_cover, popcount
 from semsize.partitions import MODES, Partition, _balanced_first
-from semsize.semigroups import (
-    inverse_set,
-    left_quotient,
-    product_set,
-    translate_set,
-)
+from semsize.semigroups import left_quotient, product_set, translate_set
 
 
 def _canonical_labels(labels):
@@ -120,8 +120,10 @@ class TestEnumeratePartitions:
 
 
 def _pairs(S, A):
-    """A*A^-1 on a group, from the set arithmetic."""
-    return product_set(S, A, inverse_set(S, A))
+    """A*A^-1 on a group, from the set arithmetic, with each inverse read
+    off the table as the y with a*y = e."""
+    inverses = mask_of(S.table[a].index(S.identity) for a in bits(A))
+    return product_set(S, A, inverses)
 
 
 def _delta(S, base, A):
@@ -198,6 +200,49 @@ class TestMinCover:
         z24 = semigroup_from_spec("cyclic:24")
         F = min_cover(z24, trivial_filter(z24), mask_of([0]), "translate", z24.full_mask)
         assert F == z24.full_mask
+
+    def test_quotient_cover_is_the_large_witness_of_the_difference_set(self):
+        # one kernel: with pool U0 the quotient cover of A is the least F
+        # with F^-1 delta(A) >= U0, which `is_tau_large` finds for delta(A)
+        triples = large = 0
+        for entry in default_catalog():
+            S = entry.semigroup
+            if S.order > 4:
+                continue
+            for base in entry.bases:
+                tau = make_principal(S, base)
+                for A in range(1, S.full_mask + 1):
+                    verdict = is_tau_large(S, tau, delta_tau(S, tau, A))
+                    F = min_cover(S, tau, A, "quotient", base)
+                    assert F == verdict.witness, (S.name, base, A)
+                    assert (F is None) == (not verdict.value)
+                    triples += 1
+                    large += verdict.value
+        assert (triples, large) == (6742, 4075)
+
+    def test_quotient_mode_off_groups(self):
+        # reference: f^-1 delta(A) = {x : f*x in delta(A)} from the raw table
+        def reference(S, base, A, V):
+            d = _delta(S, base, A)
+            cands = [
+                (f, mask_of(x for x in range(S.order) if (d >> S.table[f][x]) & 1))
+                for f in bits(V)
+            ]
+            return least_cover(base, cands)
+
+        specs = [f"{fam}:{k}" for fam in ("rightzero", "leftzero", "null")
+                 for k in range(1, 5)]
+        checked = 0
+        for entry in order_le_catalog(3) + family_catalog(specs):
+            S = entry.semigroup
+            for base in entry.bases:
+                tau = make_principal(S, base)
+                for V in {base, S.full_mask}:
+                    for A in range(1, S.full_mask + 1):
+                        got = min_cover(S, tau, A, "quotient", V)
+                        assert got == reference(S, base, A, V), (S.name, base, V, A)
+                        checked += 1
+        assert checked == 12030
 
 
 class TestSweeps:
@@ -321,12 +366,56 @@ class TestSweeps:
         assert rec.proved_bound is None and rec.worst_min_F >= 1
 
     @pytest.mark.parametrize("mode", ["translate", "quotient"])
-    def test_group_modes_refuse_a_semigroup_up_front(self, rz3, mode):
-        with pytest.raises(NotAGroup):
-            sweep_partitions(rz3, trivial_filter(rz3), 2, mode)
-        # before it looks for partitions: the base {0} has no 2-cell one
-        with pytest.raises(NotAGroup):
+    def test_group_modes_sweep_a_semigroup(self, rz3, mode):
+        # f*x = x, so delta(A) = S for non-empty A, and f^-1 S = f*S = S:
+        # one f covers every cell.  Translate and delta compute one cover.
+        tau = trivial_filter(rz3)
+        rec = sweep_partitions(rz3, tau, 2, mode)
+        delta = sweep_partitions(rz3, tau, 2, "delta")
+        assert (rec.worst_min_F, rec.proved_bound) == (1, None)
+        if mode == "translate":
+            assert rec == replace(delta, mode="translate", alt_bound=None)
+        # the base {0} has no 2-cell partition
+        with pytest.raises(InputError):
             sweep_partitions(rz3, make_principal(rz3, mask_of([0])), 2, mode)
+
+    def test_prethick_bases_of_left_inverse_invariant_filters_are_feasible(self):
+        # every partition of a prethick U0 has a cell A with delta(A) large
+        # (T3_5 (iii) with T3_7), so these quotient sweeps find no
+        # infeasible partition, and the sweep asserts as much
+        swept = 0
+        for entry in default_catalog():
+            S = entry.semigroup
+            if S.order > 6:
+                continue
+            for base in entry.bases:
+                tau = make_principal(S, base)
+                if not check_hypothesis(tau, "left_inverse_invariant"):
+                    continue
+                assert prethick_value(S, tau, base)
+                for n in (2, 3):
+                    if n > popcount(base):
+                        continue
+                    rec = sweep_partitions(S, tau, n, "quotient")
+                    assert rec.infeasible_partitions == 0
+                    swept += 1
+        assert swept == 651
+
+    def test_an_infeasible_admitted_quotient_sweep_is_a_violation(self, monkeypatch):
+        # the trivial filter of rightzero:3 is left inverse invariant and
+        # its base prethick; off groups no bound is proved, so only the
+        # feasibility rule can fire, and it fires in quotient mode only
+        monkeypatch.setattr(semsize.partitions, "min_cover", lambda *args: None)
+        rz3 = semigroup_from_spec("rightzero:3")
+        tau = trivial_filter(rz3)
+        with pytest.raises(BoundViolation, match="large difference set"):
+            sweep_partitions(rz3, tau, 2, "quotient")
+        for mode in ("translate", "delta"):
+            with pytest.raises(SizeLimitExceeded):
+                sweep_partitions(rz3, tau, 2, mode)
+        # a pool without the base carries no such statement
+        with pytest.raises(SizeLimitExceeded):
+            sweep_partitions(rz3, tau, 2, "quotient", mask_of([0]))
 
     def test_finite_cover_bound(self):
         assert [finite_cover_bound(8, n) for n in range(1, 9)] == [
@@ -444,12 +533,11 @@ class TestSweeps:
     def test_memo_sweep_equals_a_sweep_that_covers_every_cell(self):
         # reference: every cell of every partition gets its own least cover
         def reference(S, tau, n, mode, V):
-            pool = inverse_set(S, V) if mode == "quotient" else V
             parts = _balanced_first(list(enumerate_partitions(tau.base, n)))
             worst, argmax, infeasible = -1, None, 0
             for part in parts:
                 covers = [
-                    min_cover(S, tau, A, "delta", pool) for A in part.cell_masks()
+                    min_cover(S, tau, A, mode, V) for A in part.cell_masks()
                 ]
                 sizes = [popcount(F) for F in covers if F is not None]
                 if not sizes:

@@ -12,7 +12,6 @@ import semsize.literal
 from semsize import (
     AssociativityError,
     DimensionError,
-    NotAGroup,
     NotASubsemigroup,
     SizeLimitExceeded,
     UnknownFamily,
@@ -21,7 +20,6 @@ from semsize import (
     build_from_table,
     delta_tau,
     enumerate_semigroups,
-    inverse_set,
     is_subgroup,
     left_quotient,
     mask_of,
@@ -88,6 +86,22 @@ class TestBuildFromTable:
         # bool is an int subclass: a table of booleans is not a Cayley table
         with pytest.raises(DimensionError):
             build_from_table(order, table)
+
+    @pytest.mark.parametrize("table", [None, [[0, 1], 5]], ids=["table", "row"])
+    def test_table_or_row_that_is_no_list_is_a_dimension_error(self, table):
+        with pytest.raises(DimensionError, match="must be a list"):
+            build_from_table(2, table)
+
+    def test_is_group_is_an_identity_with_two_sided_inverses(self):
+        for order in (1, 2, 3):
+            for S in enumerate_semigroups(order):
+                t, rng = S.table, range(order)
+                group = any(
+                    all(t[e][x] == t[x][e] == x for x in rng)
+                    and all(any(t[x][y] == t[y][x] == e for y in rng) for x in rng)
+                    for e in rng
+                )
+                assert S.is_group == group, S.table
 
 
 class TestFamilies:
@@ -199,13 +213,9 @@ class TestSetArithmetic:
         assert delta_tau(z3, trivial_filter(z3), mask_of([1, 2])) == z3.full_mask
         assert delta_tau(z4, tau, mask_of([z4.identity])) == mask_of([0])
 
-    def test_inverse_set_needs_group(self, rz3):
-        with pytest.raises(NotAGroup):
-            inverse_set(rz3, mask_of([0]))
-
     def test_group_quotient_is_inverse_translate(self, z6):
         for g in range(6):
-            ginv = z6.inverses[g]
+            ginv = z6.table[g].index(z6.identity)
             for B in range(0, 64, 5):
                 assert left_quotient(z6, g, B) == translate_set(z6, ginv, B)
 
