@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 from . import catalog as catalog_mod
 from .classify import classify_all
 from .errors import (
+    AssociativityError,
     BoundViolation,
     DimensionError,
     EmptyBase,
@@ -99,6 +100,8 @@ def instance_from_payload(payload: dict, where: str = "<payload>") -> FinSemigro
         return build_from_table(payload["order"], payload["table"], name=name)
     except DimensionError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+    except AssociativityError as exc:
+        raise AssociativityError(exc.triple, f"{where}: {exc}") from exc
 
 
 def _parse_elements(text: str, what: str, order: Optional[int] = None) -> List[int]:

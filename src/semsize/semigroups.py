@@ -2,9 +2,9 @@
 
 The table is row-major: ``table[i][j]`` is the product ``i * j``.  Instances
 are immutable after construction, except that each set operation builds its
-slice union tables from the table on first use.  A semigroup pickles as
-(table, name), so it is cheap to send to a worker.  Every operation below is
-a pure function of its inputs.
+slice union tables from the table on first use, and `drop_tables` forgets
+them.  A semigroup pickles as (table, name), so it is cheap to send to a
+worker.  Every operation below is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .masks import bits, is_subset, mask_of, minimal, union_of, union_tables
 # 6!, the automorphism count of leftzero:6 and rightzero:6; a structure with
 # more (n! for leftzero:n) would hold its whole list in memory
 AUTOMORPHISM_COUNT_LIMIT = 720
+
+# the slice union tables of a FinSemigroup, each built on first use
+TABLE_KINDS = ("quot", "trace", "row", "col")
 
 
 def associativity_witness(order: int, table: Sequence[Sequence[int]]):
@@ -53,8 +56,9 @@ class FinSemigroup:
     * ``row[a]``   over the products {a*b}             (translate_set)
     * ``col[x]``   over the products {b*x}             (right_translate)
 
-    Each is built on first use, not here, and pickling sends only the
-    Cayley table and the name, so the tables never travel to a worker.
+    Each is built on first use, not here, and `drop_tables` forgets them.
+    Pickling sends only the Cayley table and the name, so the tables never
+    travel to a worker.
     """
 
     __slots__ = (
@@ -64,11 +68,7 @@ class FinSemigroup:
         "identity",
         "is_group",
         "full_mask",
-        "quot",
-        "trace",
-        "row",
-        "col",
-    )
+    ) + TABLE_KINDS
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = ""):
         # Callers that have not validated should use build_from_table.
@@ -86,7 +86,7 @@ class FinSemigroup:
 
     def __getattr__(self, kind: str):
         # reached only while a slot is unset: build that table on first use
-        if kind not in ("quot", "trace", "row", "col"):
+        if kind not in TABLE_KINDS:
             raise AttributeError(kind)
         # trace and col are quot and row of the transposed table
         rows = self.table if kind in ("quot", "row") else tuple(zip(*self.table))
@@ -100,6 +100,14 @@ class FinSemigroup:
         tables = tuple(union_tables(imgs) for imgs in images)
         setattr(self, kind, tables)
         return tables
+
+    def drop_tables(self) -> None:
+        """Forget the slice union tables; each is rebuilt on its next use."""
+        for kind in TABLE_KINDS:
+            try:
+                delattr(self, kind)
+            except AttributeError:
+                pass  # never built
 
     def __reduce__(self):
         return (FinSemigroup, (self.table, self.name))
@@ -255,15 +263,46 @@ def automorphisms(S: FinSemigroup) -> List[Tuple[int, ...]]:
 
 
 def enumerate_semigroups(order: int) -> Iterator[FinSemigroup]:
-    """Every labeled associative table on {0..order-1}, order <= 3."""
+    """Every labeled associative table on {0..order-1}, order <= 3, in the
+    lexicographic order of the row-major flattened tables.
+
+    The cells are assigned in row-major order and each takes its values in
+    increasing order, so the tables come out in that order.  A branch is cut
+    as soon as a triple whose four products are all assigned fails
+    associativity.  That triple reads the cell (a, b) just assigned, so it
+    is some (a, y, z) or (x, y, b); every triple is checked when its last
+    product is assigned, and a complete table is associative.
+    """
     if order not in (1, 2, 3):
         raise SizeLimitExceeded("exhaustive enumeration supports order <= 3 only")
-    count = 0
-    for flat in itertools.product(range(order), repeat=order * order):
-        table = tuple(flat[i * order : (i + 1) * order] for i in range(order))
-        if associativity_witness(order, table) is None:
-            yield FinSemigroup(table, name=f"n{order}-{count}")
-            count += 1
+    n = order
+    cells = n * n
+    t: List[Optional[int]] = [None] * cells
+    checks = [
+        [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+         if x == k // n or z == k % n]
+        for k in range(cells)
+    ]
+
+    def extend(k: int) -> Iterator[List[List[Optional[int]]]]:
+        if k == cells:
+            yield [t[i * n : (i + 1) * n] for i in range(n)]
+            return
+        for v in range(n):
+            t[k] = v
+            for x, y, z in checks[k]:
+                xy, yz = t[x * n + y], t[y * n + z]
+                if xy is None or yz is None:
+                    continue
+                left, right = t[xy * n + z], t[x * n + yz]
+                if left is not None and right is not None and left != right:
+                    break
+            else:
+                yield from extend(k + 1)
+        t[k] = None
+
+    for count, table in enumerate(extend(0)):
+        yield FinSemigroup(table, name=f"n{order}-{count}")
 
 
 # ---------------------------------------------------------------------------

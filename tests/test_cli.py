@@ -402,6 +402,18 @@ class TestExitCodes:
         assert code == 2
         assert "associative" in err
 
+    def test_nonassociative_instance_names_the_file(self, tmp_path, capsys):
+        # as a bad table shape does: the diagnostic starts with the path
+        bad = tmp_path / "nonassoc.json"
+        bad.write_text(
+            json.dumps({"name": "x", "order": 2, "table": [[0, 0], [1, 0]]})
+        )
+        code, out, err = run(
+            capsys, "classify", "--instance", str(bad), "--subset", "0"
+        )
+        assert code == 2 and out == ""
+        assert err == f"semsize: {bad}: not associative: (1*0)*1 != 1*(0*1)\n"
+
     def test_json_diagnostics(self, capsys):
         code, _, err = run(capsys, "--json", "gen", "--family", "bogus:1")
         assert code == 2

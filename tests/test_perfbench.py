@@ -59,16 +59,22 @@ def _workloads():
     return module
 
 
-def test_symmetry_search_op_passes_the_benchmark_check():
-    # the benchmark's check pins the orbit count (623 for Z12 at 2 cells)
-    wl = _workloads()
-    op = next(op for op in wl.SEARCHES if op.get("symmetry"))
+def _checked_op(wl, op):
+    """The op's report records, run as the benchmark runs it and passed
+    through the benchmark's own check."""
     proc = _child("op", json.dumps(op), "0")
     report = "\n".join(proc.stdout.splitlines()[:-1])  # drop the span line
     problem, records = wl.check_op(op, proc.returncode, report)
     assert problem is None, (problem, proc.stderr)
-    assert records[0]["partitions_checked"] == wl.PARTITIONS_Z12_2_SYMMETRY == 623
+    return records
 
+
+def test_symmetry_search_op_passes_the_benchmark_check():
+    # the benchmark's check pins the orbit count (623 for Z12 at 2 cells)
+    wl = _workloads()
+    op = next(op for op in wl.SEARCHES if op.get("symmetry"))
+    records = _checked_op(wl, op)
+    assert records[0]["partitions_checked"] == wl.PARTITIONS_Z12_2_SYMMETRY == 623
 
 
 @pytest.mark.parametrize("mode", ["translate", "quotient", "delta"])
@@ -77,9 +83,24 @@ def test_two_cell_mode_op_passes_the_benchmark_check(mode):
     wl = _workloads()
     op = next(op for op in wl.SEARCHES if op["group"] == "cyclic:12"
               and op["mode"] == mode and not op.get("symmetry"))
-    proc = _child("op", json.dumps(op), "0")
-    report = "\n".join(proc.stdout.splitlines()[:-1])  # drop the span line
-    problem, records = wl.check_op(op, proc.returncode, report)
-    assert problem is None, (problem, proc.stderr)
+    records = _checked_op(wl, op)
     assert records[0]["partitions_checked"] == wl.PARTITIONS_Z12_2 == 2047
     assert records[0]["infeasible_partitions"] == 0
+
+
+def test_verify_all_op_passes_the_benchmark_check():
+    # twelve reports on the default catalog, none with a counterexample
+    wl = _workloads()
+    records = _checked_op(wl, wl.VERIFY_ALL)
+    assert len(records) == len(wl.THEOREM_IDS) == 12
+
+
+@pytest.mark.parametrize(
+    "variant, found",
+    [("T2_6_large", True), ("T2_3_no_extrathick", True),
+     ("T3_6_semigroup", False)],
+)
+def test_hunt_op_passes_the_benchmark_check(variant, found):
+    wl = _workloads()
+    op = next(op for op in wl.HUNTS if op["variant"] == variant)
+    assert _checked_op(wl, op)[0]["found"] is found

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_minimal_left_ideals, independent_assoc_ok
+from conftest import brute_minimal_left_ideals, built_tables, independent_assoc_ok
 
 import semsize.literal
 from semsize import (
@@ -36,7 +36,12 @@ from semsize import (
 from semsize.catalog import build_catalog, default_catalog
 from semsize.classify import _minimal_translates
 from semsize.masks import elements
-from semsize.semigroups import FAMILY_NAMES, associativity_witness, subset_is_closed
+from semsize.semigroups import (
+    FAMILY_NAMES,
+    TABLE_KINDS,
+    associativity_witness,
+    subset_is_closed,
+)
 
 
 class TestBuildFromTable:
@@ -325,17 +330,23 @@ class TestAutomorphisms:
 
 class TestEnumeration:
     def test_counts_match_independent_filter(self):
-        # the exhaustive filter is the oracle; counts frozen from its output
+        # counts frozen from the exhaustive filter's output
         assert sum(1 for _ in enumerate_semigroups(1)) == 1
         assert sum(1 for _ in enumerate_semigroups(2)) == 8
-        order3 = list(enumerate_semigroups(3))
-        assert len(order3) == 113
-        recount = 0
-        for flat in itertools.product(range(3), repeat=9):
-            table = [list(flat[i * 3 : (i + 1) * 3]) for i in range(3)]
-            if independent_assoc_ok(3, table):
-                recount += 1
-        assert recount == 113
+        assert sum(1 for _ in enumerate_semigroups(3)) == 113
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_tables_and_names_match_the_exhaustive_filter(self, order):
+        # the pruned search against every table filtered in lexicographic
+        # order: a reordering would rename n{order}-k in every golden
+        rows = range(order)
+        want = []
+        for flat in itertools.product(rows, repeat=order * order):
+            table = tuple(flat[i * order : (i + 1) * order] for i in rows)
+            if independent_assoc_ok(order, table):
+                want.append((f"n{order}-{len(want)}", table))
+        got = [(S.name, S.table) for S in enumerate_semigroups(order)]
+        assert got == want
 
     def test_all_emitted_tables_are_associative(self):
         for S in enumerate_semigroups(2):
@@ -405,7 +416,6 @@ TABLE_SPECS = (
     "fulltransformation:3",
 )
 TABLE_SEMIGROUPS = {spec: semigroup_from_spec(spec) for spec in TABLE_SPECS}
-TABLE_KINDS = ("quot", "trace", "row", "col")
 
 
 def _set_mask(xs):
@@ -464,34 +474,21 @@ def test_a_bit_past_the_order_raises_index_error(spec):
                 call()
 
 
-def _built(S):
-    # object.__getattribute__ reads a slot without the build-on-first-use
-    # fallback, so asking does not build
-    kinds = []
-    for kind in TABLE_KINDS:
-        try:
-            object.__getattribute__(S, kind)
-        except AttributeError:
-            continue
-        kinds.append(kind)
-    return kinds
-
-
 def test_tables_are_built_on_first_use_and_never_pickled():
     S = semigroup_from_spec("cyclic:12")
-    assert _built(S) == []
+    assert built_tables(S) == []
     payload = pickle.dumps(S)
-    assert _built(S) == []
+    assert built_tables(S) == []
     left_quotient(S, 1, 5)
-    assert _built(S) == ["quot"]
+    assert built_tables(S) == ["quot"]
     samples = [(a, A, (A * 7 + a) & S.full_mask)
                for a in range(S.order) for A in range(0, S.full_mask + 1, 97)]
     want = [_table_ops(S, a, A, B) for a, A, B in samples]
-    assert _built(S) == list(TABLE_KINDS)
+    assert built_tables(S) == list(TABLE_KINDS)
     assert len(pickle.dumps(S)) == len(payload)
     T = pickle.loads(payload)
     assert T == S and T.name == S.name and T is not S
-    assert _built(T) == []
+    assert built_tables(T) == []
     assert [_table_ops(T, a, A, B) for a, A, B in samples] == want
 
 

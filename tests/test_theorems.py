@@ -1,6 +1,7 @@
 import gc
 
 import pytest
+from conftest import built_tables
 
 from semsize import (
     build_catalog,
@@ -13,10 +14,11 @@ from semsize import (
     verify,
 )
 import semsize.theorems as theorems
-from semsize.catalog import entry_for, family_catalog
+from semsize.catalog import default_catalog, entry_for, family_catalog
 from semsize.classify import SizeTables
-from semsize.filters import PrincipalFilter
+from semsize.filters import PrincipalFilter, check_hypothesis
 from semsize.partitions import enumerate_partitions
+from semsize.semigroups import FinSemigroup, left_quotient, translate_set
 from semsize.theorems import HUNT_VARIANTS, THEOREM_IDS, VerifyConfig
 
 
@@ -98,6 +100,25 @@ class TestVerify:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             verify("T9_9", small_catalog())
+
+    def test_slice_tables_are_dropped_after_each_semigroup(self, monkeypatch):
+        # a serial verify all drops each semigroup's slice tables once, after
+        # its last base, and leaves none set on any semigroup of the catalog
+        dropped = []
+        drop = FinSemigroup.drop_tables
+
+        def recording_drop(S):
+            dropped.append(S)
+            drop(S)
+
+        monkeypatch.setattr(FinSemigroup, "drop_tables", recording_drop)
+        catalog = default_catalog()
+        theorems._drive(
+            "verify", THEOREM_IDS, catalog, "default", VerifyConfig(workers=1)
+        )
+        semigroups = [e.semigroup for e in catalog]
+        assert [id(S) for S in dropped] == [id(S) for S in semigroups]
+        assert [S.name for S in semigroups if built_tables(S)] == []
 
     def test_no_size_tables_outlive_the_run(self):
         def live_tables():
@@ -306,3 +327,59 @@ def test_specs_that_read_tables_skip_orders_above_the_limit():
     z12 = semigroup_from_spec("cyclic:12")
     with pytest.raises(Built):
         theorems._check(spec, z12, PrincipalFilter(z12, z12.full_mask), tables, cfg)
+
+
+def _shift_reference(S, tau, tb, large_claim, thick_claim):
+    """T2_4 / C2_5 with one translate_set or left_quotient call per (g,
+    subset): the claim's (count, detail) before it read whole-mask tables."""
+    count = 0
+    for g in range(S.order):
+        if not check_hypothesis(tau, "shiftable_at", g=g):
+            continue
+        for A in range(S.full_mask + 1):
+            if tb.large[A]:
+                count += 1
+                if not tb.large[translate_set(S, g, A)]:
+                    return count, {"g": g, "subset": elements(A), "claim": large_claim}
+            if tb.thick[A]:
+                count += 1
+                if not tb.thick[left_quotient(S, g, A)]:
+                    return count, {"g": g, "subset": elements(A), "claim": thick_claim}
+    return count, None
+
+
+def test_shift_checks_match_a_per_call_reference():
+    # every instance of order <= 3 and of cyclic:6, symmetric:3 and
+    # rightzero:3, with one large and, separately, one thick entry flipped:
+    # the claim stops at the same subset with the same count and detail
+    catalog = order_le_catalog(3) + family_catalog(
+        ["cyclic:6", "symmetric:3", "rightzero:3"]
+    )
+    claim = theorems._shift_invariance
+    failures = 0
+    totals = {"T2_4": 0, "C2_5": 0}
+    for entry in catalog:
+        S = entry.semigroup
+        # every entry up to order 3, every fifth above
+        flips = range(0, S.full_mask + 1, 1 if S.order <= 3 else 5)
+        for base in entry.bases:
+            tau = PrincipalFilter(S, base)
+            count, detail = _shift_reference(S, tau, SizeTables(S, tau), "L", "T")
+            assert detail is None
+            totals["T2_4"] += count
+            if check_hypothesis(tau, "left_inverse_invariant"):
+                totals["C2_5"] += count
+            for table in ("large", "thick"):
+                for M in flips:
+                    tb = SizeTables(S, tau)
+                    entries = getattr(tb, table)
+                    entries[M] = not entries[M]
+                    want = _shift_reference(S, tau, tb, "L", "T")
+                    assert claim("L", "T", S, tau, tb, None) == want, (
+                        S.name, base, table, M,
+                    )
+                    failures += want[1] is not None
+    assert failures == 4712
+    cfg = VerifyConfig(workers=1)
+    for tid, total in totals.items():
+        assert verify(tid, catalog, cfg=cfg).assertions == total
