@@ -21,8 +21,9 @@ The large and prethick witnesses are exact at every order: the cover search
 `masks.least_cover` returns the least mask among the fewest F <= U0.
 
 The per-subset predicates answer one subset at any order.  The exhaustive
-sweeps read `SizeTables` instead, whose four tables over all 2^n subsets
-come from one `masks.union_table` of the quotients U0^-1 {b}.
+sweeps read whole-mask tables instead, one entry per subset: `SizeTables`,
+whose four tables come from one `masks.union_table` of the quotients
+U0^-1 {b}, and `delta_table`, built from the traces at each base point.
 """
 
 from __future__ import annotations
@@ -72,6 +73,21 @@ def delta_tau(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
     for a in bits(A & tau.base):
         out |= trace_set(S, A, a)
     return out
+
+
+def delta_table(S: FinSemigroup, tau: PrincipalFilter) -> List[int]:
+    """d[A] = delta_tau(S, tau, A) for every subset A.
+
+    delta(A) is the union of the traces of A at the base points in A, and
+    the trace of A at g is t[A] for t = `union_table(S.trace[g])`.
+    """
+    d = [0] * (S.full_mask + 1)
+    for g in bits(tau.base):
+        t = union_table(S.trace[g])
+        for A in range(1 << g, len(d)):
+            if A >> g & 1:
+                d[A] |= t[A]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +265,7 @@ __all__ = [
     "PREDICATES",
     "trace_set",
     "delta_tau",
+    "delta_table",
     "large_value",
     "thick_value",
     "extrathick_value",

@@ -29,9 +29,6 @@ class PrincipalFilter:
     semigroup: FinSemigroup
     base: int
 
-    def contains(self, U: int) -> bool:
-        return is_subset(self.base, U)
-
     @property
     def is_trivial(self) -> bool:
         """True for tau = {S}, the absolute (non-relative) theory."""

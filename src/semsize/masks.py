@@ -79,39 +79,6 @@ def union_table(images: Sequence[int]) -> List[int]:
     return t
 
 
-def union_tables(images: Sequence[int]) -> Tuple[List[int], ...]:
-    """Slice union tables of images[0..n-1]: one `union_table` per slice of
-    the n positions.
-
-    The positions are cut into ceil(n/8) slices of equal width (at most 8,
-    only the last may be narrower), so one table has at most 256 entries and
-    `union_of` needs one lookup per slice.
-    """
-    n = len(images)
-    width = -(-n // -(-n // 8))
-    return tuple(union_table(images[lo : lo + width]) for lo in range(0, n, width))
-
-
-def union_of(tables: Sequence[List[int]], mask: int) -> int:
-    """Union of the images at the positions in mask, from `union_tables`.
-
-    The last slice is looked up unmasked, so a bit at or above the width
-    raises IndexError.
-    """
-    first = tables[0]
-    if len(tables) == 1:
-        return first[mask]
-    low = len(first) - 1
-    shift = low.bit_length()
-    if len(tables) == 2:  # orders 9 to 16
-        return first[mask & low] | tables[1][mask >> shift]
-    out = 0
-    for t in tables[:-1]:
-        out |= t[mask & low]
-        mask >>= shift
-    return out | tables[-1][mask]
-
-
 def least_cover(target: int, cands: Sequence[Tuple[int, int]]) -> Optional[int]:
     """The least mask F among the fewest candidates whose covered sets hold
     `target`, or None when no cover exists.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .classify import delta_tau, prethick_value
+from .classify import delta_table, delta_tau, prethick_value
 from .errors import BoundViolation, InputError, SizeLimitExceeded
 from .filters import PrincipalFilter, check_hypothesis
 from .masks import bits, elements, is_subset, least_cover, mask_of, popcount
@@ -113,7 +113,12 @@ def min_cover(
     over V, and the search (`least_cover`) is exact at every pool size.
     """
     _check_mode(S, mode, V)
-    d = delta_tau(S, tau, A)
+    return _cover(S, tau, delta_tau(S, tau, A), mode, V)
+
+
+def _cover(S, tau, d, mode, V) -> Optional[int]:
+    """`min_cover` of a set whose difference set is d, with the mode and
+    pool already checked."""
     step = left_quotient if mode == "quotient" else translate_set
     return least_cover(tau.base, [(f, step(S, f, d)) for f in bits(V)])
 
@@ -220,19 +225,21 @@ def _balanced_first(parts: List[Partition]) -> List[Partition]:
     return sorted(parts, key=key)
 
 
-def _best_cover(S, tau, mode, V, part: Partition, covers: dict) -> Optional[int]:
+def _best_cover(
+    S, tau, mode, V, part: Partition, delta: List[int], covers: dict
+) -> Optional[int]:
     """The least `min_cover` size over the cells A of `part`, None if no
     cell has a cover within the pool V.
 
-    A cell enters the cover only through d = delta(A), so `covers` keeps the
+    A cell enters the cover only through d = delta[A], so `covers` keeps the
     size of d's least cover (None when it has none) for the rest of the
     sweep, and each difference set is searched once.
     """
     best: Optional[int] = None
     for cell in part.cell_masks():
-        d = delta_tau(S, tau, cell)
+        d = delta[cell]
         if d not in covers:
-            F = min_cover(S, tau, cell, mode, V)
+            F = _cover(S, tau, d, mode, V)
             covers[d] = None if F is None else popcount(F)
         size = covers[d]
         if size is not None and (best is None or size < best):
@@ -257,10 +264,11 @@ def sweep_partitions(
     base and the pool, and checks one partition per orbit of the rest.
 
     Each cell is covered as `min_cover` covers it in `mode`, and the mode
-    and pool are checked as there before any partition is enumerated.
-    Cells with the same difference set have the same least cover, so the
-    sweep searches each difference set once and keeps its size until it
-    returns.
+    and pool are checked as there, once, before any partition is
+    enumerated.  The difference sets of all cells come from one
+    `delta_table`.  Cells with the same difference set have the same least
+    cover, so the sweep searches each difference set once and keeps its
+    size until it returns.
 
     When the base is a subgroup contained in V, the record carries
     finite_cover_bound(|base|, n) as its proved bound, and an infeasible
@@ -285,9 +293,10 @@ def sweep_partitions(
         raise InputError(f"no {n}-cell partitions of the base (base too small)")
 
     worst, infeasible, argmax = -1, 0, None
+    delta = delta_table(S, tau)
     covers: dict = {}
     for part in parts:
-        best = _best_cover(S, tau, mode, V, part, covers)
+        best = _best_cover(S, tau, mode, V, part, delta, covers)
         if best is None:
             infeasible += 1
         elif best > worst:

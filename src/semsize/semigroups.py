@@ -1,10 +1,9 @@
 """Finite semigroups as validated Cayley tables over indices 0..n-1.
 
 The table is row-major: ``table[i][j]`` is the product ``i * j``.  Instances
-are immutable after construction, except that each set operation builds its
-slice union tables from the table on first use, and `drop_tables` forgets
-them.  A semigroup pickles as (table, name), so it is cheap to send to a
-worker.  Every operation below is a pure function of its inputs.
+are immutable after construction.  A semigroup pickles as (table, name), so
+it is cheap to send to a worker.  Every operation below is a pure function
+of its inputs.
 """
 
 from __future__ import annotations
@@ -20,14 +19,11 @@ from .errors import (
     SizeLimitExceeded,
     UnknownFamily,
 )
-from .masks import bits, is_subset, mask_of, minimal, union_of, union_tables
+from .masks import bits, is_subset, mask_of, minimal
 
 # 6!, the automorphism count of leftzero:6 and rightzero:6; a structure with
 # more (n! for leftzero:n) would hold its whole list in memory
 AUTOMORPHISM_COUNT_LIMIT = 720
-
-# the slice union tables of a FinSemigroup, each built on first use
-TABLE_KINDS = ("quot", "trace", "row", "col")
 
 
 def associativity_witness(order: int, table: Sequence[Sequence[int]]):
@@ -45,20 +41,27 @@ def associativity_witness(order: int, table: Sequence[Sequence[int]]):
     return None
 
 
+def _preimages(products: Sequence[int]) -> List[int]:
+    """pre[b] = {x : products[x] == b} for every b."""
+    pre = [0] * len(products)
+    for x, v in enumerate(products):
+        pre[v] |= 1 << x
+    return pre
+
+
 class FinSemigroup:
     """A finite semigroup with cached structural flags.
 
-    The set arithmetic below reads four slice union tables, one per
-    operation and element (see `masks.union_tables`):
+    Each set operation below is the union of per-element images at the
+    bits of its argument, listed here for every element and point b:
 
-    * ``quot[a]``  over the preimages {x : a*x == b}   (left_quotient)
-    * ``trace[g]`` over the preimages {x : x*g == b}   (trace_set)
-    * ``row[a]``   over the products {a*b}             (translate_set)
-    * ``col[x]``   over the products {b*x}             (right_translate)
+    * ``quot[a][b]``  the preimages {x : a*x == b}   (left_quotient)
+    * ``trace[g][b]`` the preimages {x : x*g == b}   (trace_set)
+    * ``row[a][b]``   the product {a*b}              (translate_set)
+    * ``col[x][b]``   the product {b*x}              (right_translate)
 
-    Each is built on first use, not here, and `drop_tables` forgets them.
-    Pickling sends only the Cayley table and the name, so the tables never
-    travel to a worker.
+    Pickling sends only the Cayley table and the name; the image lists are
+    rebuilt from the table on arrival.
     """
 
     __slots__ = (
@@ -68,7 +71,11 @@ class FinSemigroup:
         "identity",
         "is_group",
         "full_mask",
-    ) + TABLE_KINDS
+        "quot",
+        "trace",
+        "row",
+        "col",
+    )
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = ""):
         # Callers that have not validated should use build_from_table.
@@ -83,31 +90,11 @@ class FinSemigroup:
         # x*y == y*z == e gives x == z: each right inverse is two-sided
         e = self.identity
         self.is_group = e is not None and all(e in row for row in self.table)
-
-    def __getattr__(self, kind: str):
-        # reached only while a slot is unset: build that table on first use
-        if kind not in TABLE_KINDS:
-            raise AttributeError(kind)
         # trace and col are quot and row of the transposed table
-        rows = self.table if kind in ("quot", "row") else tuple(zip(*self.table))
-        if kind in ("row", "col"):
-            images = [[1 << v for v in r] for r in rows]
-        else:
-            images = [[0] * self.order for _ in rows]
-            for pre, r in zip(images, rows):
-                for x, v in enumerate(r):
-                    pre[v] |= 1 << x
-        tables = tuple(union_tables(imgs) for imgs in images)
-        setattr(self, kind, tables)
-        return tables
-
-    def drop_tables(self) -> None:
-        """Forget the slice union tables; each is rebuilt on its next use."""
-        for kind in TABLE_KINDS:
-            try:
-                delattr(self, kind)
-            except AttributeError:
-                pass  # never built
+        self.quot = [_preimages(r) for r in self.table]
+        self.trace = [_preimages(c) for c in zip(*self.table)]
+        self.row = [[1 << v for v in r] for r in self.table]
+        self.col = [list(c) for c in zip(*self.row)]
 
     def __reduce__(self):
         return (FinSemigroup, (self.table, self.name))
@@ -159,39 +146,51 @@ def build_from_table(
 # set arithmetic
 
 
+def _union(images: Sequence[int], mask: int) -> int:
+    """Union of images[i] over the bits i of mask; a bit at or above
+    len(images) raises IndexError.  The loop is `masks.bits` inlined, which
+    halves the cost of this, the innermost step of all set arithmetic."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def left_quotient(S: FinSemigroup, a: int, B: int) -> int:
     """{x : a*x in B}."""
-    return union_of(S.quot[a], B)
+    return _union(S.quot[a], B)
 
 
 def trace_set(S: FinSemigroup, A: int, g: int) -> int:
     """{x : x*g in A} - the trace of A at the principal ultrafilter of g."""
-    return union_of(S.trace[g], A)
+    return _union(S.trace[g], A)
 
 
 def set_quotient(S: FinSemigroup, A: int, B: int) -> int:
     """Union of left_quotient(a, B) over a in A; empty A gives empty."""
     out = 0
     for a in bits(A):
-        out |= left_quotient(S, a, B)
+        out |= _union(S.quot[a], B)
     return out
 
 
 def translate_set(S: FinSemigroup, a: int, B: int) -> int:
     """{a*b : b in B}."""
-    return union_of(S.row[a], B)
+    return _union(S.row[a], B)
 
 
 def right_translate(S: FinSemigroup, B: int, x: int) -> int:
     """{b*x : b in B}."""
-    return union_of(S.col[x], B)
+    return _union(S.col[x], B)
 
 
 def product_set(S: FinSemigroup, A: int, B: int) -> int:
     """{a*b : a in A, b in B}."""
     out = 0
     for a in bits(A):
-        out |= translate_set(S, a, B)
+        out |= _union(S.row[a], B)
     return out
 
 
@@ -471,9 +470,10 @@ def is_subgroup(S: FinSemigroup, mask: int) -> bool:
 def subgroups(S: FinSemigroup) -> List[int]:
     """All subgroup masks of a group, ascending.
 
-    Each is the closure under the product of some H | {g} with H a smaller
-    subgroup, starting from {e}: a subgroup is reached by adding its points
-    one at a time.
+    Each is the closure under the product of some X = H | {g} with H a
+    smaller subgroup, starting from {e}: a subgroup is reached by adding its
+    points one at a time.  The closure holds every product of points of X;
+    each product found is multiplied by X once, on the right.
     """
     if not S.is_group:
         raise NotAGroup("subgroup enumeration needs a group")
@@ -482,9 +482,11 @@ def subgroups(S: FinSemigroup) -> List[int]:
     while todo:
         H = todo.pop()
         for g in bits(S.full_mask & ~H):
-            K, grown = 0, H | 1 << g
-            while grown != K:
-                K, grown = grown, grown | product_set(S, grown, grown)
+            X = H | 1 << g
+            K = new = X
+            while new:
+                new = product_set(S, new, X) & ~K
+                K |= new
             if K not in found:
                 found.add(K)
                 todo.append(K)

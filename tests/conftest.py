@@ -10,7 +10,6 @@ from itertools import combinations, product
 import pytest
 
 from semsize import make_principal, mask_of, semigroup_from_spec
-from semsize.semigroups import TABLE_KINDS
 
 
 def powerset(items):
@@ -27,21 +26,6 @@ def independent_assoc_ok(order, table):
         table[table[a][b]][c] == table[a][table[b][c]]
         for a, b, c in product(rng, rng, rng)
     )
-
-
-def built_tables(S):
-    """The slice tables S holds now, in TABLE_KINDS order.
-
-    object.__getattribute__ reads a slot without the build-on-first-use
-    fallback, so asking does not build."""
-    kinds = []
-    for kind in TABLE_KINDS:
-        try:
-            object.__getattribute__(S, kind)
-        except AttributeError:
-            continue
-        kinds.append(kind)
-    return kinds
 
 
 def brute_minimal_left_ideals(S, within=None):

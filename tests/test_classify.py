@@ -452,3 +452,28 @@ def test_trace_theorem_forms_on_order_2_catalog():
                 assert thick_value(S, tau, A) == any(
                     is_subset(U0, trace_set(S, A, g)) for g in elements(U0)
                 )
+
+
+def test_delta_table_is_delta_tau_of_every_subset():
+    # every order<=3 instance at every base, and each default family at its
+    # full base and at its first proper default base
+    from semsize.catalog import (
+        DEFAULT_FAMILY_SPECS,
+        family_catalog,
+        order_le_catalog,
+    )
+    from semsize.classify import delta_table
+
+    pairs = [(e.semigroup, b) for e in order_le_catalog(3) for b in e.bases]
+    for spec in DEFAULT_FAMILY_SPECS:
+        entry = family_catalog([spec])[0]
+        S = entry.semigroup
+        proper = next(b for b in entry.bases if b != S.full_mask)
+        pairs += [(S, S.full_mask), (S, proper)]
+    for S, base in pairs:
+        tau = make_principal(S, base)
+        d = delta_table(S, tau)
+        assert len(d) == S.full_mask + 1
+        assert d == [delta_tau(S, tau, A) for A in range(S.full_mask + 1)], (
+            S.name, base,
+        )

@@ -223,7 +223,7 @@ class TestSearch:
         # prethick base, so some cell of every partition must be covered
         import semsize.partitions
 
-        monkeypatch.setattr(semsize.partitions, "min_cover", lambda *args: None)
+        monkeypatch.setattr(semsize.partitions, "_cover", lambda *args: None)
         code, out, err = run(
             capsys, "search", "--group", "rightzero:3", "--cells", "2",
             "--mode", "quotient",

@@ -15,7 +15,6 @@ from semsize.masks import (
     submasks,
     supersets,
     union_table,
-    union_tables,
 )
 
 
@@ -94,17 +93,6 @@ def test_union_table_is_the_union_at_each_mask(images):
     assert len(t) == 1 << len(images)
     for m in range(len(t)):
         assert t[m] == _union(images[i] for i in bits(m))
-
-
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), min_size=1,
-                max_size=20))
-def test_union_tables_are_one_union_table_per_slice(images):
-    # ceil(n/8) slices of one width, at most 8, only the last narrower
-    tables = union_tables(images)
-    width = len(tables[0]).bit_length() - 1
-    assert len(tables) == -(-len(images) // 8) and width <= 8
-    slices = [images[lo : lo + width] for lo in range(0, len(images), width)]
-    assert list(tables) == [union_table(s) for s in slices]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 8) - 1), max_size=12))

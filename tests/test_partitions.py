@@ -405,7 +405,7 @@ class TestSweeps:
         # the trivial filter of rightzero:3 is left inverse invariant and
         # its base prethick; off groups no bound is proved, so only the
         # feasibility rule can fire, and it fires in quotient mode only
-        monkeypatch.setattr(semsize.partitions, "min_cover", lambda *args: None)
+        monkeypatch.setattr(semsize.partitions, "_cover", lambda *args: None)
         rz3 = semigroup_from_spec("rightzero:3")
         tau = trivial_filter(rz3)
         with pytest.raises(BoundViolation, match="large difference set"):
@@ -519,13 +519,13 @@ class TestSweeps:
         # Z12 at 2 cells: 2047 partitions, 2414 cells searched without the
         # memo, but only 31 distinct difference sets
         calls = []
-        real = semsize.partitions.min_cover
+        real = semsize.partitions._cover
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(semsize.partitions, "min_cover", counted)
+        monkeypatch.setattr(semsize.partitions, "_cover", counted)
         z12 = semigroup_from_spec("cyclic:12")
         rec = sweep_partitions(z12, trivial_filter(z12), 2, "translate")
         assert (rec.partitions_checked, len(calls)) == (2047, 31)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_minimal_left_ideals, built_tables, independent_assoc_ok
+from conftest import brute_minimal_left_ideals, independent_assoc_ok
 
 import semsize.literal
+import semsize.theorems
 from semsize import (
     AssociativityError,
     DimensionError,
@@ -38,7 +39,6 @@ from semsize.classify import _minimal_translates
 from semsize.masks import elements
 from semsize.semigroups import (
     FAMILY_NAMES,
-    TABLE_KINDS,
     associativity_witness,
     subset_is_closed,
 )
@@ -398,10 +398,9 @@ def test_subgroups_of_z6(z6):
 
 
 # ---------------------------------------------------------------------------
-# the slice union tables behind the set arithmetic
+# the per-element image lists behind the set arithmetic
 
-# orders on both sides of every slice width: one slice up to 8 positions,
-# then two (9, 11, 12, 16), three (18, 24) and four (27)
+# orders 1 to 27, families with and without an identity
 TABLE_SPECS = (
     "cyclic:1",
     "rightzero:3",
@@ -474,33 +473,29 @@ def test_a_bit_past_the_order_raises_index_error(spec):
                 call()
 
 
-def test_tables_are_built_on_first_use_and_never_pickled():
+def test_a_pickle_holds_only_the_table_and_name():
     S = semigroup_from_spec("cyclic:12")
-    assert built_tables(S) == []
     payload = pickle.dumps(S)
-    assert built_tables(S) == []
-    left_quotient(S, 1, 5)
-    assert built_tables(S) == ["quot"]
+    assert S.__reduce__() == (type(S), (S.table, S.name))
+    # the class reference is all the payload adds to the table and name
+    assert len(payload) < len(pickle.dumps((S.table, S.name))) + 64
     samples = [(a, A, (A * 7 + a) & S.full_mask)
                for a in range(S.order) for A in range(0, S.full_mask + 1, 97)]
     want = [_table_ops(S, a, A, B) for a, A, B in samples]
-    assert built_tables(S) == list(TABLE_KINDS)
-    assert len(pickle.dumps(S)) == len(payload)
     T = pickle.loads(payload)
     assert T == S and T.name == S.name and T is not S
-    assert built_tables(T) == []
     assert [_table_ops(T, a, A, B) for a, A, B in samples] == want
 
 
-def test_literal_oracle_stays_off_the_tables():
-    # literal.py is the ground truth for the table-backed fast path, so it
-    # must reach none of it: not by import and not by attribute
-    forbidden = {
-        "left_quotient", "trace_set", "translate_set", "right_translate",
-        "set_quotient", "product_set", "union_of", "union_tables",
-        "union_table",
-    }
-    with open(semsize.literal.__file__, encoding="utf-8") as fh:
+SET_ARITHMETIC = {
+    "left_quotient", "trace_set", "translate_set", "right_translate",
+    "set_quotient", "product_set",
+}
+
+
+def _names_used(module):
+    """The names a module imports and the attributes it reads."""
+    with open(module.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     used = set()
     for node in ast.walk(tree):
@@ -508,7 +503,19 @@ def test_literal_oracle_stays_off_the_tables():
             used |= {alias.name.rpartition(".")[2] for alias in node.names}
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-    assert not used & (forbidden | set(TABLE_KINDS))
+    return used
+
+
+def test_literal_oracle_stays_off_the_tables():
+    # literal.py is the ground truth for the table-backed fast path, so it
+    # must reach none of it: not by import and not by attribute
+    forbidden = SET_ARITHMETIC | {"union_table", "quot", "trace", "row", "col"}
+    assert not _names_used(semsize.literal) & forbidden
+
+
+def test_theorems_reach_no_per_subset_set_arithmetic():
+    # every claim reads whole-mask tables built from the image lists
+    assert not _names_used(semsize.theorems) & (SET_ARITHMETIC | {"delta_tau"})
 
 
 def _pairwise_minimal_translates(S, U0):

@@ -1,7 +1,6 @@
 import gc
 
 import pytest
-from conftest import built_tables
 
 from semsize import (
     build_catalog,
@@ -14,11 +13,11 @@ from semsize import (
     verify,
 )
 import semsize.theorems as theorems
-from semsize.catalog import default_catalog, entry_for, family_catalog
+from semsize.catalog import entry_for, family_catalog
 from semsize.classify import SizeTables
 from semsize.filters import PrincipalFilter, check_hypothesis
 from semsize.partitions import enumerate_partitions
-from semsize.semigroups import FinSemigroup, left_quotient, translate_set
+from semsize.semigroups import left_quotient, translate_set
 from semsize.theorems import HUNT_VARIANTS, THEOREM_IDS, VerifyConfig
 
 
@@ -100,25 +99,6 @@ class TestVerify:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             verify("T9_9", small_catalog())
-
-    def test_slice_tables_are_dropped_after_each_semigroup(self, monkeypatch):
-        # a serial verify all drops each semigroup's slice tables once, after
-        # its last base, and leaves none set on any semigroup of the catalog
-        dropped = []
-        drop = FinSemigroup.drop_tables
-
-        def recording_drop(S):
-            dropped.append(S)
-            drop(S)
-
-        monkeypatch.setattr(FinSemigroup, "drop_tables", recording_drop)
-        catalog = default_catalog()
-        theorems._drive(
-            "verify", THEOREM_IDS, catalog, "default", VerifyConfig(workers=1)
-        )
-        semigroups = [e.semigroup for e in catalog]
-        assert [id(S) for S in dropped] == [id(S) for S in semigroups]
-        assert [S.name for S in semigroups if built_tables(S)] == []
 
     def test_no_size_tables_outlive_the_run(self):
         def live_tables():
