@@ -71,7 +71,7 @@ def build_catalog(
 ) -> List[CatalogEntry]:
     """Parse a catalog spec string.
 
-    Forms: "default", "order<=N" (N <= 3), or a ';'-separated list of family
+    Forms: "default", "order<=N" (1 <= N <= 3), or a ';'-separated list of family
     specs such as "cyclic:6;rightzero:3".  base_override, when given,
     replaces every entry's base list.
     """
@@ -84,7 +84,9 @@ def build_catalog(
         try:
             n = int(text[len("order<=") :])
         except ValueError:
-            raise UnknownFamily(f"bad catalog spec {spec!r}") from None
+            n = 0
+        if n < 1:
+            raise UnknownFamily(f"bad catalog spec {spec!r}")
         entries = order_le_catalog(n)
     else:
         entries = family_catalog(p for p in text.split(";") if p)

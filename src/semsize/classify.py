@@ -23,7 +23,8 @@ The large and prethick witnesses are exact at every order: the cover search
 The per-subset predicates answer one subset at any order.  The exhaustive
 sweeps read whole-mask tables instead, one entry per subset: `SizeTables`,
 whose four tables come from one `masks.union_table` of the quotients
-U0^-1 {b}, and `delta_table`, built from the traces at each base point.
+U0^-1 {b}, and `delta_table`, built from the traces at each base point over
+the subsets of a domain (all of S for T3_7, the base for a partition sweep).
 """
 
 from __future__ import annotations
@@ -75,18 +76,23 @@ def delta_tau(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
     return out
 
 
-def delta_table(S: FinSemigroup, tau: PrincipalFilter) -> List[int]:
-    """d[A] = delta_tau(S, tau, A) for every subset A.
+def delta_table(S: FinSemigroup, tau: PrincipalFilter, domain: int) -> List[int]:
+    """d[P] = delta_tau(S, tau, A) for every subset A of the domain, where
+    the mask P holds the positions of A's points within the domain.
 
     delta(A) is the union of the traces of A at the base points in A, and
-    the trace of A at g is t[A] for t = `union_table(S.trace[g])`.
+    the trace of A at g is t[P] for t = `union_table` of the preimages
+    S.trace[g][e] of the domain's points e.
     """
-    d = [0] * (S.full_mask + 1)
-    for g in bits(tau.base):
-        t = union_table(S.trace[g])
-        for A in range(1 << g, len(d)):
-            if A >> g & 1:
-                d[A] |= t[A]
+    points = list(bits(domain))
+    d = [0] * (1 << len(points))
+    for i, g in enumerate(points):
+        if not tau.base >> g & 1:
+            continue
+        t = union_table([S.trace[g][e] for e in points])
+        for P in range(1 << i, len(d)):
+            if P >> i & 1:
+                d[P] |= t[P]
     return d
 
 
@@ -123,7 +129,7 @@ def prethick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
 
 
 def small_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
-    return _small_counterwitness(S, tau, A) is None
+    return not any(E & A for E in _minimal_translates(S, tau.base))
 
 
 def _minimal_translates(S: FinSemigroup, U0: int) -> List[int]:
@@ -131,24 +137,20 @@ def _minimal_translates(S: FinSemigroup, U0: int) -> List[int]:
     return minimal(right_translate(S, U0, u) for u in bits(U0))
 
 
-def _small_counterwitness(
-    S: FinSemigroup, tau: PrincipalFilter, A: int
-) -> Optional[int]:
-    """A minimal large L with L - A not large, or None when A is small.
+def _small_counterwitness(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
+    """A minimal large L with L - A not large, for a set A that is not small.
 
     (S - E) | {x} is large for x in a minimal translate E, since every other
     translate leaves E or equals it; trimmed, it meets E only at x, in A.
     """
-    for E in _minimal_translates(S, tau.base):
-        hit = E & A
-        if hit:
-            x = hit & -hit  # the least point of A in E
-            L = (S.full_mask & ~E) | x
-            for y in bits(L & ~x):
-                if large_value(S, tau, L & ~(1 << y)):
-                    L &= ~(1 << y)
-            return L
-    return None
+    E = next(E for E in _minimal_translates(S, tau.base) if E & A)
+    hit = E & A
+    x = hit & -hit  # the least point of A in E
+    L = (S.full_mask & ~E) | x
+    for y in bits(L & ~x):
+        if large_value(S, tau, L & ~(1 << y)):
+            L &= ~(1 << y)
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +214,10 @@ def is_tau_prethick(
 def is_tau_small(
     S: FinSemigroup, tau: PrincipalFilter, A: int, with_witness: bool = True
 ) -> SizeVerdict:
-    counter = _small_counterwitness(S, tau, A)
-    value = counter is None
-    witness = counter if (not value and with_witness) else None
+    value = small_value(S, tau, A)
+    witness = None
+    if not value and with_witness:
+        witness = _small_counterwitness(S, tau, A)
     return SizeVerdict("small", not tau.is_trivial, value, witness)
 
 

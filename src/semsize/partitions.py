@@ -4,7 +4,9 @@ The sweep asks, for an n-cell partition of the filter base U0, how small a
 pool F must be before some cell A covers U0 with translates or quotients
 of its difference set delta(A) (`classify.delta_tau`; A*A^-1 on a group),
 in the form its mode names (see `min_cover`).  Every mode runs on every
-semigroup.
+semigroup.  The sweep streams the partitions once: cells are masks of
+base positions, their difference sets come from a `classify.delta_table`
+over the base's subsets, and the argmax is kept as the sweep goes.
 
 When the base is a subgroup H of order m inside the pool, the worst cover
 is at most finite_cover_bound(m, n) = m // ceil(m/n) <= n, by the packing
@@ -203,50 +205,15 @@ def enumerate_partitions(
 
 
 def stirling2(m: int, n: int) -> int:
-    """Partition count S(m, n)."""
-    if n == 0:
-        return 1 if m == 0 else 0
-    if m == 0:
-        return 0
-    return n * stirling2(m - 1, n) + stirling2(m - 1, n - 1)
+    """Partition count S(m, n), from the rows S(i, 0..n) for i = 0..m."""
+    row = [1] + [0] * n
+    for _ in range(m):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
+    return row[n] if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def _balanced_first(parts: List[Partition]) -> List[Partition]:
-    # the sweep keeps the first maximizer it meets, so this order (most
-    # balanced first, then by label string) decides which one is the argmax
-    def key(p: Partition):
-        sizes = sorted(p.labels.count(c) for c in range(p.cells))
-        return (sizes[-1] - sizes[0], p.labels)
-
-    return sorted(parts, key=key)
-
-
-def _best_cover(
-    S, tau, mode, V, part: Partition, delta: List[int], covers: dict
-) -> Optional[int]:
-    """The least `min_cover` size over the cells A of `part`, None if no
-    cell has a cover within the pool V.
-
-    A cell enters the cover only through d = delta[A], so `covers` keeps the
-    size of d's least cover (None when it has none) for the rest of the
-    sweep, and each difference set is searched once.
-    """
-    best: Optional[int] = None
-    for cell in part.cell_masks():
-        d = delta[cell]
-        if d not in covers:
-            F = _cover(S, tau, d, mode, V)
-            covers[d] = None if F is None else popcount(F)
-        size = covers[d]
-        if size is not None and (best is None or size < best):
-            best = size
-            if best == 1:
-                break
-    return best
 
 
 def sweep_partitions(
@@ -265,10 +232,13 @@ def sweep_partitions(
 
     Each cell is covered as `min_cover` covers it in `mode`, and the mode
     and pool are checked as there, once, before any partition is
-    enumerated.  The difference sets of all cells come from one
-    `delta_table`.  Cells with the same difference set have the same least
-    cover, so the sweep searches each difference set once and keeps its
-    size until it returns.
+    enumerated.  The sweep is one pass over `enumerate_partitions`: it
+    reads each cell as a mask of base positions from the labels, and its
+    difference set from a `delta_table` over the base's subsets.  Cells
+    with the same difference set have the same least cover, so the sweep
+    searches each difference set once and keeps its size until it returns.
+    Of the partitions with the worst cover, the argmax is the one whose
+    cell sizes differ least, then the one with the least label string.
 
     When the base is a subgroup contained in V, the record carries
     finite_cover_bound(|base|, n) as its proved bound, and an infeasible
@@ -288,19 +258,38 @@ def sweep_partitions(
     proved = is_subset(tau.base, V) and is_subgroup(S, tau.base)
     if symmetry:
         symmetry = [p for p in symmetry if _fixes(p, tau.base) and _fixes(p, V)]
-    parts = _balanced_first(list(enumerate_partitions(tau.base, n, symmetry or None)))
-    if not parts:
+    if popcount(tau.base) < n:
         raise InputError(f"no {n}-cell partitions of the base (base too small)")
 
-    worst, infeasible, argmax = -1, 0, None
-    delta = delta_table(S, tau)
+    # delta[P] is the difference set of the cell at base positions P, and
+    # covers keeps the size of each difference set's least cover (None when
+    # it has none), since a cell enters its cover only through it
+    delta = delta_table(S, tau, tau.base)
     covers: dict = {}
-    for part in parts:
-        best = _best_cover(S, tau, mode, V, part, delta, covers)
+    worst, infeasible, argmax, argkey, checked = -1, 0, None, None, 0
+    parts = enumerate_partitions(tau.base, n, symmetry or None)
+    for checked, part in enumerate(parts, 1):
+        cells = [0] * n
+        for i, lab in enumerate(part.labels):
+            cells[lab] |= 1 << i
+        best: Optional[int] = None
+        for cell in cells:
+            d = delta[cell]
+            if d not in covers:
+                F = _cover(S, tau, d, mode, V)
+                covers[d] = None if F is None else popcount(F)
+            size = covers[d]
+            if size is not None and (best is None or size < best):
+                best = size
+                if best == 1:
+                    break
         if best is None:
             infeasible += 1
-        elif best > worst:
-            worst, argmax = best, part
+        elif best >= worst:
+            sizes = [popcount(cell) for cell in cells]
+            key = (max(sizes) - min(sizes), part.labels)
+            if best > worst or key < argkey:
+                worst, argmax, argkey = best, part, key
     bound = finite_cover_bound(popcount(tau.base), n) if proved else None
     if proved and (infeasible or worst > bound):
         raise BoundViolation(
@@ -333,7 +322,7 @@ def sweep_partitions(
         proved_bound=bound,
         alt_bound=(1 << (1 << n)) if mode == "delta" else None,
         argmax_partition=argmax,
-        partitions_checked=len(parts),
+        partitions_checked=checked,
         infeasible_partitions=infeasible,
     )
 

@@ -336,7 +336,7 @@ def _prethick_not_small(S, tau, tb, cfg):
 
 def _prethick_delta_large(S, tau, tb, cfg):
     """T3_7: the difference set of a prethick set is large."""
-    delta = delta_table(S, tau)
+    delta = delta_table(S, tau, S.full_mask)
     count = 0
     for A in range(S.full_mask + 1):
         if not tb.prethick[A]:

@@ -472,8 +472,15 @@ def test_delta_table_is_delta_tau_of_every_subset():
         pairs += [(S, S.full_mask), (S, proper)]
     for S, base in pairs:
         tau = make_principal(S, base)
-        d = delta_table(S, tau)
+        d = delta_table(S, tau, S.full_mask)
         assert len(d) == S.full_mask + 1
         assert d == [delta_tau(S, tau, A) for A in range(S.full_mask + 1)], (
             S.name, base,
         )
+        # over the base the table is indexed by positions within the base
+        points = elements(base)
+        d = delta_table(S, tau, base)
+        assert len(d) == 1 << len(points)
+        for P in range(len(d)):
+            A = mask_of(points[i] for i in bits(P))
+            assert d[P] == delta_tau(S, tau, A), (S.name, base, A)

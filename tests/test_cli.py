@@ -491,12 +491,21 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
 
     def test_zero_cells_is_input_error(self, capsys):
-        code, _, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "0")
-        assert code == 2 and "at least one cell" in err
+        code, out, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "0")
+        assert (code, out, err) == (2, "", "semsize: need at least one cell\n")
 
     def test_more_cells_than_base_points_is_input_error(self, capsys):
-        code, _, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "5")
-        assert code == 2 and "no 5-cell partitions" in err
+        code, out, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "5")
+        assert (code, out) == (2, "")
+        assert err == "semsize: no 5-cell partitions of the base (base too small)\n"
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_order_catalog_below_one_is_input_error(self, capsys, bound):
+        code, out, err = run(
+            capsys, "verify", "--theorem", "T2_1", "--catalog", f"order<={bound}"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"semsize: bad catalog spec 'order<={bound}'\n"
 
     def test_restricted_pool_with_no_feasible_partition_is_a_limit(self, capsys):
         # the pool {0} misses the base, so the proved bound does not apply

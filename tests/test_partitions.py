@@ -27,8 +27,18 @@ from semsize.catalog import default_catalog, family_catalog, order_le_catalog
 from semsize.classify import prethick_value
 from semsize.errors import InputError
 from semsize.masks import bits, elements, is_subset, least_cover, popcount
-from semsize.partitions import MODES, Partition, _balanced_first
+from semsize.partitions import MODES, Partition
 from semsize.semigroups import left_quotient, product_set, translate_set
+
+
+def _balanced_first(parts):
+    """The partitions ordered as the sweep breaks argmax ties: least spread
+    of cell sizes first, then by label string."""
+    def key(p):
+        sizes = sorted(p.labels.count(c) for c in range(p.cells))
+        return (sizes[-1] - sizes[0], p.labels)
+
+    return sorted(parts, key=key)
 
 
 def _canonical_labels(labels):
@@ -46,6 +56,19 @@ class TestEnumeratePartitions:
             domain = (1 << m) - 1
             got = sum(1 for _ in enumerate_partitions(domain, n))
             assert got == stirling2(m, n), (m, n)
+
+    def test_stirling_equals_the_recursion(self):
+        def recursion(m, n):
+            if n == 0:
+                return 1 if m == 0 else 0
+            if m == 0:
+                return 0
+            return n * recursion(m - 1, n) + recursion(m - 1, n - 1)
+
+        for m in range(13):
+            for n in range(6):
+                assert stirling2(m, n) == recursion(m, n), (m, n)
+        assert stirling2(0, -1) == stirling2(3, -1) == 0
 
     def test_single_cell(self):
         parts = list(enumerate_partitions(mask_of([1, 3, 4]), 1))

@@ -51,6 +51,28 @@ class TestVerify:
         # bases 1={0}, {0,2}, Z4 are subgroups; {0} has no 2-partition
         assert report.instances_checked >= 2
 
+    def test_t3_2_delta_tables_span_only_the_base(self, monkeypatch):
+        # each sweep reads a delta table with one entry per subset of its
+        # base: 4 for the subgroup {0, 6} of Z12, not one per subset of Z12
+        import semsize.partitions as partitions
+
+        sizes = {}
+        real = partitions.delta_table
+
+        def recorded(S, tau, domain):
+            d = real(S, tau, domain)
+            sizes[domain] = len(d)
+            return d
+
+        monkeypatch.setattr(partitions, "delta_table", recorded)
+        report = verify(
+            "T3_2", family_catalog(["cyclic:12"]), catalog_label="cyclic:12",
+            cfg=VerifyConfig(workers=1),
+        )
+        assert report.counterexample is None
+        assert sizes[mask_of([0, 6])] == 4
+        assert all(n == 1 << base.bit_count() for base, n in sizes.items())
+
     def test_t3_7_exercised_on_proper_left_ideals(self, null3, rz3):
         for S in (null3, rz3):
             report = verify("T3_7", [entry_for(S)], catalog_label=S.name)
