@@ -89,7 +89,10 @@ def build_catalog(
             raise UnknownFamily(f"bad catalog spec {spec!r}")
         entries = order_le_catalog(n)
     else:
-        entries = family_catalog(p for p in text.split(";") if p)
+        specs = [p for p in text.split(";") if p]
+        if not specs:
+            raise UnknownFamily(f"bad catalog spec {spec!r}")
+        entries = family_catalog(specs)
     if base_override is not None:
         entries = [
             CatalogEntry(e.semigroup, tuple(b for b in base_override

@@ -102,15 +102,13 @@ def delta_table(S: FinSemigroup, tau: PrincipalFilter, domain: int) -> List[int]
 
 
 def large_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
-    U0 = tau.base
-    return is_subset(U0, set_quotient(S, U0, A))
+    return all(E & A for E in _right_translates(S, tau.base)[1])
 
 
 def _thick_point(S: FinSemigroup, tau: PrincipalFilter, A: int) -> Optional[int]:
     """Some x in U0 with U0*x <= A (the least), or None when A is not thick."""
-    U0 = tau.base
-    for x in bits(U0):
-        if is_subset(right_translate(S, U0, x), A):
+    for x, E in _right_translates(S, tau.base)[0]:
+        if is_subset(E, A):
             return x
     return None
 
@@ -129,12 +127,21 @@ def prethick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
 
 
 def small_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
-    return not any(E & A for E in _minimal_translates(S, tau.base))
+    return not any(E & A for E in _right_translates(S, tau.base)[1])
 
 
-def _minimal_translates(S: FinSemigroup, U0: int) -> List[int]:
-    """The inclusion-minimal right translates U0*u (u in U0), ascending."""
-    return minimal(right_translate(S, U0, u) for u in bits(U0))
+@lru_cache(maxsize=1)
+def _right_translates(
+    S: FinSemigroup, U0: int
+) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """The pairs (x, U0*x) for x in U0, ascending in x, and the
+    inclusion-minimal translates, ascending.
+
+    They do not depend on the subset, so the last base's are kept: the
+    per-subset predicates of one query all read them.
+    """
+    translates = tuple((x, right_translate(S, U0, x)) for x in bits(U0))
+    return translates, tuple(minimal(E for _, E in translates))
 
 
 def _small_counterwitness(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
@@ -143,7 +150,7 @@ def _small_counterwitness(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
     (S - E) | {x} is large for x in a minimal translate E, since every other
     translate leaves E or equals it; trimmed, it meets E only at x, in A.
     """
-    E = next(E for E in _minimal_translates(S, tau.base) if E & A)
+    E = next(E for E in _right_translates(S, tau.base)[1] if E & A)
     hit = E & A
     x = hit & -hit  # the least point of A in E
     L = (S.full_mask & ~E) | x
@@ -205,9 +212,7 @@ def is_tau_prethick(
     if value and with_witness:
         # F^-1 A is thick iff it holds a translate U0*x, and a cover of a
         # translate covers every minimal one inside it
-        witness = _least_witness(
-            S, tau, A, tuple(_minimal_translates(S, tau.base))
-        )
+        witness = _least_witness(S, tau, A, _right_translates(S, tau.base)[1])
     return SizeVerdict("prethick", not tau.is_trivial, value, witness)
 
 
@@ -251,7 +256,7 @@ class SizeTables:
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
         U0 = tau.base
         q = union_table([set_quotient(S, U0, 1 << b) for b in range(S.order)])
-        minimal = _minimal_translates(S, U0)
+        minimal = _right_translates(S, U0)[1]
         M = 0
         for E in minimal:
             M |= E

@@ -150,12 +150,12 @@ def _base_from_json(path: str, S: FinSemigroup) -> int:
     return mask_of(base)
 
 
-def _parse_subset(text: str, S: FinSemigroup) -> int:
+def _parse_subset(text: str, S: FinSemigroup, what: str) -> int:
     if text == "":
         return 0
     if text in ("full", "all"):
         return S.full_mask
-    return mask_of(_parse_elements(text, "subset", S.order))
+    return mask_of(_parse_elements(text, what, S.order))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def _cmd_classify(args) -> int:
     S = parse_instance(args.instance)
     base = _parse_base(args.base, S)
     tau = make_principal(S, base)
-    A = _parse_subset(args.subset, S)
+    A = _parse_subset(args.subset, S, "subset")
     verdicts = classify_all(S, tau, A, with_witness=True)
     wanted = None if args.predicate == "all" else args.predicate
     lines = []
@@ -266,7 +266,9 @@ def _cmd_search(args) -> int:
     S = parse_instance(args.group)
     base = _parse_base(args.base, S)
     tau = make_principal(S, base)
-    pool = base if args.witness_pool is None else _parse_subset(args.witness_pool, S)
+    pool = base
+    if args.witness_pool is not None:
+        pool = _parse_subset(args.witness_pool, S, "witness pool")
 
     record = sweep_partitions(
         S,
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--base", default=None, help="restrict every instance to one base")
     p.add_argument("--cells", type=int, default=2, help="partition width for T3_2")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 

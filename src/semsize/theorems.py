@@ -30,8 +30,9 @@ trace statements the traces at each base point, for T2_4 and C2_5 the
 products g*b and the preimages {x : g*x == b} at each shiftable g, for T2_6
 the preimages at each base point, and for T3_7 the `delta_table`.  No claim
 moves a subset through a set-arithmetic call.  An equivalence over every
-subset is one `_agree` of two tables.  A statement that follows from one
-already checked, like T3_5 (iii) from (i), is counted, not swept.
+subset is one `_agree` of two tables, an implication one `_implies`.  A
+statement that follows from one already checked, like T3_5 (iii) from (i),
+is counted, not swept.
 
 Degeneracy accounting: an admissible instance is degenerate when it asserted
 nothing (empty inner domain) or when its hypothesis admits no base other
@@ -45,11 +46,10 @@ discounted, otherwise the check could never be effective.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry
 from .classify import SizeTables, delta_table
@@ -77,25 +77,15 @@ TABLE_ORDER_LIMIT = 12
 class VerifyConfig:
     # T3_6 admission; small is polynomial, so this bounds no cost, but
     # T3_6's report and the benchmark's traced layer run are defined by it
-    small_order_limit: int = 8
+    small_order_limit: ClassVar[int] = 8
     cells: int = 2                    # partition sweep width for T3_2
-    workers: int = 0                  # 0 = take SEMSIZE_WORKERS, default 1
+    workers: int = 1                  # 0 and 1 both run serially
 
     def __post_init__(self):
+        if self.cells < 1:
+            raise InputError("need at least one cell")
         if self.workers < 0:
             raise InputError(f"worker count {self.workers} is negative")
-
-    def resolved_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        text = os.environ.get("SEMSIZE_WORKERS", "1")
-        try:
-            workers = int(text)
-        except ValueError:
-            raise InputError(f"SEMSIZE_WORKERS is not an integer: {text!r}") from None
-        if workers < 0:
-            raise InputError(f"SEMSIZE_WORKERS={workers} is negative")
-        return max(1, workers)
 
 
 @dataclass
@@ -160,6 +150,19 @@ def _agree(lhs, rhs, lname, rname):
         A = next(A for A, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
         return A + 1, {"subset": elements(A), lname: lhs[A], rname: rhs[A]}
     return len(lhs), None
+
+
+def _implies(premise, conclusion, claim):
+    """(assertions, detail) for the claim premise[A] => conclusion[A] on every
+    subset A: one assertion per A with premise[A] up to the first failure,
+    whose detail names the subset and the claim."""
+    count = 0
+    for A, (p, c) in enumerate(zip(premise, conclusion)):
+        if p:
+            count += 1
+            if not c:
+                return count, {"subset": elements(A), "claim": claim}
+    return count, None
 
 
 def _trace_tables(S, U0):
@@ -275,17 +278,8 @@ def _minimal_ideal_traces(S, tau, tb, cfg):
 def _meets_minimal_is_prethick(S, tau, tb, cfg):
     """C3_1: a set meeting a minimal left ideal is prethick."""
     M = _minimal_ideal_union(S, tau.base)
-    count = 0
-    for A in range(S.full_mask + 1):
-        if not A & M:
-            continue
-        count += 1
-        if not tb.prethick[A]:
-            return count, {
-                "subset": elements(A),
-                "claim": "set meeting a minimal ideal is prethick",
-            }
-    return count, None
+    meets = (A & M for A in range(S.full_mask + 1))
+    return _implies(meets, tb.prethick, "set meeting a minimal ideal is prethick")
 
 
 def _cover_sweep_fits(S, tau, cfg) -> bool:
@@ -337,17 +331,8 @@ def _prethick_not_small(S, tau, tb, cfg):
 def _prethick_delta_large(S, tau, tb, cfg):
     """T3_7: the difference set of a prethick set is large."""
     delta = delta_table(S, tau, S.full_mask)
-    count = 0
-    for A in range(S.full_mask + 1):
-        if not tb.prethick[A]:
-            continue
-        count += 1
-        if not tb.large[delta[A]]:
-            return count, {
-                "subset": elements(A),
-                "claim": "difference set of prethick is large",
-            }
-    return count, None
+    delta_large = (tb.large[d] for d in delta)
+    return _implies(tb.prethick, delta_large, "difference set of prethick is large")
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +515,13 @@ def _drive(
         known = ", ".join(sorted(specs))
         raise InputError(f"unknown {kind} id {unknown[0]!r}; known: {known}")
     tasks = [(kind, ids, [(e.semigroup, b) for b in e.bases], cfg) for e in catalog]
-    workers = cfg.resolved_workers()
-    if workers > 1 and len(tasks) > 1:
+    if cfg.workers > 1 and len(tasks) > 1:
         import multiprocessing
 
         # specs hold closures, which do not pickle: workers look theirs up by
         # id; the cost of a semigroup varies widely, so each task is handed
         # out on its own as a worker frees up
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(cfg.workers, len(tasks))) as pool:
             parts = pool.starmap(_run, tasks, chunksize=1)
     else:
         parts = [_run(kind, ids, [p for task in tasks for p in task[2]], cfg)]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import shlex
@@ -8,18 +9,46 @@ import pytest
 
 from semsize import (
     automorphisms,
+    hunt_counterexample,
     mask_of,
+    order_le_catalog,
     semigroup_from_spec,
     sweep_partitions,
     trivial_filter,
 )
 from semsize.cli import main, parse_instance
+from semsize.theorems import VerifyConfig
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces multiprocessing.Pool with one that starts no process: it
+    records the size asked for and runs the tasks here.  Returns the sizes."""
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks, chunksize=1):
+            return list(itertools.starmap(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return sizes
 
 
 class TestGen:
@@ -460,17 +489,46 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "worker count -3 is negative" in err
 
-    @pytest.mark.parametrize("verb", ["verify", "hunt"])
-    def test_negative_worker_variable_is_input_error(self, capsys, monkeypatch, verb):
-        monkeypatch.setenv("SEMSIZE_WORKERS", "-3")
-        argv = (["verify", "--theorem", "T2_1"] if verb == "verify"
-                else ["hunt", "--variant", "T2_6_large"])
-        code, out, err = run(capsys, *argv, "--catalog", "cyclic:4")
+    def test_hunt_ignores_the_environment(self, capsys, monkeypatch, fake_pool):
+        # no environment variable sets the worker count of a run
+        for value in ("-3", "2"):
+            monkeypatch.setenv("SEMSIZE_WORKERS", value)
+            code, _, _ = run(
+                capsys, "hunt", "--variant", "T2_6_large", "--catalog", "order<=2"
+            )
+            assert code == 0
+        assert fake_pool == []
+
+    def test_the_pool_is_sized_to_its_tasks(self, capsys, fake_pool):
+        # one task per catalog semigroup: two, however many workers are asked
+        code, _, _ = run(
+            capsys, "verify", "--theorem", "all", "--catalog", "cyclic:2;cyclic:3",
+            "--workers", "64",
+        )
+        assert code == 0
+        assert fake_pool == [2]
+
+    @pytest.mark.parametrize(
+        "theorem, catalog", [("T2_1", "cyclic:4"), ("T3_2", "rightzero:3")]
+    )
+    def test_zero_cells_is_input_error_on_verify(self, capsys, theorem, catalog):
+        # refused up front, not only where T3_2 admits an instance
+        code, out, err = run(
+            capsys, "verify", "--theorem", theorem, "--catalog", catalog,
+            "--cells", "0",
+        )
+        assert (code, out, err) == (2, "", "semsize: need at least one cell\n")
+
+    @pytest.mark.parametrize("spec", [";", " ; "])
+    @pytest.mark.parametrize(
+        "verb",
+        [["verify", "--theorem", "T2_1"], ["hunt", "--variant", "T2_6_large"]],
+        ids=["verify", "hunt"],
+    )
+    def test_catalog_naming_no_family_is_input_error(self, capsys, verb, spec):
+        code, out, err = run(capsys, *verb, "--catalog", spec)
         assert (code, out) == (2, "")
-        assert "SEMSIZE_WORKERS=-3 is negative" in err
-        # 0 still means a serial run
-        monkeypatch.setenv("SEMSIZE_WORKERS", "0")
-        assert run(capsys, *argv, "--catalog", "cyclic:4")[0] == 0
+        assert err == f"semsize: bad catalog spec {spec!r}\n"
 
     def test_catalog_base_override_drops_the_entries_it_cannot_fit(self, capsys):
         code, out, _ = run(
@@ -507,6 +565,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"semsize: bad catalog spec 'order<={bound}'\n"
 
+    @pytest.mark.parametrize("element", ["9", "-1"])
+    def test_witness_pool_element_out_of_range_names_the_flag(self, capsys, element):
+        code, out, err = run(
+            capsys, "search", "--group", "cyclic:4", "--cells", "2",
+            f"--witness-pool={element}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"semsize: witness pool element {element} out of range [0,4)\n"
+
     def test_restricted_pool_with_no_feasible_partition_is_a_limit(self, capsys):
         # the pool {0} misses the base, so the proved bound does not apply
         code, _, err = run(
@@ -541,15 +608,9 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and str(tmp_path) in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--theorem", "all", "--catalog", "order<=2"],
-            ["hunt", "--variant", "T3_6_semigroup", "--catalog", "order<=2"],
-        ],
-        ids=["verify", "hunt"],
-    )
-    def test_a_parallel_run_opens_one_pool(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("verb", ["verify", "hunt"])
+    def test_a_parallel_run_opens_one_pool(self, capsys, monkeypatch, verb):
+        # hunt has no worker flag; the library call still takes a config
         import multiprocessing
 
         opened = []
@@ -560,9 +621,17 @@ class TestExitCodes:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-        monkeypatch.setenv("SEMSIZE_WORKERS", "2")
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
+        if verb == "verify":
+            code, _, _ = run(
+                capsys, "verify", "--theorem", "all", "--catalog", "order<=2",
+                "--workers", "2",
+            )
+            assert code == 0
+        else:
+            report = hunt_counterexample(
+                "T3_6_semigroup", order_le_catalog(2), cfg=VerifyConfig(workers=2)
+            )
+            assert not report.found
         assert opened == [(2,)]
 
     def test_internal_value_error_is_not_an_input_error(self, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import pytest
@@ -208,10 +209,15 @@ class TestCatalog:
         entries = build_catalog("cyclic:12")
         assert len(entries[0].bases) == 6  # one per divisor of 12
 
-    def test_workers_env_plumbing(self, monkeypatch):
-        monkeypatch.setenv("SEMSIZE_WORKERS", "2")
-        assert VerifyConfig().resolved_workers() == 2
-        assert VerifyConfig(workers=3).resolved_workers() == 3
+    def test_cells_and_workers_are_the_only_settings(self):
+        assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
+            "cells", "workers",
+        ]
+        assert VerifyConfig().small_order_limit == 8
+        with pytest.raises(TypeError):
+            VerifyConfig(small_order_limit=9)
+        with pytest.raises(ValueError, match="need at least one cell"):
+            VerifyConfig(cells=0)
 
 
 def test_full_transformation_monoid_is_clean():
@@ -293,23 +299,49 @@ _FLIPPED_PAYLOADS = {
 }
 
 
-@pytest.mark.parametrize("tid", sorted(_FLIPPED_PAYLOADS))
-def test_a_flipped_table_entry_is_the_reported_counterexample(tid, monkeypatch):
-    table, payload = _FLIPPED_PAYLOADS[tid]
+def _verify_flipped(tid, table, mask, monkeypatch):
+    """verify's report of tid on cyclic:6, full base, with the named
+    `SizeTables` table flipped at mask."""
 
     class Flipped(SizeTables):
         def __init__(self, S, tau):
             super().__init__(S, tau)
             entries = getattr(self, table)
-            entries[_M] = not entries[_M]
+            entries[mask] = not entries[mask]
 
     monkeypatch.setattr(theorems, "SizeTables", Flipped)
     z6 = semigroup_from_spec("cyclic:6")
     entry = entry_for(z6, bases=(z6.full_mask,))
-    report = verify(tid, [entry], cfg=VerifyConfig(workers=1))
+    return verify(tid, [entry], cfg=VerifyConfig(workers=1))
+
+
+@pytest.mark.parametrize("tid", sorted(_FLIPPED_PAYLOADS))
+def test_a_flipped_table_entry_is_the_reported_counterexample(tid, monkeypatch):
+    table, payload = _FLIPPED_PAYLOADS[tid]
+    report = _verify_flipped(tid, table, _M, monkeypatch)
     assert report.assertions == _M + 1
     assert report.counterexample["detail"] == payload
     assert report.counterexample["detail"]["subset"] == elements(_M)
+
+
+_FLIPPED_IMPLICATIONS = {
+    # the (assertions, detail) each implication claim reported before it went
+    # through _implies, with one table entry flipped on cyclic:6, full base:
+    # one assertion per premise-true subset up to the first failure
+    "C3_1": ("prethick", _M, 45, {
+        "subset": [0, 2, 3, 5],
+        "claim": "set meeting a minimal ideal is prethick"}),
+    "T3_7": ("large", 63, 11, {
+        "subset": [0, 1, 3], "claim": "difference set of prethick is large"}),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(_FLIPPED_IMPLICATIONS))
+def test_a_flipped_entry_stops_an_implication_claim(tid, monkeypatch):
+    table, mask, assertions, payload = _FLIPPED_IMPLICATIONS[tid]
+    report = _verify_flipped(tid, table, mask, monkeypatch)
+    assert report.assertions == assertions
+    assert report.counterexample["detail"] == payload
 
 
 def test_specs_that_read_tables_skip_orders_above_the_limit():
