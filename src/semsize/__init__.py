@@ -25,7 +25,6 @@ from .classify import (
     is_tau_prethick,
     is_tau_small,
     is_tau_thick,
-    trace_set,
 )
 from .errors import (
     AssociativityError,
@@ -41,13 +40,10 @@ from .errors import (
     UnknownFamily,
 )
 from .filters import (
-    HYPOTHESIS_KINDS,
     PrincipalFilter,
-    UltraSet,
     check_hypothesis,
     hypothesis_forces_full_base,
     make_principal,
-    tau_bar,
     trivial_filter,
     ultrafilter_product,
 )
@@ -79,6 +75,7 @@ from .semigroups import (
     serialize_table,
     set_quotient,
     subgroups,
+    trace_set,
     translate_set,
 )
 from .theorems import (

@@ -20,11 +20,12 @@ oracle by the test suite rather than trusted):
 The large and prethick witnesses are exact at every order: the cover search
 `masks.least_cover` returns the least mask among the fewest F <= U0.
 
-The per-subset predicates answer one subset at any order.  The exhaustive
-sweeps read whole-mask tables instead, one entry per subset: `SizeTables`,
-whose four tables come from one `masks.union_table` of the quotients
-U0^-1 {b}, and `delta_table`, built from the traces at each base point over
-the subsets of a domain (all of S for T3_7, the base for a partition sweep).
+The per-subset predicates answer one subset at any order; they and
+`SizeTables` read the right translates U0*x off the filter.  The exhaustive
+sweeps read whole-mask tables, one entry per subset: `SizeTables`, whose
+four tables come from one `masks.union_table` of the quotients U0^-1 {b},
+and `delta_table`, built from the traces at each base point over the subsets
+of a domain (all of S for T3_7, the base for a partition sweep).
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .filters import PrincipalFilter
-from .masks import bits, is_subset, least_cover, minimal, popcount, union_table
+from .masks import bits, is_subset, least_cover, popcount, union_table
 from .semigroups import (
     FinSemigroup,
     left_quotient,
-    product_set,
-    right_translate,
     set_quotient,
     trace_set,
 )
@@ -102,12 +101,12 @@ def delta_table(S: FinSemigroup, tau: PrincipalFilter, domain: int) -> List[int]
 
 
 def large_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
-    return all(E & A for E in _right_translates(S, tau.base)[1])
+    return all(E & A for E in tau.minimal_translates)
 
 
 def _thick_point(S: FinSemigroup, tau: PrincipalFilter, A: int) -> Optional[int]:
     """Some x in U0 with U0*x <= A (the least), or None when A is not thick."""
-    for x, E in _right_translates(S, tau.base)[0]:
+    for x, E in tau.translates:
         if is_subset(E, A):
             return x
     return None
@@ -118,8 +117,8 @@ def thick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
 
 
 def extrathick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
-    U0 = tau.base
-    return is_subset(product_set(S, U0, U0), A)
+    # U0*U0 is the union of the translates U0*x
+    return all(is_subset(E, A) for _, E in tau.translates)
 
 
 def prethick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
@@ -127,21 +126,7 @@ def prethick_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
 
 
 def small_value(S: FinSemigroup, tau: PrincipalFilter, A: int) -> bool:
-    return not any(E & A for E in _right_translates(S, tau.base)[1])
-
-
-@lru_cache(maxsize=1)
-def _right_translates(
-    S: FinSemigroup, U0: int
-) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
-    """The pairs (x, U0*x) for x in U0, ascending in x, and the
-    inclusion-minimal translates, ascending.
-
-    They do not depend on the subset, so the last base's are kept: the
-    per-subset predicates of one query all read them.
-    """
-    translates = tuple((x, right_translate(S, U0, x)) for x in bits(U0))
-    return translates, tuple(minimal(E for _, E in translates))
+    return not any(E & A for E in tau.minimal_translates)
 
 
 def _small_counterwitness(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
@@ -150,7 +135,7 @@ def _small_counterwitness(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
     (S - E) | {x} is large for x in a minimal translate E, since every other
     translate leaves E or equals it; trimmed, it meets E only at x, in A.
     """
-    E = next(E for E in _right_translates(S, tau.base)[1] if E & A)
+    E = next(E for E in tau.minimal_translates if E & A)
     hit = E & A
     x = hit & -hit  # the least point of A in E
     L = (S.full_mask & ~E) | x
@@ -212,7 +197,7 @@ def is_tau_prethick(
     if value and with_witness:
         # F^-1 A is thick iff it holds a translate U0*x, and a cover of a
         # translate covers every minimal one inside it
-        witness = _least_witness(S, tau, A, _right_translates(S, tau.base)[1])
+        witness = _least_witness(S, tau, A, tau.minimal_translates)
     return SizeVerdict("prethick", not tau.is_trivial, value, witness)
 
 
@@ -256,7 +241,7 @@ class SizeTables:
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
         U0 = tau.base
         q = union_table([set_quotient(S, U0, 1 << b) for b in range(S.order)])
-        minimal = _right_translates(S, U0)[1]
+        minimal = tau.minimal_translates
         M = 0
         for E in minimal:
             M |= E
@@ -271,7 +256,6 @@ __all__ = [
     "SizeVerdict",
     "SizeTables",
     "PREDICATES",
-    "trace_set",
     "delta_tau",
     "delta_table",
     "large_value",

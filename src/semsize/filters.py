@@ -1,23 +1,24 @@
 """Principal filters on a finite semigroup and the hypothesis predicates.
 
 On a finite set every filter is principal, so a filter is stored by its base
-U0 (the intersection of all members); ``U in tau`` is the superset test.
-The ultrafilters containing tau are exactly the principal ultrafilters at
-points of U0, which is what `tau_bar` returns.
+U0 (the intersection of all members); ``U in tau`` is the superset test, and
+the ultrafilters containing tau are the principal ultrafilters at the points
+of U0.  What the base alone determines is computed once per filter, on first
+read: the g with g*U0 <= U0, the right translates U0*x, and the union of the
+minimal left ideals of U0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Tuple
 
-from .errors import EmptyBase, NotAGroup, ProductLawViolation
-from .masks import is_subset, supersets
+from .errors import EmptyBase, ProductLawViolation
+from .masks import bits, is_subset, mask_of, minimal, supersets
 from .semigroups import (
     FinSemigroup,
-    is_subgroup,
-    left_quotient,
-    product_set,
+    minimal_left_ideals,
     right_translate,
     trace_set,
     translate_set,
@@ -37,12 +38,32 @@ class PrincipalFilter:
     def members(self) -> Iterator[int]:
         return supersets(self.base, self.semigroup.full_mask)
 
+    @cached_property
+    def shiftable(self) -> int:
+        """The mask of g with g*U0 <= U0, i.e. U0 <= g^-1 U0."""
+        S, U0 = self.semigroup, self.base
+        return mask_of(
+            g for g in range(S.order) if is_subset(translate_set(S, g, U0), U0)
+        )
 
-@dataclass(frozen=True)
-class UltraSet:
-    """The finite reduction of the closed set of ultrafilters above a filter."""
+    @cached_property
+    def translates(self) -> Tuple[Tuple[int, int], ...]:
+        """The pairs (x, U0*x) for x in U0, ascending in x."""
+        S, U0 = self.semigroup, self.base
+        return tuple((x, right_translate(S, U0, x)) for x in bits(U0))
 
-    points: int
+    @cached_property
+    def minimal_translates(self) -> Tuple[int, ...]:
+        """The inclusion-minimal right translates U0*x, ascending."""
+        return tuple(minimal(E for _, E in self.translates))
+
+    @cached_property
+    def minimal_ideal_union(self) -> int:
+        """The union of `minimal_left_ideals(S, U0)`; U0 must be closed."""
+        M = 0
+        for L in minimal_left_ideals(self.semigroup, self.base):
+            M |= L
+        return M
 
 
 def make_principal(S: FinSemigroup, base: int) -> PrincipalFilter:
@@ -55,11 +76,6 @@ def make_principal(S: FinSemigroup, base: int) -> PrincipalFilter:
 
 def trivial_filter(S: FinSemigroup) -> PrincipalFilter:
     return PrincipalFilter(S, S.full_mask)
-
-
-def tau_bar(tau: PrincipalFilter) -> UltraSet:
-    """A principal ultrafilter at g contains tau iff g is in the base."""
-    return UltraSet(points=tau.base)
 
 
 def ultrafilter_product(S: FinSemigroup, p: int, q: int, A: int) -> bool:
@@ -78,45 +94,23 @@ def ultrafilter_product(S: FinSemigroup, p: int, q: int, A: int) -> bool:
     return direct
 
 
-HYPOTHESIS_KINDS = (
-    "semigroup_filter",
-    "left_invariant",
-    "left_inverse_invariant",
-    "extrathick_members",
-    "shiftable_at",
-    "neighborhood_shift",
-    "left_topological_group",
-)
-
-
-def check_hypothesis(tau: PrincipalFilter, kind: str, g: int | None = None) -> bool:
+def check_hypothesis(tau: PrincipalFilter, kind: str) -> bool:
     """Decide a theorem hypothesis via the principal reduction.
 
     Each reduction collapses the quantifier over filter members onto the
     base by monotonicity; the literal quantifier forms are kept as the
-    definitional oracle in the test suite.
+    definitional oracle in the test suite.  All but left invariance read
+    the shiftable g: U0*U0 <= U0, extrathick members and the neighborhood
+    shift each say every g in U0 is shiftable, and left inverse invariance
+    says every g in S is.
     """
-    S = tau.semigroup
-    U0 = tau.base
-    # neighborhood_shift asks g*U0 <= U0 for every g in U0, i.e. U0*U0 <= U0
     if kind in ("semigroup_filter", "extrathick_members", "neighborhood_shift"):
-        return is_subset(product_set(S, U0, U0), U0)
-    if kind == "left_invariant":
-        return all(
-            is_subset(U0, translate_set(S, g_, U0)) for g_ in range(S.order)
-        )
+        return is_subset(tau.base, tau.shiftable)
     if kind == "left_inverse_invariant":
-        return all(
-            is_subset(U0, left_quotient(S, g_, U0)) for g_ in range(S.order)
-        )
-    if kind == "shiftable_at":
-        if g is None:
-            raise ValueError("shiftable_at needs the element g")
-        return is_subset(U0, left_quotient(S, g, U0))
-    if kind == "left_topological_group":
-        if not S.is_group:
-            raise NotAGroup("left topological detection is group-only")
-        return is_subgroup(S, U0)
+        return tau.shiftable == tau.semigroup.full_mask
+    if kind == "left_invariant":
+        S, U0 = tau.semigroup, tau.base
+        return all(is_subset(U0, translate_set(S, g, U0)) for g in range(S.order))
     raise ValueError(f"unknown hypothesis kind {kind!r}")
 
 
@@ -129,14 +123,12 @@ def hypothesis_forces_full_base(S: FinSemigroup, kind: str) -> bool:
 
     Only S satisfies a kind iff no proper candidate does: the idempotent
     singletons {e} and the principal left ideals {x} | S*x.  A proper
-    subsemigroup (U0*U0 <= U0) contains some {e}, itself a subsemigroup and,
-    in a group, a subgroup; a proper left ideal contains the left ideal
-    {x} | S*x; a proper left-invariant U0 contains {x} | S*x, the orbit of x
-    under the permutations of U0 the left translations generate, so it is
+    subsemigroup (U0*U0 <= U0) contains some {e}, itself a subsemigroup; a
+    proper left ideal contains the left ideal {x} | S*x; a proper
+    left-invariant U0 contains {x} | S*x, the orbit of x under the
+    permutations of U0 the left translations generate, so it is
     left-invariant too.
     """
-    if kind == "shiftable_at":
-        raise ValueError("shiftable_at is a per-element hypothesis")
     full = S.full_mask
     candidates = {1 << e for e in range(S.order) if S.table[e][e] == e}
     candidates |= {(1 << x) | right_translate(S, full, x) for x in range(S.order)}
@@ -146,12 +138,9 @@ def hypothesis_forces_full_base(S: FinSemigroup, kind: str) -> bool:
 
 __all__ = [
     "PrincipalFilter",
-    "UltraSet",
     "make_principal",
     "trivial_filter",
-    "tau_bar",
     "ultrafilter_product",
     "check_hypothesis",
     "hypothesis_forces_full_base",
-    "HYPOTHESIS_KINDS",
 ]

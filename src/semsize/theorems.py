@@ -9,8 +9,10 @@ failure.
 Every theorem and hunt is one `Spec` in `THEOREMS` or `HUNTS`, and one driver
 serves `verify`, `hunt_counterexample` (one spec each) and `replay`.  One pass
 over the catalog runs every requested spec on each instance, whose
-`SizeTables` are built at most once and dropped before the next.  The fields
-of a spec:
+`SizeTables` are built at most once and dropped before the next.  What the
+base alone determines (the shiftable g, the right translates, the union of
+the minimal left ideals) is read off the instance's one `PrincipalFilter`,
+which computes each at most once.  The fields of a spec:
 
 * ``claim(S, tau, tb, cfg)``: the per-subset loop over the instance's
   `SizeTables` ``tb``; returns the number of assertions made and the detail
@@ -61,7 +63,7 @@ from .filters import (
 )
 from .masks import bits, elements, mask_of, popcount, union_table
 from .partitions import stirling2, sweep_order_limit, sweep_partitions
-from .semigroups import FinSemigroup, is_subgroup, minimal_left_ideals
+from .semigroups import FinSemigroup, is_subgroup
 
 
 # T3_5 (iii) holds by (i) at every order; its partitions are counted as
@@ -202,7 +204,8 @@ def _thick_meets_large(S, tau, tb, cfg):
 
 
 def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
-    """T2_4 / C2_5: at every shiftable g, g*L stays large and g^-1 T thick.
+    """T2_4 / C2_5: at every shiftable g (g*U0 <= U0), g*L stays large and
+    g^-1 T thick.
 
     Under left inverse invariance (C2_5) every g is shiftable, so the two
     statements differ only in their hypothesis and claim texts.  Per g, one
@@ -211,9 +214,7 @@ def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
     """
     large, thick = tb.large, tb.thick
     count = 0
-    for g in range(S.order):
-        if not check_hypothesis(tau, "shiftable_at", g=g):
-            continue
+    for g in bits(tau.shiftable):
         gA = union_table(S.row[g])
         gqA = union_table(S.quot[g])
         for A in range(S.full_mask + 1):
@@ -248,19 +249,11 @@ def _quotient_stable(family, S, tau, tb, cfg, **labels):
     return count, None
 
 
-def _minimal_ideal_union(S: FinSemigroup, within: int) -> int:
-    M = 0
-    for L in minimal_left_ideals(S, within):
-        M |= L
-    return M
-
-
 def _minimal_ideal_traces(S, tau, tb, cfg):
     """T3_1: g lies in a minimal left ideal iff every trace at g is large."""
-    U0 = tau.base
-    M = _minimal_ideal_union(S, U0)
+    M = tau.minimal_ideal_union
     count = 0
-    for g, t in _trace_tables(S, U0):
+    for g, t in _trace_tables(S, tau.base):
         through_g = (A for A in range(S.full_mask + 1) if (A >> g) & 1)
         bad = next((A for A in through_g if not tb.large[t[A]]), None)
         count += 1
@@ -277,7 +270,7 @@ def _minimal_ideal_traces(S, tau, tb, cfg):
 
 def _meets_minimal_is_prethick(S, tau, tb, cfg):
     """C3_1: a set meeting a minimal left ideal is prethick."""
-    M = _minimal_ideal_union(S, tau.base)
+    M = tau.minimal_ideal_union
     meets = (A & M for A in range(S.full_mask + 1))
     return _implies(meets, tb.prethick, "set meeting a minimal ideal is prethick")
 
@@ -311,7 +304,7 @@ def _prethick_regularity(S, tau, tb, cfg):
     up to REGULARITY_ORDER_LIMIT it counts one assertion per 2- and 3-cell
     partition of each prethick set, S(|A|, 2) + S(|A|, 3).
     """
-    M = _minimal_ideal_union(S, tau.base)
+    M = tau.minimal_ideal_union
     meets = [bool(A & M) for A in range(S.full_mask + 1)]
     count, detail = _agree(tb.prethick, meets, "prethick", "meets_minimal")
     if detail is not None:

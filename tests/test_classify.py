@@ -389,9 +389,27 @@ def test_every_witness_replays_on_the_order_2_catalog():
                         assert not large_value(S, tau, L & ~(1 << y))
 
 
+def _translate_reference(S, base, A):
+    """(large, thick, prethick, small) of A from the right translates
+    base*u, each computed here by one right_translate call."""
+    translates = [right_translate(S, base, u) for u in elements(base)]
+    minimal = [
+        E for E in translates
+        if not any(R != E and is_subset(R, E) for R in translates)
+    ]
+    quotient = set_quotient(S, base, A)
+    return (
+        all(E & A for E in translates),
+        any(is_subset(E, A) for E in translates),
+        any(is_subset(E, quotient) for E in translates),
+        not any(E & A for E in minimal),
+    )
+
+
 def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
-    # the theorem checkers consume the batched tables; pin them to the
-    # one-at-a-time implementations
+    # the theorem checkers consume the batched tables; pin them and the
+    # one-at-a-time implementations to a reference that computes the right
+    # translates itself
     from semsize.classify import SizeTables, prethick_value, small_value
 
     # Z12 under its subgroup H = {0, 4, 8}: H*u = H for u in H, so the one
@@ -399,8 +417,8 @@ def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
     # translates {0, 4} and {4, 8} are both minimal
     z12 = semigroup_from_spec("cyclic:12")
     H, pair = mask_of([0, 4, 8]), mask_of([0, 4])
-    assert classify._right_translates(z12, H)[1] == (H,)
-    assert classify._right_translates(z12, pair)[1] == (pair, pair << 4)
+    assert make_principal(z12, H).minimal_translates == (H,)
+    assert make_principal(z12, pair).minimal_translates == (pair, pair << 4)
     cases = [
         (S, base)
         for S in (z6, rz3, null3)
@@ -410,10 +428,14 @@ def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
         tau = make_principal(S, base)
         tb = SizeTables(S, tau)
         for A in range(S.full_mask + 1):
-            assert tb.large[A] == large_value(S, tau, A)
-            assert tb.thick[A] == thick_value(S, tau, A)
-            assert tb.prethick[A] == prethick_value(S, tau, A)
-            assert tb.small[A] == small_value(S, tau, A)
+            want = _translate_reference(S, base, A)
+            assert (tb.large[A], tb.thick[A], tb.prethick[A], tb.small[A]) == want
+            assert (
+                large_value(S, tau, A),
+                thick_value(S, tau, A),
+                prethick_value(S, tau, A),
+                small_value(S, tau, A),
+            ) == want
 
 
 def test_small_table_matches_the_definition_at_orders_6_to_12():

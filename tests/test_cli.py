@@ -398,6 +398,26 @@ class TestExitCodes:
         code, _, _ = run(capsys, "gen", "--family", "symmetric:5")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "spec, order",
+        [
+            ("cyclic:257", 257),
+            ("cyclic:99999999999999999999", 99999999999999999999),
+            ("dihedral:129", 258),
+            ("product:cyclic:16,cyclic:16,cyclic:16", 4096),
+        ],
+    )
+    def test_family_order_above_the_limit_is_a_limit_error(self, spec, order, capsys):
+        # the order is checked before the table is allocated: unchecked, the
+        # 20-digit order allocates until the process is killed
+        code, out, err = run(capsys, "gen", "--family", spec)
+        assert code == 3 and out == ""
+        assert f"order {order} is above the family limit 256" in err
+
+    def test_family_order_at_the_limit_builds(self):
+        assert semigroup_from_spec("cyclic:256").order == 256
+        assert semigroup_from_spec("product:cyclic:16,cyclic:16").order == 256
+
     def test_schema_error_names_the_cell(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x", "order": 2, "table": [[0, 9], [0, 1]]}))

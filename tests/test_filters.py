@@ -4,7 +4,6 @@ from conftest import filter_on, powerset
 
 from semsize import (
     EmptyBase,
-    NotAGroup,
     check_hypothesis,
     default_catalog,
     enumerate_semigroups,
@@ -12,7 +11,6 @@ from semsize import (
     make_principal,
     mask_of,
     semigroup_from_spec,
-    tau_bar,
     trivial_filter,
     ultrafilter_product,
 )
@@ -73,6 +71,17 @@ def literal_hypothesis(S, base_set, kind, g=None):
     raise ValueError(kind)
 
 
+def assert_shiftable_is_literal(S, tau):
+    """The bits of tau.shiftable are the g that pass the literal
+    shiftable_at quantifier over every filter member."""
+    base_set = frozenset(elements(tau.base))
+    want = [
+        g for g in range(S.order)
+        if literal_hypothesis(S, base_set, "shiftable_at", g)
+    ]
+    assert elements(tau.shiftable) == want, (S.name, tau.base)
+
+
 # --- principal filters -------------------------------------------------------
 
 
@@ -93,10 +102,12 @@ class TestPrincipalFilter:
         with pytest.raises(EmptyBase):
             make_principal(z6, 0)
 
-    def test_tau_bar_reduction(self, z6):
-        assert tau_bar(trivial_filter(z6)).points == z6.full_mask
-        assert tau_bar(filter_on(z6, [0, 2, 4])).points == mask_of([0, 2, 4])
-        assert tau_bar(filter_on(z6, [5])).points == mask_of([5])
+    def test_shiftable_on_z6(self, z6):
+        # g + U0 <= U0: every g on the full base, the subgroup's own points
+        # on {0, 2, 4}, and only 0 on {5}
+        assert trivial_filter(z6).shiftable == z6.full_mask
+        assert filter_on(z6, [0, 2, 4]).shiftable == mask_of([0, 2, 4])
+        assert filter_on(z6, [5]).shiftable == mask_of([0])
 
 
 class TestUltrafilterProduct:
@@ -125,9 +136,9 @@ class TestHypotheses:
         assert check_hypothesis(tau, "semigroup_filter")
         assert not check_hypothesis(tau, "left_invariant")
         assert check_hypothesis(tau, "neighborhood_shift")
-        assert check_hypothesis(tau, "left_topological_group")
-        assert check_hypothesis(tau, "shiftable_at", g=2)
-        assert not check_hypothesis(tau, "shiftable_at", g=1)
+        assert not check_hypothesis(tau, "left_inverse_invariant")
+        assert tau.shiftable >> 2 & 1
+        assert not tau.shiftable >> 1 & 1
 
     def test_full_base_satisfies_everything(self, rz3, z4):
         for S in (rz3, z4):
@@ -140,15 +151,11 @@ class TestHypotheses:
                 "neighborhood_shift",
             ):
                 assert check_hypothesis(tau, kind), kind
-            for g in range(S.order):
-                assert check_hypothesis(tau, "shiftable_at", g=g)
+            assert tau.shiftable == S.full_mask
 
-    def test_left_topological_needs_group(self, rz3, z6):
-        with pytest.raises(NotAGroup):
-            check_hypothesis(trivial_filter(rz3), "left_topological_group")
-        assert not check_hypothesis(
-            filter_on(z6, [0, 2]), "left_topological_group"
-        )
+    def test_unknown_kind_is_refused(self, z4):
+        with pytest.raises(ValueError):
+            check_hypothesis(trivial_filter(z4), "shiftable_at")
 
     def test_reduced_equals_literal_on_small_catalog(self):
         kinds = (
@@ -167,10 +174,7 @@ class TestHypotheses:
                         assert check_hypothesis(tau, kind) == literal_hypothesis(
                             S, base_set, kind
                         ), (S.name, base, kind)
-                    for g in range(S.order):
-                        assert check_hypothesis(
-                            tau, "shiftable_at", g=g
-                        ) == literal_hypothesis(S, base_set, "shiftable_at", g=g)
+                    assert_shiftable_is_literal(S, tau)
 
     def test_reduced_equals_literal_up_to_order_5(self, z4):
         instances = [
@@ -196,12 +200,13 @@ class TestHypotheses:
                     assert check_hypothesis(tau, kind) == literal_hypothesis(
                         S, base_set, kind
                     ), (S.name, base, kind)
+                assert_shiftable_is_literal(S, tau)
 
     def test_semigroup_filter_means_closed_points(self, z6):
         for base in range(1, 64):
             tau = make_principal(z6, base)
             if check_hypothesis(tau, "semigroup_filter"):
-                pts = tau_bar(tau).points
+                pts = tau.base
                 for a in elements(pts):
                     for b in elements(pts):
                         assert (pts >> z6.table[a][b]) & 1
@@ -242,7 +247,7 @@ def test_forced_full_base_matches_the_base_sweep():
              "extrathick_members", "neighborhood_shift")
     forced = 0
     for S in semigroups:
-        for kind in kinds + (("left_topological_group",) if S.is_group else ()):
+        for kind in kinds:
             value = hypothesis_forces_full_base(S, kind)
             assert value == swept_forces_full_base(S, kind), (S.name, kind)
             forced += value

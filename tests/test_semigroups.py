@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import itertools
 import pickle
 import pkgutil
@@ -16,6 +17,7 @@ from semsize import (
     AssociativityError,
     DimensionError,
     NotASubsemigroup,
+    PrincipalFilter,
     SizeLimitExceeded,
     UnknownFamily,
     automorphisms,
@@ -37,7 +39,6 @@ from semsize import (
     trivial_filter,
 )
 from semsize.catalog import build_catalog, default_catalog
-from semsize.classify import _right_translates
 from semsize.masks import elements
 from semsize.semigroups import (
     FAMILY_NAMES,
@@ -530,6 +531,21 @@ def test_no_module_reads_the_environment():
         assert not _names_used(module) & {"environ", "getenv"}, name
 
 
+def test_each_name_is_exported_by_the_module_that_defines_it():
+    # one import path per name: a function or class in a module's __all__
+    # is defined there, and the package exports that same object
+    for info in pkgutil.iter_modules(semsize.__path__):
+        module = importlib.import_module("semsize." + info.name)
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, (module.__name__, name)
+    for name, obj in vars(semsize).items():
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            home = importlib.import_module(obj.__module__)
+            assert name in getattr(home, "__all__", (name,)), (home.__name__, name)
+
+
 def _pairwise_minimal_translates(S, U0):
     # the pairwise filter that classify used before masks.minimal
     translates = {right_translate(S, U0, u) for u in elements(U0)}
@@ -558,7 +574,7 @@ def test_minimal_families_equal_the_former_filters_on_the_default_catalog():
         assert minimal_left_ideals(S) == _greedy_minimal_left_ideals(S, S.full_mask)
         for U0 in entry.bases:
             want = _pairwise_minimal_translates(S, U0)
-            assert list(_right_translates(S, U0)[1]) == want
+            assert list(PrincipalFilter(S, U0).minimal_translates) == want
             if subset_is_closed(S, U0):
                 want = _greedy_minimal_left_ideals(S, U0)
                 assert minimal_left_ideals(S, U0) == want

@@ -14,11 +14,12 @@ from semsize import (
     verify,
 )
 import semsize.theorems as theorems
-from semsize.catalog import entry_for, family_catalog
+from semsize.catalog import default_catalog, entry_for, family_catalog
 from semsize.classify import SizeTables
 from semsize.filters import PrincipalFilter, check_hypothesis
+from semsize.masks import is_subset
 from semsize.partitions import enumerate_partitions
-from semsize.semigroups import left_quotient, translate_set
+from semsize.semigroups import left_quotient, minimal_left_ideals, translate_set
 from semsize.theorems import HUNT_VARIANTS, THEOREM_IDS, VerifyConfig
 
 
@@ -368,8 +369,8 @@ def _shift_reference(S, tau, tb, large_claim, thick_claim):
     subset): the claim's (count, detail) before it read whole-mask tables."""
     count = 0
     for g in range(S.order):
-        if not check_hypothesis(tau, "shiftable_at", g=g):
-            continue
+        if not is_subset(tau.base, left_quotient(S, g, tau.base)):
+            continue  # g*U0 is not inside U0
         for A in range(S.full_mask + 1):
             if tb.large[A]:
                 count += 1
@@ -417,3 +418,25 @@ def test_shift_checks_match_a_per_call_reference():
     cfg = VerifyConfig(workers=1)
     for tid, total in totals.items():
         assert verify(tid, catalog, cfg=cfg).assertions == total
+
+
+def test_minimal_left_ideals_run_once_per_admitted_instance(monkeypatch):
+    # T3_1, C3_1 and T3_5 all read the union of the base's minimal left
+    # ideals; a serial verify of every theorem computes it once per
+    # instance, the first time T3_1 (whose hypothesis the other two imply)
+    # admits it
+    import semsize.filters as filters
+
+    calls = []
+
+    def counted(S, within=None):
+        calls.append(within)
+        return minimal_left_ideals(S, within)
+
+    monkeypatch.setattr(filters, "minimal_left_ideals", counted)
+    reports = theorems._drive(
+        "verify", THEOREM_IDS, default_catalog(), "default", VerifyConfig()
+    )
+    by_id = {r.theorem_id: r for r in reports}
+    assert all(r.counterexample is None for r in reports)
+    assert len(calls) == by_id["T3_1"].instances_checked == 955
