@@ -22,10 +22,11 @@ The large and prethick witnesses are exact at every order: the cover search
 
 The per-subset predicates answer one subset at any order; they and
 `SizeTables` read the right translates U0*x off the filter.  The exhaustive
-sweeps read whole-mask tables, one entry per subset: `SizeTables`, whose
-four tables come from one `masks.union_table` of the quotients U0^-1 {b},
-and `delta_table`, built from the traces at each base point over the subsets
-of a domain (all of S for T3_7, the base for a partition sweep).
+sweeps read tables with one entry per subset of a domain: `SizeTables`, over
+the base's reach R = U0 | U0^2 | U0^3 (`PrincipalFilter.reach`), whose four
+tables come from one `masks.union_table` of the quotients U0^-1 {b}, and
+`delta_table`, the union of the traces at each base point over the subsets
+of a domain (the base, for a partition sweep).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .filters import PrincipalFilter
-from .masks import bits, is_subset, least_cover, popcount, union_table
+from .masks import bits, is_subset, least_cover, popcount, union_at, union_table
 from .semigroups import (
     FinSemigroup,
     left_quotient,
@@ -84,15 +85,12 @@ def delta_table(S: FinSemigroup, tau: PrincipalFilter, domain: int) -> List[int]
     S.trace[g][e] of the domain's points e.
     """
     points = list(bits(domain))
-    d = [0] * (1 << len(points))
-    for i, g in enumerate(points):
-        if not tau.base >> g & 1:
-            continue
-        t = union_table([S.trace[g][e] for e in points])
-        for P in range(1 << i, len(d)):
-            if P >> i & 1:
-                d[P] |= t[P]
-    return d
+    traces = (
+        (1 << i, union_table([S.trace[g][e] for e in points]))
+        for i, g in enumerate(points)
+        if tau.base >> g & 1
+    )
+    return union_at(traces, 1 << len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +226,33 @@ def classify_all(
 
 
 class SizeTables:
-    """Per-(semigroup, base) predicate tables over every subset mask.
+    """Per-(semigroup, base) predicate tables over the subsets of the base's
+    reach R (`PrincipalFilter.reach`), indexed by positions within R.
 
-    All four are read off q = `union_table` of the quotients U0^-1 {b}, so
-    q[A] = U0^-1 A, and the inclusion-minimal right translates: A is large
-    iff q[A] holds U0, thick iff it holds a minimal translate, prethick iff
-    q[A] is thick, and small iff it misses every minimal translate.
+    Large, thick and small read a set only through its points in U0*U0, and
+    prethick through those in U0*U0*U0, so the entry at tau.to_reach(A) is
+    the verdict on every subset A of S.  All four are read off q =
+    `union_table` of the quotients U0^-1 {b} restricted to R, so q[P] is
+    U0^-1 A on R, and the inclusion-minimal right translates: A is large
+    iff q[P] holds U0, thick iff P holds a minimal translate, prethick iff
+    q[P] is thick, and small iff P misses every minimal translate.
     """
 
     __slots__ = ("large", "thick", "prethick", "small")
 
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
-        U0 = tau.base
-        q = union_table([set_quotient(S, U0, 1 << b) for b in range(S.order)])
-        minimal = tau.minimal_translates
+        quotients = [set_quotient(S, tau.base, 1 << b) for b in tau.reach_points]
+        q = union_table([tau.to_reach(Q) for Q in quotients])
+        U0 = tau.to_reach(tau.base)
+        minimal = [tau.to_reach(E) for E in tau.minimal_translates]
         M = 0
         for E in minimal:
             M |= E
-        subsets = range(S.full_mask + 1)
-        self.large = [not U0 & ~qA for qA in q]
-        self.thick = [any(not E & ~A for E in minimal) for A in subsets]
-        self.prethick = [self.thick[qA] for qA in q]
-        self.small = [not A & M for A in subsets]
+        subsets = range(len(q))
+        self.large = [not U0 & ~qP for qP in q]
+        self.thick = [any(not E & ~P for E in minimal) for P in subsets]
+        self.prethick = [self.thick[qP] for qP in q]
+        self.small = [not P & M for P in subsets]
 
 
 __all__ = [

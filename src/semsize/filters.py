@@ -4,15 +4,22 @@ On a finite set every filter is principal, so a filter is stored by its base
 U0 (the intersection of all members); ``U in tau`` is the superset test, and
 the ultrafilters containing tau are the principal ultrafilters at the points
 of U0.  What the base alone determines is computed once per filter, on first
-read: the g with g*U0 <= U0, the right translates U0*x, and the union of the
-minimal left ideals of U0.
+read: the g with g*U0 <= U0, the right translates U0*x, the union of the
+minimal left ideals of U0, and the reach R = U0 | U0^2 | U0^3 with the image
+lists of the semigroup restricted to it.
+
+Every size predicate reads a set A only near the base: large, thick and
+small read it through the right translates U0*x (x in U0), which lie in
+U0^2, and prethick through U0^-1 A on those translates, that is at the
+points f*u*x (f, u, x in U0) of U0^3.  So a table over the subsets of R,
+indexed by positions within R (`to_reach`), decides every subset of S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import EmptyBase, ProductLawViolation
 from .masks import bits, is_subset, mask_of, minimal, supersets
@@ -56,6 +63,62 @@ class PrincipalFilter:
     def minimal_translates(self) -> Tuple[int, ...]:
         """The inclusion-minimal right translates U0*x, ascending."""
         return tuple(minimal(E for _, E in self.translates))
+
+    @cached_property
+    def reach(self) -> int:
+        """R = U0 | U0*U0 | U0*U0*U0."""
+        S, U0 = self.semigroup, self.base
+        U2 = 0
+        for _, E in self.translates:
+            U2 |= E
+        U3 = 0
+        for x in bits(U0):
+            U3 |= right_translate(S, U2, x)
+        return U0 | U2 | U3
+
+    @cached_property
+    def reach_points(self) -> Tuple[int, ...]:
+        """The points of R, ascending: the point at position i of R."""
+        return tuple(bits(self.reach))
+
+    @cached_property
+    def _reach_place(self) -> Tuple[int, ...]:
+        """1 << (the position of x in R) for each x of S, 0 off R."""
+        place = [0] * self.semigroup.order
+        for i, x in enumerate(self.reach_points):
+            place[x] = 1 << i
+        return tuple(place)
+
+    def to_reach(self, A: int) -> int:
+        """The positions within R of the points of A in R; ascending masks
+        stay ascending."""
+        place, out = self._reach_place, 0
+        while A:  # `masks.bits` inlined: this runs per point of each image list
+            low = A & -A
+            out |= place[low.bit_length() - 1]
+            A ^= low
+        return out
+
+    def from_reach(self, P: int) -> int:
+        """The subset of R at the positions P."""
+        points = self.reach_points
+        return mask_of(points[i] for i in bits(P))
+
+    @cached_property
+    def _reach_images(self) -> Dict[Tuple[str, int], List[int]]:
+        """What `reach_images` has computed, by (kind, g)."""
+        return {}
+
+    def reach_images(self, kind: str, g: int) -> List[int]:
+        """The image list S.<kind>[g] (`quot`, `trace` or `row`) over R: for
+        each point of R, its image restricted to R, in R's positions.
+        Computed once per (kind, g)."""
+        key = (kind, g)
+        cache = self._reach_images
+        if key not in cache:
+            images = getattr(self.semigroup, kind)[g]
+            cache[key] = [self.to_reach(images[x]) for x in self.reach_points]
+        return cache[key]
 
     @cached_property
     def minimal_ideal_union(self) -> int:

@@ -79,6 +79,17 @@ def union_table(images: Sequence[int]) -> List[int]:
     return t
 
 
+def union_at(tables: Iterable[Tuple[int, List[int]]], size: int) -> List[int]:
+    """d[P]: the union of t[P] over the pairs (bit, t) whose bit is in P,
+    for every P below size."""
+    d = [0] * size
+    for bit, t in tables:
+        for P in range(bit, size):
+            if P & bit:
+                d[P] |= t[P]
+    return d
+
+
 def least_cover(target: int, cands: Sequence[Tuple[int, int]]) -> Optional[int]:
     """The least mask F among the fewest candidates whose covered sets hold
     `target`, or None when no cover exists.

@@ -11,8 +11,9 @@ serves `verify`, `hunt_counterexample` (one spec each) and `replay`.  One pass
 over the catalog runs every requested spec on each instance, whose
 `SizeTables` are built at most once and dropped before the next.  What the
 base alone determines (the shiftable g, the right translates, the union of
-the minimal left ideals) is read off the instance's one `PrincipalFilter`,
-which computes each at most once.  The fields of a spec:
+the minimal left ideals, the reach and its image lists) is read off the
+instance's one `PrincipalFilter`, which computes each at most once and is
+dropped with the tables.  The fields of a spec:
 
 * ``claim(S, tau, tb, cfg)``: the per-subset loop over the instance's
   `SizeTables` ``tb``; returns the number of assertions made and the detail
@@ -23,18 +24,28 @@ which computes each at most once.  The fields of a spec:
 * ``admit(S, tau, cfg)``: any further admission test (size limits, cells);
 * ``annotate_forced``: see the degeneracy rule below; ``tables``: False when
   the claim reads no `SizeTables` (it then gets None, and none are built);
-  a spec that reads them skips instances above `TABLE_ORDER_LIMIT`;
+  a spec that reads them skips instances whose reach exceeds
+  `TABLE_ORDER_LIMIT` points;
 * ``finding``: a hunt's counterexample text; ``notes``: fixed report notes.
 
-A claim reads whole-mask tables, one entry per subset, each a `union_table`
-of one per-element image list of the semigroup: the `SizeTables`, for the
-trace statements the traces at each base point, for T2_4 and C2_5 the
-products g*b and the preimages {x : g*x == b} at each shiftable g, for T2_6
-the preimages at each base point, and for T3_7 the `delta_table`.  No claim
-moves a subset through a set-arithmetic call.  An equivalence over every
-subset is one `_agree` of two tables, an implication one `_implies`.  A
-statement that follows from one already checked, like T3_5 (iii) from (i),
-is counted, not swept.
+A claim reads tables over the subsets of the base's reach R = U0 | U0^2 |
+U0^3 (`PrincipalFilter.reach`), indexed by positions within R, each a
+`union_table` of one image list restricted to R (`reach_images`): the
+`SizeTables`, for the trace statements the traces at each base point, for
+T2_4 and C2_5 the products g*b and the preimages {x : g*x == b} at each
+shiftable g, for T2_6 the preimages at each base point, and for T3_7 the
+union of the traces.  No claim moves a subset through a set-arithmetic call.
+An equivalence over every subset is one `_agree` of two tables, an
+implication one `_implies`.  A statement that follows from one already
+checked, like T3_5 (iii) from (i), is counted, not swept.
+
+The reports stay those of a sweep over all 2^order subsets A of S.  Every
+table entry is A's verdict for each A with the same points in R, since each
+claim reads A only there, up to monotonicity in T2_4/C2_5 (see
+`_shift_invariance`).  So the least failing A lies inside R and is
+`from_reach` of the least failing entry, and a count of subsets is a
+weighted count of entries: 2^(order - |R|) each in all (`_all`), and
+`_below` for those up to a failure.
 
 Degeneracy accounting: an admissible instance is degenerate when it asserted
 nothing (empty inner domain) or when its hypothesis admits no base other
@@ -51,17 +62,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
+from math import comb
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry
-from .classify import SizeTables, delta_table
+from .classify import SizeTables
 from .errors import BoundViolation, InputError
 from .filters import (
     PrincipalFilter,
     check_hypothesis,
     hypothesis_forces_full_base,
 )
-from .masks import bits, elements, mask_of, popcount, union_table
+from .masks import bits, elements, mask_of, popcount, union_at, union_table
 from .partitions import stirling2, sweep_order_limit, sweep_partitions
 from .semigroups import FinSemigroup, is_subgroup
 
@@ -70,8 +82,10 @@ from .semigroups import FinSemigroup, is_subgroup
 # assertions only up to this order, which the reports are defined by
 REGULARITY_ORDER_LIMIT = 6
 
-# each of the four `SizeTables` has 2^order entries; 12 is the largest order
-# in the default catalog, and a spec that reads the tables skips larger ones
+# every table a claim reads has one entry per subset of the base's reach R;
+# 12 is the largest order in the default catalog, and a spec that reads the
+# tables skips an instance whose R has more points (a subgroup base H has
+# R = H, so this skips only the full base of a group above order 12)
 TABLE_ORDER_LIMIT = 12
 
 
@@ -145,62 +159,86 @@ class Spec:
 # claim bodies
 
 
-def _agree(lhs, rhs, lname, rname):
-    """(assertions, detail) for the claim lhs[A] == rhs[A] on every subset A:
-    (first mismatch + 1, the subset and both sides there), or (len, None)."""
-    if lhs != rhs:
-        A = next(A for A, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
-        return A + 1, {"subset": elements(A), lname: lhs[A], rname: rhs[A]}
-    return len(lhs), None
+def _below(tau, flags, P):
+    """The number of subsets A of S below from_reach(P), as ints, with
+    flags[to_reach(A)] set.
 
-
-def _implies(premise, conclusion, claim):
-    """(assertions, detail) for the claim premise[A] => conclusion[A] on every
-    subset A: one assertion per A with premise[A] up to the first failure,
-    whose detail names the subset and the claim."""
+    Such an A first differs from from_reach(P) at a point e of it, at
+    position i of R, that A lacks: above e it agrees with from_reach(P), and
+    below e it is free on the i positions of R in the range [hi, hi + 2^i)
+    and on the e - i other points."""
     count = 0
-    for A, (p, c) in enumerate(zip(premise, conclusion)):
-        if p:
-            count += 1
-            if not c:
-                return count, {"subset": elements(A), "claim": claim}
-    return count, None
+    for i, e in enumerate(tau.reach_points):
+        if P >> i & 1:
+            hi = P >> (i + 1) << (i + 1)
+            count += sum(flags[hi : hi + (1 << i)]) << e - i
+    return count
 
 
-def _trace_tables(S, U0):
-    """(g, t) for each g in U0, one at a time: t[A] = {x : x*g in A} for
-    every subset A."""
-    for g in bits(U0):
-        yield g, union_table(S.trace[g])
+def _all(tau, flags):
+    """The number of subsets A of S with flags[to_reach(A)] set."""
+    return sum(flags) << tau.semigroup.order - len(tau.reach_points)
+
+
+def _agree(tau, lhs, rhs, lname, rname):
+    """(assertions, detail) for the claim lhs[A] == rhs[A] on every subset A
+    of S: (first mismatch + 1, the subset and both sides there), or
+    (2^order, None).  The first mismatch is from_reach of the first
+    mismatching entry, since both sides read A only through its reach."""
+    if lhs != rhs:
+        P = next(P for P, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
+        A = tau.from_reach(P)
+        return A + 1, {"subset": elements(A), lname: lhs[P], rname: rhs[P]}
+    return 1 << tau.semigroup.order, None
+
+
+def _implies(tau, premise, conclusion, claim):
+    """(assertions, detail) for the claim premise[A] => conclusion[A] on
+    every subset A of S: one assertion per A with premise[A] up to the first
+    failure, whose detail names the subset and the claim."""
+    premise = list(premise)
+    pairs = enumerate(zip(premise, conclusion))
+    P = next((P for P, (p, c) in pairs if p and not c), None)
+    if P is None:
+        return _all(tau, premise), None
+    detail = {"subset": elements(tau.from_reach(P)), "claim": claim}
+    return _below(tau, premise, P) + 1, detail
+
+
+def _trace_tables(tau):
+    """(g, t) for each g in U0, one at a time: t[P] = {x : x*g in A} on R
+    for every subset A of R."""
+    for g in bits(tau.base):
+        yield g, union_table(tau.reach_images("trace", g))
 
 
 def _trace_large(S, tau, tb, cfg):
     """T2_1: L is large iff every trace of L at a base point meets U0."""
-    U0 = tau.base
-    rhs = [True] * (S.full_mask + 1)
-    for _, t in _trace_tables(S, U0):
+    U0 = tau.to_reach(tau.base)
+    rhs = [True] * len(tb.large)
+    for _, t in _trace_tables(tau):
         rhs = [r and bool(x & U0) for r, x in zip(rhs, t)]
-    return _agree(tb.large, rhs, "large", "trace_condition")
+    return _agree(tau, tb.large, rhs, "large", "trace_condition")
 
 
 def _trace_thick(S, tau, tb, cfg):
     """T2_2: T is thick iff some trace of T at a base point contains U0."""
-    U0 = tau.base
-    rhs = [False] * (S.full_mask + 1)
-    for _, t in _trace_tables(S, U0):
+    U0 = tau.to_reach(tau.base)
+    rhs = [False] * len(tb.thick)
+    for _, t in _trace_tables(tau):
         rhs = [r or not U0 & ~x for r, x in zip(rhs, t)]
-    return _agree(tb.thick, rhs, "thick", "trace_condition")
+    return _agree(tau, tb.thick, rhs, "thick", "trace_condition")
 
 
 def _thick_meets_large(S, tau, tb, cfg):
     """T2_3: T is thick iff T & U0 meets every large set."""
-    U0 = tau.base
-    full = S.full_mask
+    U0 = tau.to_reach(tau.base)
+    R = len(tb.large) - 1
     # T meets L & U0 for every large L  <=>  the complement of T & U0 is not
     # large (up-closure of the large family); the literal sweep equivalence
     # is property-tested at small orders
-    rhs = [not tb.large[full & ~(T & U0)] for T in range(full + 1)]
-    return _agree(tb.thick, rhs, "thick", "meets_every_large")
+    rhs = [not tb.large[R & ~(T & U0)] for T in range(R + 1)]
+    return _agree(tau, tb.thick, rhs, "thick", "meets_every_large")
 
 
 def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
@@ -210,52 +248,59 @@ def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
     Under left inverse invariance (C2_5) every g is shiftable, so the two
     statements differ only in their hypothesis and claim texts.  Per g, one
     `union_table` of the products {g*b} and one of the preimages
-    {x : g*x == b} give gA[A] = g*A and gqA[A] = g^-1 A for every subset A.
+    {x : g*x == b}, over R, give gA[P] = g*A and gqA[P] = g^-1 A on R for
+    every subset A of R.  thick reads g^-1 A at g*U0^2 <= U0^2, inside R,
+    but g*A can meet U0^2 at images of points off R.  A failure there is
+    one at A & R all the same: A & R is large when A is, and g*(A & R) <=
+    g*A is not large when g*A is not.
     """
     large, thick = tb.large, tb.thick
     count = 0
     for g in bits(tau.shiftable):
-        gA = union_table(S.row[g])
-        gqA = union_table(S.quot[g])
-        for A in range(S.full_mask + 1):
-            if large[A]:
-                count += 1
-                if not large[gA[A]]:
-                    return count, {"g": g, "subset": elements(A), "claim": large_claim}
-            if thick[A]:
-                count += 1
-                if not thick[gqA[A]]:
-                    return count, {"g": g, "subset": elements(A), "claim": thick_claim}
+        gA = union_table(tau.reach_images("row", g))
+        gqA = union_table(tau.reach_images("quot", g))
+        for P in range(len(large)):
+            if large[P] and not large[gA[P]]:
+                claim, passed = large_claim, 0
+            elif thick[P] and not thick[gqA[P]]:
+                claim, passed = thick_claim, large[P]
+            else:
+                continue
+            count += _below(tau, large, P) + _below(tau, thick, P) + passed + 1
+            A = tau.from_reach(P)
+            return count, {"g": g, "subset": elements(A), "claim": claim}
+        count += _all(tau, large) + _all(tau, thick)
     return count, None
 
 
 def _quotient_stable(family, S, tau, tb, cfg, **labels):
     """T2_6: g^-1 T stays in the family (tb.thick, or tb.large) for g in U0.
 
-    Per g, one `union_table` of the preimages {x : g*x == b} gives g^-1 T,
-    and stays[T] whether it is in the family."""
+    Per g, one `union_table` of the preimages {x : g*x == b} over R gives
+    g^-1 T on R, and stays[P] whether it is in the family."""
     members = getattr(tb, family)
     stays = [
-        (g, [members[gT] for gT in union_table(S.quot[g])]) for g in bits(tau.base)
+        (g, [members[gT] for gT in union_table(tau.reach_images("quot", g))])
+        for g in bits(tau.base)
     ]
-    count = 0
-    for T in range(S.full_mask + 1):
-        if not members[T]:
+    for P, member in enumerate(members):
+        if not member:
             continue
-        for g, stay in stays:
-            count += 1
-            if not stay[T]:
-                return count, {"subset": elements(T), "g": g, **labels}
-    return count, None
+        for j, (g, stay) in enumerate(stays):
+            if not stay[P]:
+                count = _below(tau, members, P) * len(stays) + j + 1
+                return count, {"subset": elements(tau.from_reach(P)), "g": g, **labels}
+    return _all(tau, members) * len(stays), None
 
 
 def _minimal_ideal_traces(S, tau, tb, cfg):
     """T3_1: g lies in a minimal left ideal iff every trace at g is large."""
     M = tau.minimal_ideal_union
     count = 0
-    for g, t in _trace_tables(S, tau.base):
-        through_g = (A for A in range(S.full_mask + 1) if (A >> g) & 1)
-        bad = next((A for A in through_g if not tb.large[t[A]]), None)
+    for g, t in _trace_tables(tau):
+        bit = tau.to_reach(1 << g)
+        through_g = (P for P in range(len(t)) if P & bit)
+        bad = next((P for P in through_g if not tb.large[t[P]]), None)
         count += 1
         in_minimal = bool((M >> g) & 1)
         if in_minimal != (bad is None):
@@ -263,16 +308,16 @@ def _minimal_ideal_traces(S, tau, tb, cfg):
                 "g": g,
                 "in_minimal_ideal": in_minimal,
                 "traces_all_large": bad is None,
-                "failing_set": None if bad is None else elements(bad),
+                "failing_set": None if bad is None else elements(tau.from_reach(bad)),
             }
     return count, None
 
 
 def _meets_minimal_is_prethick(S, tau, tb, cfg):
     """C3_1: a set meeting a minimal left ideal is prethick."""
-    M = tau.minimal_ideal_union
-    meets = (A & M for A in range(S.full_mask + 1))
-    return _implies(meets, tb.prethick, "set meeting a minimal ideal is prethick")
+    M = tau.to_reach(tau.minimal_ideal_union)
+    meets = (bool(P & M) for P in range(len(tb.prethick)))
+    return _implies(tau, meets, tb.prethick, "set meeting a minimal ideal is prethick")
 
 
 def _cover_sweep_fits(S, tau, cfg) -> bool:
@@ -302,30 +347,41 @@ def _prethick_regularity(S, tau, tb, cfg):
     left ideals, the cell holding a point of A & M meets M, and (i), checked
     on every subset first, makes that cell prethick.  So (iii) is not swept;
     up to REGULARITY_ORDER_LIMIT it counts one assertion per 2- and 3-cell
-    partition of each prethick set, S(|A|, 2) + S(|A|, 3).
+    partition of each prethick set, S(|A|, 2) + S(|A|, 3).  A prethick P
+    on R stands for the sets P | N, for N any k of the points off R.
     """
-    M = tau.minimal_ideal_union
-    meets = [bool(A & M) for A in range(S.full_mask + 1)]
-    count, detail = _agree(tb.prethick, meets, "prethick", "meets_minimal")
+    M = tau.to_reach(tau.minimal_ideal_union)
+    meets = [bool(P & M) for P in range(len(tb.prethick))]
+    count, detail = _agree(tau, tb.prethick, meets, "prethick", "meets_minimal")
     if detail is not None:
         return count, {"part": "i", **detail}
     if S.order <= REGULARITY_ORDER_LIMIT:
+        r = len(tau.reach_points)
+        off = S.order - r
         parts = [stirling2(k, 2) + stirling2(k, 3) for k in range(S.order + 1)]
-        count += sum(parts[A.bit_count()] for A, p in enumerate(tb.prethick) if p)
+        by_size = [
+            sum(comb(off, k) * parts[j + k] for k in range(off + 1))
+            for j in range(r + 1)
+        ]
+        count += sum(by_size[P.bit_count()] for P, p in enumerate(tb.prethick) if p)
     return count, None
 
 
 def _prethick_not_small(S, tau, tb, cfg):
     """T3_6: A is prethick iff A is not small."""
     not_small = [not small for small in tb.small]
-    return _agree(tb.prethick, not_small, "prethick", "not_small")
+    return _agree(tau, tb.prethick, not_small, "prethick", "not_small")
 
 
 def _prethick_delta_large(S, tau, tb, cfg):
-    """T3_7: the difference set of a prethick set is large."""
-    delta = delta_table(S, tau, S.full_mask)
-    delta_large = (tb.large[d] for d in delta)
-    return _implies(tb.prethick, delta_large, "difference set of prethick is large")
+    """T3_7: the difference set of a prethick set is large.
+
+    delta(A) is the union of the traces of A at the base points in A (see
+    `classify.delta_table`), here over R."""
+    traces = ((tau.to_reach(1 << g), t) for g, t in _trace_tables(tau))
+    delta_large = (tb.large[d] for d in union_at(traces, len(tb.large)))
+    claim = "difference set of prethick is large"
+    return _implies(tau, tb.prethick, delta_large, claim)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +482,7 @@ def _check(
     returns the instance's SizeTables."""
     if spec.groups is not None and S.is_group != spec.groups:
         return None
-    if spec.tables and S.order > TABLE_ORDER_LIMIT:
+    if spec.tables and len(tau.reach_points) > TABLE_ORDER_LIMIT:
         return None
     kind = spec.hypothesis
     if kind is not None and check_hypothesis(tau, kind) == spec.negate:

@@ -427,9 +427,12 @@ def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
     for S, base in cases:
         tau = make_principal(S, base)
         tb = SizeTables(S, tau)
+        # one entry per subset of the reach, read at A's points there
+        assert len(tb.large) == 1 << tau.reach.bit_count()
         for A in range(S.full_mask + 1):
             want = _translate_reference(S, base, A)
-            assert (tb.large[A], tb.thick[A], tb.prethick[A], tb.small[A]) == want
+            P = tau.to_reach(A)
+            assert (tb.large[P], tb.thick[P], tb.prethick[P], tb.small[P]) == want
             assert (
                 large_value(S, tau, A),
                 thick_value(S, tau, A),
@@ -450,11 +453,14 @@ def test_small_table_matches_the_definition_at_orders_6_to_12():
         if not 6 <= S.order <= 12:
             continue
         for base in entry.bases:
-            tb = SizeTables(S, make_principal(S, base))
-            large = tb.large
+            tau = make_principal(S, base)
+            tb = SizeTables(S, tau)
+            # the tables read at each subset's points in the reach
+            reach = [tau.to_reach(A) for A in range(S.full_mask + 1)]
+            large = [tb.large[P] for P in reach]
             larges = [L for L in range(S.full_mask + 1) if large[L]]
             for A in range(S.full_mask + 1):
-                assert tb.small[A] == all(large[L & ~A] for L in larges), (
+                assert tb.small[reach[A]] == all(large[L & ~A] for L in larges), (
                     S.name, base, A,
                 )
             checked += 1

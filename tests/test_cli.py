@@ -145,6 +145,25 @@ class TestVerify:
         assert report["theorem"] == "T2_2"
         assert report["counterexample"] is None
 
+    def test_every_proper_subgroup_base_of_order_24_is_checked(self, capsys):
+        # the tables span the base's reach, which a subgroup base is itself:
+        # of the 8 subgroups of Z24 and the 30 of S4 only the two full bases
+        # exceed the table limit
+        code, out, _ = run(
+            capsys, "verify", "--theorem", "all", "--catalog", "cyclic:24;symmetric:4"
+        )
+        assert code == 0
+        reports = {r["theorem"]: r for r in map(json.loads, out.splitlines())}
+        for tid in ("T2_1", "T2_2", "T2_3", "T2_4", "T2_6", "T3_1", "C3_1"):
+            report = reports[tid]
+            assert (report["instances_checked"], report["skipped_count"]) == (36, 2)
+            assert report["effective_count"] == 36
+            assert report["counterexample"] is None
+        # left inverse invariance admits only the full base of a group, and
+        # T3_2 and T3_6 admit no order above 12 and 8
+        for tid in ("C2_5", "T3_2", "T3_5", "T3_6", "T3_7"):
+            assert reports[tid]["instances_checked"] == 0
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         argv = ["verify", "--theorem", "T2_4", "--catalog", "cyclic:4;rightzero:3"]

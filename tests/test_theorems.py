@@ -27,6 +27,11 @@ def small_catalog():
     return order_le_catalog(2)
 
 
+def _full(tau, table):
+    """A reach table read at every subset of S: entry A is table[to_reach(A)]."""
+    return [table[tau.to_reach(A)] for A in range(tau.semigroup.full_mask + 1)]
+
+
 class TestVerify:
     def test_every_theorem_clean_on_order_2(self):
         catalog = small_catalog()
@@ -125,9 +130,12 @@ class TestVerify:
             verify("T9_9", small_catalog())
 
     def test_no_size_tables_outlive_the_run(self):
+        # an instance's filter holds its reach and the image lists over it,
+        # its SizeTables the tables: neither may be kept past the instance
         def live_tables():
             gc.collect()
-            return [o for o in gc.get_objects() if isinstance(o, SizeTables)]
+            held = (SizeTables, PrincipalFilter)
+            return [o for o in gc.get_objects() if isinstance(o, held)]
 
         # held, so no table built by the run can take the id of an old one
         before = live_tables()
@@ -235,14 +243,14 @@ def test_meets_every_large_matches_literal_sweep():
         S = entry.semigroup
         for base in entry.bases:
             tau = PrincipalFilter(S, base)
-            tb = SizeTables(S, tau)
+            large = _full(tau, SizeTables(S, tau).large)
             U0 = base
             for T in range(S.full_mask + 1):
-                complement_form = not tb.large[S.full_mask & ~(T & U0)]
+                complement_form = not large[S.full_mask & ~(T & U0)]
                 literal = all(
                     (L & T & U0) != 0
                     for L in range(S.full_mask + 1)
-                    if tb.large[L]
+                    if large[L]
                 )
                 assert complement_form == literal
 
@@ -264,7 +272,8 @@ def test_every_partition_of_a_prethick_set_has_a_prethick_cell():
             report = verify("T3_5", [entry_for(S, bases=(base,))], cfg=cfg)
             if not report.instances_checked:
                 continue
-            prethick = SizeTables(S, PrincipalFilter(S, base)).prethick
+            tau = PrincipalFilter(S, base)
+            prethick = _full(tau, SizeTables(S, tau).prethick)
             partitions = 0
             for A in range(S.full_mask + 1):
                 if not prethick[A]:
@@ -345,9 +354,10 @@ def test_a_flipped_entry_stops_an_implication_claim(tid, monkeypatch):
     assert report.counterexample["detail"] == payload
 
 
-def test_specs_that_read_tables_skip_orders_above_the_limit():
-    # each SizeTables table has 2^order entries: above TABLE_ORDER_LIMIT an
-    # instance is skipped before its tables are built
+def test_specs_that_read_tables_skip_reaches_above_the_limit():
+    # every table has one entry per subset of the base's reach R: above
+    # TABLE_ORDER_LIMIT points an instance is skipped before its tables are
+    # built, whatever its order
     class Built(Exception):
         pass
 
@@ -358,7 +368,13 @@ def test_specs_that_read_tables_skip_orders_above_the_limit():
     assert theorems.TABLE_ORDER_LIMIT == 12
     z24 = semigroup_from_spec("cyclic:24")
     z24_full = PrincipalFilter(z24, z24.full_mask)
+    assert z24_full.reach == z24.full_mask
     assert theorems._check(spec, z24, z24_full, tables, cfg) is None
+    # the even residues: a subgroup of order 12, its own reach
+    evens = PrincipalFilter(z24, mask_of(range(0, 24, 2)))
+    assert evens.reach == evens.base
+    with pytest.raises(Built):
+        theorems._check(spec, z24, evens, tables, cfg)
     z12 = semigroup_from_spec("cyclic:12")
     with pytest.raises(Built):
         theorems._check(spec, z12, PrincipalFilter(z12, z12.full_mask), tables, cfg)
@@ -366,19 +382,30 @@ def test_specs_that_read_tables_skip_orders_above_the_limit():
 
 def _shift_reference(S, tau, tb, large_claim, thick_claim):
     """T2_4 / C2_5 with one translate_set or left_quotient call per (g,
-    subset): the claim's (count, detail) before it read whole-mask tables."""
+    subset A of S), each table read at its argument's points in the reach:
+    the claim's (count, detail) before it read whole-mask tables.  Like the
+    claim, it shifts A & R, not A (see `_shift_invariance`); on any table,
+    a failure at A is then one at A & R."""
+    R = tau.reach
+
+    def large(A):
+        return tb.large[tau.to_reach(A)]
+
+    def thick(A):
+        return tb.thick[tau.to_reach(A)]
+
     count = 0
     for g in range(S.order):
         if not is_subset(tau.base, left_quotient(S, g, tau.base)):
             continue  # g*U0 is not inside U0
         for A in range(S.full_mask + 1):
-            if tb.large[A]:
+            if large(A):
                 count += 1
-                if not tb.large[translate_set(S, g, A)]:
+                if not large(translate_set(S, g, A & R)):
                     return count, {"g": g, "subset": elements(A), "claim": large_claim}
-            if tb.thick[A]:
+            if thick(A):
                 count += 1
-                if not tb.thick[left_quotient(S, g, A)]:
+                if not thick(left_quotient(S, g, A & R)):
                     return count, {"g": g, "subset": elements(A), "claim": thick_claim}
     return count, None
 
@@ -395,8 +422,6 @@ def test_shift_checks_match_a_per_call_reference():
     totals = {"T2_4": 0, "C2_5": 0}
     for entry in catalog:
         S = entry.semigroup
-        # every entry up to order 3, every fifth above
-        flips = range(0, S.full_mask + 1, 1 if S.order <= 3 else 5)
         for base in entry.bases:
             tau = PrincipalFilter(S, base)
             count, detail = _shift_reference(S, tau, SizeTables(S, tau), "L", "T")
@@ -404,8 +429,10 @@ def test_shift_checks_match_a_per_call_reference():
             totals["T2_4"] += count
             if check_hypothesis(tau, "left_inverse_invariant"):
                 totals["C2_5"] += count
+            # every entry of a reach of up to 3 points, every fifth above
+            size = 1 << tau.reach.bit_count()
             for table in ("large", "thick"):
-                for M in flips:
+                for M in range(0, size, 1 if size <= 8 else 5):
                     tb = SizeTables(S, tau)
                     entries = getattr(tb, table)
                     entries[M] = not entries[M]
@@ -414,7 +441,7 @@ def test_shift_checks_match_a_per_call_reference():
                         S.name, base, table, M,
                     )
                     failures += want[1] is not None
-    assert failures == 4712
+    assert failures == 2339
     cfg = VerifyConfig(workers=1)
     for tid, total in totals.items():
         assert verify(tid, catalog, cfg=cfg).assertions == total
