@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
+from .errors import SizeLimitExceeded
 from .filters import PrincipalFilter
 from .masks import bits, is_subset, least_cover, popcount, union_at, union_table
 from .semigroups import (
@@ -45,6 +46,18 @@ from .semigroups import (
 )
 
 PREDICATES = ("large", "thick", "extrathick", "prethick", "small")
+
+# every table below has one entry per subset of its domain; a default
+# instance's reach has at most 12 points, as a subgroup base is its own reach
+TABLE_ORDER_LIMIT = 12
+
+
+def _check_table(points: int) -> None:
+    """Refuse a table over more than TABLE_ORDER_LIMIT points, before any list."""
+    if points > TABLE_ORDER_LIMIT:
+        raise SizeLimitExceeded(
+            f"table over {points} points is above the table limit {TABLE_ORDER_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -82,9 +95,10 @@ def delta_table(S: FinSemigroup, tau: PrincipalFilter, domain: int) -> List[int]
 
     delta(A) is the union of the traces of A at the base points in A, and
     the trace of A at g is t[P] for t = `union_table` of the preimages
-    S.trace[g][e] of the domain's points e.
+    S.trace[g][e] of the domain's points e (at most TABLE_ORDER_LIMIT of them).
     """
     points = list(bits(domain))
+    _check_table(len(points))
     traces = (
         (1 << i, union_table([S.trace[g][e] for e in points]))
         for i, g in enumerate(points)
@@ -235,12 +249,14 @@ class SizeTables:
     `union_table` of the quotients U0^-1 {b} restricted to R, so q[P] is
     U0^-1 A on R, and the inclusion-minimal right translates: A is large
     iff q[P] holds U0, thick iff P holds a minimal translate, prethick iff
-    q[P] is thick, and small iff P misses every minimal translate.
+    q[P] is thick, and small iff P misses every minimal translate.  A reach
+    of more than TABLE_ORDER_LIMIT points is refused.
     """
 
     __slots__ = ("large", "thick", "prethick", "small")
 
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
+        _check_table(len(tau.reach_points))
         quotients = [set_quotient(S, tau.base, 1 << b) for b in tau.reach_points]
         q = union_table([tau.to_reach(Q) for Q in quotients])
         U0 = tau.to_reach(tau.base)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .filters import make_principal
 from .masks import elements, mask_of
-from .partitions import MODES, BoundRecord, sweep_partitions
+from .partitions import MODES, BoundRecord, sweep_order_limit, sweep_partitions
 from .semigroups import (
     FinSemigroup,
     build_from_table,
@@ -173,26 +173,20 @@ def _cmd_classify(args) -> int:
     base = _parse_base(args.base, S)
     tau = make_principal(S, base)
     A = _parse_subset(args.subset, S, "subset")
-    verdicts = classify_all(S, tau, A, with_witness=True)
-    wanted = None if args.predicate == "all" else args.predicate
-    lines = []
-    for v in verdicts:
-        if wanted is not None and v.predicate != wanted:
-            continue
-        lines.append(
-            _dump(
-                {
-                    "predicate": v.predicate,
-                    "relative": v.relative,
-                    "value": v.value,
-                    "witness": None if v.witness is None else elements(v.witness),
-                    "subset": elements(A),
-                    "base": elements(base),
-                    "semigroup": S.name,
-                }
-            )
-        )
-    _write_lines(args.out, lines)
+    records = (
+        {
+            "predicate": v.predicate,
+            "relative": v.relative,
+            "value": v.value,
+            "witness": None if v.witness is None else elements(v.witness),
+            "subset": elements(A),
+            "base": elements(base),
+            "semigroup": S.name,
+        }
+        for v in classify_all(S, tau, A, with_witness=True)
+        if args.predicate in ("all", v.predicate)
+    )
+    _write_lines(args.out, [_dump(r) for r in records])
     return EXIT_OK
 
 
@@ -219,9 +213,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hunt(args) -> int:
     entries = _build_catalog(args)
-    report = hunt_counterexample(
-        args.variant, entries, catalog_label=args.catalog
-    )
+    report = hunt_counterexample(args.variant, entries, catalog_label=args.catalog)
     _write_lines(args.out, [_dump(report.to_json_dict())])
     return EXIT_OK
 
@@ -270,15 +262,12 @@ def _cmd_search(args) -> int:
     if args.witness_pool is not None:
         pool = _parse_subset(args.witness_pool, S, "witness pool")
 
-    record = sweep_partitions(
-        S,
-        tau,
-        args.cells,
-        args.mode,
-        V=pool,
-        # the sweep keeps the automorphisms that fix its base and pool
-        symmetry=automorphisms(S) if args.symmetry else None,
-    )
+    # the sweep keeps the automorphisms that fix its base and pool; past its
+    # order limit it refuses before reading them, so none are computed then
+    symmetry = None
+    if args.symmetry and S.order <= sweep_order_limit(args.cells):
+        symmetry = automorphisms(S)
+    record = sweep_partitions(S, tau, args.cells, args.mode, V=pool, symmetry=symmetry)
 
     _write_lines(args.out_json, [_dump(_record_json(record))])
     if args.out_csv:

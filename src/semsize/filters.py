@@ -26,6 +26,7 @@ from .masks import bits, is_subset, mask_of, minimal, supersets
 from .semigroups import (
     FinSemigroup,
     minimal_left_ideals,
+    product_set,
     right_translate,
     trace_set,
     translate_set,
@@ -68,13 +69,8 @@ class PrincipalFilter:
     def reach(self) -> int:
         """R = U0 | U0*U0 | U0*U0*U0."""
         S, U0 = self.semigroup, self.base
-        U2 = 0
-        for _, E in self.translates:
-            U2 |= E
-        U3 = 0
-        for x in bits(U0):
-            U3 |= right_translate(S, U2, x)
-        return U0 | U2 | U3
+        U2 = product_set(S, U0, U0)
+        return U0 | U2 | product_set(S, U0, U2)
 
     @cached_property
     def reach_points(self) -> Tuple[int, ...]:

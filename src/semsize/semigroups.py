@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     AssociativityError,
@@ -22,11 +22,11 @@ from .errors import (
 )
 from .masks import bits, is_subset, minimal
 
-# The largest order a family or product builds, checked before its table is
-# allocated: the table and its four image lists hold 5 * order^2 entries, so a
-# 20-digit cyclic order would allocate until the process is killed, while
-# cyclic:256 builds in 0.05 s at a 27 MB peak RSS on a 2-core host.  Every
-# catalog spec is far below it (the largest, fulltransformation:3, has 27).
+# The largest order a family or product builds, and the one limit on a
+# family's size: the table and its four image lists hold 5 * order^2 entries,
+# so a 20-digit order would allocate until the process is killed, while
+# cyclic:256 builds in 0.05 s at a 27 MB peak RSS on a 2-core host, and
+# fulltransformation:4, exactly at the limit, in 0.1 s at 23 MB.
 FAMILY_ORDER_LIMIT = 256
 
 # 6!, the automorphism count of leftzero:6 and rightzero:6; a structure with
@@ -316,20 +316,30 @@ def enumerate_semigroups(order: int) -> Iterator[FinSemigroup]:
 # named families
 
 
+def _check_order(factors: Iterable[int], shown: object) -> None:
+    """Refuse a family whose order, the product of `factors`, is above
+    FAMILY_ORDER_LIMIT, before any element is listed.  The product stops
+    past the limit, so n! and n^n are never computed for a huge n."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > FAMILY_ORDER_LIMIT:
+            raise SizeLimitExceeded(
+                f"order {shown} is above the family limit {FAMILY_ORDER_LIMIT}"
+            )
+
+
 def _from_rule(order: int, mul: Callable[[int, int], int], name: str) -> FinSemigroup:
     """The semigroup on 0..order-1 whose product x*y is mul(x, y)."""
-    if order > FAMILY_ORDER_LIMIT:
-        raise SizeLimitExceeded(
-            f"order {order} is above the family limit {FAMILY_ORDER_LIMIT}"
-        )
+    _check_order([order], order)
     return FinSemigroup([[mul(x, y) for y in range(order)] for x in range(order)], name)
 
 
 def _composition(maps: Sequence[Tuple[int, ...]], name: str) -> FinSemigroup:
     """maps under composition: entry (a, b) is the index of maps[a] after maps[b]."""
     index = {f: i for i, f in enumerate(maps)}
-    return _from_rule(
-        len(maps), lambda a, b: index[tuple(maps[a][i] for i in maps[b])], name
+    return FinSemigroup(
+        [[index[tuple(f[i] for i in g)] for g in maps] for f in maps], name
     )
 
 
@@ -349,8 +359,7 @@ def _dihedral(n: int) -> FinSemigroup:
 
 
 def _symmetric(n: int) -> FinSemigroup:
-    if n > 4:
-        raise SizeLimitExceeded("symmetric group family limited to n <= 4")
+    _check_order(range(2, n + 1), f"{n}!")
     return _composition(sorted(itertools.permutations(range(n))), f"symmetric:{n}")
 
 
@@ -389,8 +398,7 @@ def _null(n: int) -> FinSemigroup:
 
 
 def _full_transformation(n: int) -> FinSemigroup:
-    if n > 3:
-        raise SizeLimitExceeded("full transformation family limited to n <= 3")
+    _check_order((n for _ in range(n)), f"{n}^{n}")
     maps = sorted(itertools.product(range(n), repeat=n))
     return _composition(maps, f"fulltransformation:{n}")
 

@@ -25,7 +25,7 @@ dropped with the tables.  The fields of a spec:
 * ``annotate_forced``: see the degeneracy rule below; ``tables``: False when
   the claim reads no `SizeTables` (it then gets None, and none are built);
   a spec that reads them skips instances whose reach exceeds
-  `TABLE_ORDER_LIMIT` points;
+  `classify.TABLE_ORDER_LIMIT` points, past which `SizeTables` refuses;
 * ``finding``: a hunt's counterexample text; ``notes``: fixed report notes.
 
 A claim reads tables over the subsets of the base's reach R = U0 | U0^2 |
@@ -61,12 +61,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from math import comb
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry
-from .classify import SizeTables
+from .classify import TABLE_ORDER_LIMIT, SizeTables
 from .errors import BoundViolation, InputError
 from .filters import (
     PrincipalFilter,
@@ -81,12 +81,6 @@ from .semigroups import FinSemigroup, is_subgroup
 # T3_5 (iii) holds by (i) at every order; its partitions are counted as
 # assertions only up to this order, which the reports are defined by
 REGULARITY_ORDER_LIMIT = 6
-
-# every table a claim reads has one entry per subset of the base's reach R;
-# 12 is the largest order in the default catalog, and a spec that reads the
-# tables skips an instance whose R has more points (a subgroup base H has
-# R = H, so this skips only the full base of a group above order 12)
-TABLE_ORDER_LIMIT = 12
 
 
 @dataclass
@@ -506,13 +500,7 @@ def _run(
     found: List[Optional[dict]] = [None] * len(ids)
     for S, base in pairs:
         tau = PrincipalFilter(S, base)
-        built: List[SizeTables] = []
-
-        def tables() -> SizeTables:
-            if not built:
-                built.append(SizeTables(S, tau))
-            return built[0]
-
+        tables = cache(partial(SizeTables, S, tau))
         for i, spec in enumerate(specs):
             if found[i] is not None:
                 continue  # this id stopped at its counterexample

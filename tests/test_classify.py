@@ -441,6 +441,30 @@ def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
             ) == want
 
 
+def test_tables_refuse_domains_above_the_table_limit(monkeypatch):
+    # each table has one entry per subset of its domain (the reach for
+    # SizeTables): up to TABLE_ORDER_LIMIT points it is built, past it both
+    # builders refuse before any table is listed
+    from semsize.classify import TABLE_ORDER_LIMIT, SizeTables, delta_table
+
+    assert TABLE_ORDER_LIMIT == 12
+    z12, z13 = semigroup_from_spec("cyclic:12"), semigroup_from_spec("cyclic:13")
+    tau = trivial_filter(z12)
+    assert len(SizeTables(z12, tau).large) == 1 << 12
+    assert len(delta_table(z12, tau, z12.full_mask)) == 1 << 12
+
+    def fail(images):
+        raise AssertionError("a table was listed")
+
+    monkeypatch.setattr(classify, "union_table", fail)
+    tau = trivial_filter(z13)
+    limit = "table over 13 points is above the table limit 12"
+    with pytest.raises(SizeLimitExceeded, match=limit):
+        SizeTables(z13, tau)
+    with pytest.raises(SizeLimitExceeded, match=limit):
+        delta_table(z13, tau, z13.full_mask)
+
+
 def test_small_table_matches_the_definition_at_orders_6_to_12():
     # above the literal oracle's reach: A is small iff every large L keeps
     # a large L - A, read off the batched large table

@@ -124,6 +124,30 @@ class TestClassify:
         # minimal large set that removing {0, 5} empties
         assert records[-1]["value"] is False and records[-1]["witness"] == [0]
 
+    def test_order_256_decides_all_five_predicates(self, capsys):
+        # T4 sits at the family limit; its four constant maps 0, 85, 170 and
+        # 255 are its minimal ideal, which S*x equals at the constant x = 0
+        code, out, _ = run(
+            capsys,
+            "classify",
+            "--instance",
+            "fulltransformation:4",
+            "--subset",
+            "0,85,170,255",
+        )
+        assert code == 0
+        verdicts = {
+            r["predicate"]: (r["value"], r["witness"])
+            for r in map(json.loads, out.splitlines())
+        }
+        assert verdicts == {
+            "large": (True, [0]),
+            "thick": (True, [0]),
+            "extrathick": (False, None),
+            "prethick": (True, [0]),
+            "small": (False, [0]),
+        }
+
 
 class TestVerify:
     def test_exit_zero_and_jsonl(self, tmp_path, capsys):
@@ -414,8 +438,9 @@ class TestExitCodes:
         assert report["counterexample"]["detail"]["claim"] == "forced"
 
     def test_oversize_family_is_limit_error(self, capsys):
-        code, _, _ = run(capsys, "gen", "--family", "symmetric:5")
-        assert code == 3
+        for spec in ("symmetric:6", "fulltransformation:5"):
+            code, _, err = run(capsys, "gen", "--family", spec)
+            assert code == 3 and "above the family limit 256" in err
 
     @pytest.mark.parametrize(
         "spec, order",
@@ -424,11 +449,17 @@ class TestExitCodes:
             ("cyclic:99999999999999999999", 99999999999999999999),
             ("dihedral:129", 258),
             ("product:cyclic:16,cyclic:16,cyclic:16", 4096),
+            ("symmetric:99999999999999999999", "99999999999999999999!"),
+            (
+                "fulltransformation:99999999999999999999",
+                "99999999999999999999^99999999999999999999",
+            ),
         ],
     )
     def test_family_order_above_the_limit_is_a_limit_error(self, spec, order, capsys):
         # the order is checked before the table is allocated: unchecked, the
-        # 20-digit order allocates until the process is killed
+        # 20-digit order allocates until the process is killed; n! and n^n
+        # are named, not computed
         code, out, err = run(capsys, "gen", "--family", spec)
         assert code == 3 and out == ""
         assert f"order {order} is above the family limit 256" in err
@@ -576,6 +607,22 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["instances_checked"] == 1
+
+    def test_sweep_order_limit_comes_before_the_automorphisms(
+        self, capsys, monkeypatch
+    ):
+        # an order the sweep refuses gets no automorphism search
+        import semsize.cli as cli
+
+        def fail(S):
+            raise AssertionError("automorphisms computed")
+
+        monkeypatch.setattr(cli, "automorphisms", fail)
+        code, out, err = run(
+            capsys, "search", "--group", "cyclic:13", "--cells", "2", "--symmetry",
+        )
+        assert (code, out) == (3, "")
+        assert err == "semsize: sweep limited to order <= 12 for 2 cells\n"
 
     def test_too_many_automorphisms_is_a_limit_error(self, capsys):
         # leftzero:9 has 9! automorphisms; the search stops past 720

@@ -88,6 +88,16 @@ def test_two_cell_mode_op_passes_the_benchmark_check(mode):
     assert records[0]["infeasible_partitions"] == 0
 
 
+def test_three_cell_ops_pass_the_benchmark_check():
+    # the five order-8 three-cell sweeps, as the benchmark runs them
+    wl = _workloads()
+    ops = [op for op in wl.SEARCHES if op["cells"] == 3]
+    assert [op["group"] for op in ops] == list(wl.ORDER8_GROUPS)
+    for op in ops:
+        records = _checked_op(wl, op)
+        assert records[0]["partitions_checked"] == wl.PARTITIONS_ORDER8_3 == 966
+
+
 def test_verify_all_op_passes_the_benchmark_check():
     # twelve reports on the default catalog, none with a counterexample
     wl = _workloads()

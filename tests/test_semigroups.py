@@ -172,10 +172,29 @@ class TestFamilies:
         with pytest.raises(UnknownFamily):
             semigroup_from_spec("cyclic")  # missing parameter
         with pytest.raises(SizeLimitExceeded):
-            build_family("symmetric", 5)
+            build_family("symmetric", 6)
         with pytest.raises(SizeLimitExceeded):
-            build_family("full_transformation", 4)
+            build_family("full_transformation", 5)
         assert "cyclic" in FAMILY_NAMES
+
+    def test_every_family_builds_up_to_the_order_limit_and_no_further(self):
+        # FAMILY_ORDER_LIMIT is the one size limit: the largest parameter of
+        # each one-parameter family whose order is at most 256 builds, and
+        # the next is refused before any element is listed
+        largest = {  # family: (parameter, its order)
+            "cyclic": (256, 256),
+            "dihedral": (128, 256),
+            "symmetric": (5, 120),
+            "fulltransformation": (4, 256),
+            "rightzero": (256, 256),
+            "leftzero": (256, 256),
+            "null": (256, 256),
+        }
+        assert set(FAMILY_NAMES) == set(largest) | {"quaternion8", "product"}
+        for name, (n, order) in largest.items():
+            assert build_family(name, n).order == order <= 256, name
+            with pytest.raises(SizeLimitExceeded, match="family limit 256"):
+                build_family(name, n + 1)
 
 
 class TestSetArithmetic:
