@@ -8,8 +8,7 @@ for order <= 6 and restricted to subgroups for larger groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import UnknownFamily
 from .semigroups import (
@@ -22,8 +21,7 @@ from .semigroups import (
 ALL_BASES_ORDER_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     semigroup: FinSemigroup
     bases: Tuple[int, ...]
 

@@ -31,9 +31,8 @@ of a domain (the base, for a partition sweep).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import SizeLimitExceeded
 from .filters import PrincipalFilter
@@ -60,8 +59,7 @@ def _check_table(points: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SizeVerdict:
+class SizeVerdict(NamedTuple):
     """Decision for one predicate, with a replayable witness when natural.
 
     witness is a subset mask: a least minimum-size covering F for
@@ -253,7 +251,7 @@ class SizeTables:
     of more than TABLE_ORDER_LIMIT points is refused.
     """
 
-    __slots__ = ("large", "thick", "prethick", "small")
+    __slots__ = ("large", "thick", "prethick", "small", "__weakref__")
 
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
         _check_table(len(tau.reach_points))

@@ -9,7 +9,6 @@ byte-identical across reruns of the same configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -271,6 +270,8 @@ def _cmd_search(args) -> int:
 
     _write_lines(args.out_json, [_dump(_record_json(record))])
     if args.out_csv:
+        import csv
+
         row = _record_row(record)
         with open(args.out_csv, "a", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -17,7 +17,6 @@ indexed by positions within R (`to_reach`), decides every subset of S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Tuple
 
@@ -33,10 +32,20 @@ from .semigroups import (
 )
 
 
-@dataclass(frozen=True)
 class PrincipalFilter:
-    semigroup: FinSemigroup
-    base: int
+    """The supersets of `base` in `semigroup`; equal when both are equal."""
+
+    def __init__(self, semigroup: FinSemigroup, base: int):
+        self.semigroup = semigroup
+        self.base = base
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PrincipalFilter) and (
+            (self.semigroup, self.base) == (other.semigroup, other.base)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.semigroup, self.base))
 
     @property
     def is_trivial(self) -> bool:

@@ -22,8 +22,7 @@ holds U0 asserts that every partition has such a cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classify import delta_table, delta_tau, prethick_value
 from .errors import BoundViolation, InputError, SizeLimitExceeded
@@ -35,8 +34,7 @@ SWEEP_ORDER_LIMIT = {1: 12, 2: 12, 3: 8}
 MODES = ("quotient", "translate", "delta")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """An n-cell labeling of the elements of a domain mask.
 
     labels[i] is the cell of the i-th smallest element of the domain; every
@@ -57,8 +55,7 @@ class Partition:
         return "".join(str(l) for l in self.labels)
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     group: str
     order: int
     base: int

@@ -496,7 +496,9 @@ def subgroups(S: FinSemigroup) -> List[int]:
     Each is the closure under the product of some X = H | {g} with H a
     smaller subgroup, starting from {e}: a subgroup is reached by adding its
     points one at a time.  The closure holds every product of points of X;
-    each product found is multiplied by X once, on the right.
+    each product found is multiplied by X once, on the right.  Every point
+    h*g of the coset H*g gives the same closure, as g = h^-1 * (h*g), so
+    one g per coset is tried.
     """
     if not S.is_group:
         raise NotAGroup("subgroup enumeration needs a group")
@@ -504,7 +506,10 @@ def subgroups(S: FinSemigroup) -> List[int]:
     todo = list(found)
     while todo:
         H = todo.pop()
-        for g in bits(S.full_mask & ~H):
+        rest = S.full_mask & ~H
+        while rest:
+            g = (rest & -rest).bit_length() - 1
+            rest &= ~right_translate(S, H, g)
             X = H | 1 << g
             K = new = X
             while new:

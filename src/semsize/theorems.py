@@ -37,12 +37,13 @@ shiftable g, for T2_6 the preimages at each base point, and for T3_7 the
 union of the traces.  No claim moves a subset through a set-arithmetic call.
 An equivalence over every subset is one `_agree` of two tables, an
 implication one `_implies`.  A statement that follows from one already
-checked, like T3_5 (iii) from (i), is counted, not swept.
+checked, like T3_5 (iii) from (i), is counted, not swept, and T2_4 and
+C2_5, one claim under two texts, share one scan of an instance.
 
 The reports stay those of a sweep over all 2^order subsets A of S.  Every
 table entry is A's verdict for each A with the same points in R, since each
 claim reads A only there, up to monotonicity in T2_4/C2_5 (see
-`_shift_invariance`).  So the least failing A lies inside R and is
+`_shift_scan`).  So the least failing A lies inside R and is
 `from_reach` of the least failing entry, and a count of subsets is a
 weighted count of entries: 2^(order - |R|) each in all (`_all`), and
 `_below` for those up to a failure.
@@ -60,10 +61,10 @@ discounted, otherwise the check could never be effective.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache, partial
 from math import comb
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from .catalog import CatalogEntry
 from .classify import TABLE_ORDER_LIMIT, SizeTables
@@ -83,23 +84,21 @@ from .semigroups import FinSemigroup, is_subgroup
 REGULARITY_ORDER_LIMIT = 6
 
 
-@dataclass
 class VerifyConfig:
     # T3_6 admission; small is polynomial, so this bounds no cost, but
     # T3_6's report and the benchmark's traced layer run are defined by it
-    small_order_limit: ClassVar[int] = 8
-    cells: int = 2                    # partition sweep width for T3_2
-    workers: int = 1                  # 0 and 1 both run serially
+    small_order_limit = 8
 
-    def __post_init__(self):
-        if self.cells < 1:
+    def __init__(self, cells: int = 2, workers: int = 1):
+        if cells < 1:
             raise InputError("need at least one cell")
-        if self.workers < 0:
-            raise InputError(f"worker count {self.workers} is negative")
+        if workers < 0:
+            raise InputError(f"worker count {workers} is negative")
+        self.cells = cells            # partition sweep width for T3_2
+        self.workers = workers        # 0 and 1 both run serially
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem_id: str
     catalog_label: str
     instances_checked: int
@@ -134,8 +133,7 @@ class TheoremReport:
         return out
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(NamedTuple):
     """One theorem or hunt; the fields are described in the module docstring."""
 
     claim: Callable[..., Tuple[int, Optional[dict]]]
@@ -235,13 +233,12 @@ def _thick_meets_large(S, tau, tb, cfg):
     return _agree(tau, tb.thick, rhs, "thick", "meets_every_large")
 
 
-def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
-    """T2_4 / C2_5: at every shiftable g (g*U0 <= U0), g*L stays large and
-    g^-1 T thick.
+def _shift_scan(tau, tb):
+    """(assertions, failure) for T2_4 / C2_5: at every shiftable g (g*U0 <=
+    U0), g*L stays large and g^-1 T thick; failure is None, or g, the
+    failing subset and whether it is thick that failed.
 
-    Under left inverse invariance (C2_5) every g is shiftable, so the two
-    statements differ only in their hypothesis and claim texts.  Per g, one
-    `union_table` of the products {g*b} and one of the preimages
+    Per g, one `union_table` of the products {g*b} and one of the preimages
     {x : g*x == b}, over R, give gA[P] = g*A and gqA[P] = g^-1 A on R for
     every subset A of R.  thick reads g^-1 A at g*U0^2 <= U0^2, inside R,
     but g*A can meet U0^2 at images of points off R.  A failure there is
@@ -255,16 +252,36 @@ def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
         gqA = union_table(tau.reach_images("quot", g))
         for P in range(len(large)):
             if large[P] and not large[gA[P]]:
-                claim, passed = large_claim, 0
+                thick_failed, passed = False, 0
             elif thick[P] and not thick[gqA[P]]:
-                claim, passed = thick_claim, large[P]
+                thick_failed, passed = True, large[P]
             else:
                 continue
             count += _below(tau, large, P) + _below(tau, thick, P) + passed + 1
-            A = tau.from_reach(P)
-            return count, {"g": g, "subset": elements(A), "claim": claim}
+            return count, (g, tau.from_reach(P), thick_failed)
         count += _all(tau, large) + _all(tau, thick)
     return count, None
+
+
+# the `_shift_scan` of each live SizeTables, dropped with them
+_SHIFT_SCANS: WeakKeyDictionary[SizeTables, tuple] = WeakKeyDictionary()
+
+
+def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
+    """T2_4 / C2_5, the `_shift_scan` under the claim texts.
+
+    Under left inverse invariance (C2_5) every g is shiftable, so the two
+    statements differ only in their hypothesis and claim texts, and the
+    second to run on an instance reads the first one's scan.
+    """
+    if tb not in _SHIFT_SCANS:
+        _SHIFT_SCANS[tb] = _shift_scan(tau, tb)
+    count, failure = _SHIFT_SCANS[tb]
+    if failure is None:
+        return count, None
+    g, A, thick_failed = failure
+    claim = thick_claim if thick_failed else large_claim
+    return count, {"g": g, "subset": elements(A), "claim": claim}
 
 
 def _quotient_stable(family, S, tau, tb, cfg, **labels):
@@ -435,8 +452,7 @@ THEOREMS["C3_2"] = THEOREMS["T3_2"]  # corollary alias for the same sweep
 
 # hypothesis dropped or negated, or conclusion strengthened
 HUNTS: Dict[str, Spec] = {
-    "T2_6_large": replace(
-        THEOREMS["T2_6"],
+    "T2_6_large": THEOREMS["T2_6"]._replace(
         claim=partial(_quotient_stable, "large"),
         finding="quotient of a large set stopped being large",
         notes=(
@@ -444,14 +460,12 @@ HUNTS: Dict[str, Spec] = {
             "hypothesis (the thick conclusion with large in its place)",
         ),
     ),
-    "T2_3_no_extrathick": replace(
-        THEOREMS["T2_3"],
+    "T2_3_no_extrathick": THEOREMS["T2_3"]._replace(
         negate=True,
         finding="equivalence breaks without the extrathick hypothesis",
         notes=("thick = meets-every-large with the extrathick hypothesis dropped",),
     ),
-    "T3_6_semigroup": replace(
-        THEOREMS["T3_6"],
+    "T3_6_semigroup": THEOREMS["T3_6"]._replace(
         groups=False,
         finding="prethick/not-small equivalence fails off groups",
         notes=(

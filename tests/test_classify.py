@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -209,7 +208,7 @@ class TestExactWitnesses:
         tau = trivial_filter(z24)
         A = mask_of([0, 15, 21])
         verdicts = {v.predicate: v for v in classify_all(z24, tau, A)}
-        assert verdicts["prethick"] == replace(verdicts["large"], predicate="prethick")
+        assert verdicts["prethick"] == verdicts["large"]._replace(predicate="prethick")
 
     def test_classify_all_searches_u0_once(self, monkeypatch):
         # large and prethick ask for the same least cover of U0 here

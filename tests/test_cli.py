@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -742,3 +745,35 @@ def test_readme_commands_exit_0(tmp_path, capsys, monkeypatch):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
     capsys.readouterr()
+
+
+_SEARCH = """
+import runpy, sys
+sys.argv = ["semsize", "search", "--group", "cyclic:4", "--cells", "2"]
+try:
+    runpy.run_module("semsize", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+@pytest.mark.parametrize(
+    "code", ["import semsize.cli", _SEARCH], ids=["import", "search"]
+)
+def test_startup_loads_no_dataclasses_inspect_or_csv(code):
+    # each search process pays for what the package imports; dataclasses
+    # pulls in inspect, and csv is needed only for --out-csv
+    probe = code + (
+        "\nimport sys"
+        "\nprint([m for m in ('csv', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -98,6 +98,15 @@ class TestPrincipalFilter:
         assert all(U & tau.base == tau.base for U in got)
         assert mask_of([0, 2]) not in got
 
+    def test_equal_on_the_same_semigroup_and_base(self, z6):
+        # the filter is an lru_cache key of the witness search
+        tau = filter_on(z6, [0, 2, 4])
+        again = filter_on(semigroup_from_spec("cyclic:6"), [0, 2, 4])
+        assert tau == again and hash(tau) == hash(again)
+        assert tau.shiftable == again.shiftable == mask_of([0, 2, 4])
+        assert tau != filter_on(z6, [0, 2])
+        assert tau != trivial_filter(z6)
+
     def test_empty_base_rejected(self, z6):
         with pytest.raises(EmptyBase):
             make_principal(z6, 0)

@@ -14,7 +14,6 @@ as written before the families shared one table constructor.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -83,7 +82,7 @@ def test_a_failing_theorem_stops_only_itself(workers, tmp_path, capsys, monkeypa
             return 1, {"claim": "injected"}
         return 1, None
 
-    spec = replace(theorems.THEOREMS["T2_1"], claim=fails_on_last)
+    spec = theorems.THEOREMS["T2_1"]._replace(claim=fails_on_last)
     monkeypatch.setitem(theorems.THEOREMS, "T2_1", spec)
     name = "verify_all_order3.jsonl"
     out = tmp_path / name

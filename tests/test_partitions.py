@@ -1,7 +1,5 @@
 from itertools import combinations
 
-from dataclasses import replace
-
 import pytest
 
 import semsize.partitions
@@ -397,7 +395,7 @@ class TestSweeps:
         delta = sweep_partitions(rz3, tau, 2, "delta")
         assert (rec.worst_min_F, rec.proved_bound) == (1, None)
         if mode == "translate":
-            assert rec == replace(delta, mode="translate", alt_bound=None)
+            assert rec == delta._replace(mode="translate", alt_bound=None)
         # the base {0} has no 2-cell partition
         with pytest.raises(InputError):
             sweep_partitions(rz3, make_principal(rz3, mask_of([0])), 2, mode)

@@ -8,7 +8,6 @@ path.  Each body has the name of the checker it stands for in
 `semsize.theorems`, so `full_claim` finds it from a spec.
 """
 
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -200,7 +199,7 @@ def test_every_claim_over_the_reach_matches_the_full_tables():
     # hunts included: the same admission, count and detail
     cfg = VerifyConfig()
     specs = [
-        (spec, replace(spec, claim=full_claim(spec)))
+        (spec, spec._replace(claim=full_claim(spec)))
         for spec in (*(THEOREMS[t] for t in theorems.THEOREM_IDS), *HUNTS.values())
         if spec.tables
     ]

@@ -410,6 +410,38 @@ def test_subgroup_counts_at_order_24():
     assert len(subgroups(semigroup_from_spec("cyclic:24"))) == 8
 
 
+def _closure_per_point_subgroups(S):
+    """`subgroups` closing H | {g} for every g outside each subgroup H, not
+    for one g per coset H*g."""
+    found = {1 << S.identity}
+    todo = list(found)
+    while todo:
+        H = todo.pop()
+        for g in range(S.order):
+            if H >> g & 1:
+                continue
+            X = H | 1 << g
+            K = new = X
+            while new:
+                new = product_set(S, new, X) & ~K
+                K |= new
+            if K not in found:
+                found.add(K)
+                todo.append(K)
+    return sorted(found)
+
+
+def test_one_closure_per_coset_finds_every_subgroup():
+    groups = {e.semigroup for e in default_catalog() if e.semigroup.is_group}
+    groups.add(semigroup_from_spec("symmetric:4"))
+    for S in groups:
+        assert subgroups(S) == _closure_per_point_subgroups(S), S.name
+
+
+def test_symmetric_5_has_156_subgroups():
+    assert len(subgroups(semigroup_from_spec("symmetric:5"))) == 156
+
+
 def test_subgroups_of_z6(z6):
     got = subgroups(z6)
     assert mask_of([0]) in got

@@ -1,5 +1,6 @@
-import dataclasses
 import gc
+import inspect
+import pickle
 
 import pytest
 
@@ -219,14 +220,18 @@ class TestCatalog:
         assert len(entries[0].bases) == 6  # one per divisor of 12
 
     def test_cells_and_workers_are_the_only_settings(self):
-        assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
-            "cells", "workers",
-        ]
+        params = inspect.signature(VerifyConfig).parameters
+        assert list(params) == ["cells", "workers"]
         assert VerifyConfig().small_order_limit == 8
         with pytest.raises(TypeError):
             VerifyConfig(small_order_limit=9)
         with pytest.raises(ValueError, match="need at least one cell"):
             VerifyConfig(cells=0)
+
+    def test_config_survives_a_pickle_round_trip(self):
+        # a --workers pool hands the config to its workers
+        cfg = pickle.loads(pickle.dumps(VerifyConfig(cells=3, workers=2)))
+        assert (cfg.cells, cfg.workers, cfg.small_order_limit) == (3, 2, 8)
 
 
 def test_full_transformation_monoid_is_clean():
@@ -384,7 +389,7 @@ def _shift_reference(S, tau, tb, large_claim, thick_claim):
     """T2_4 / C2_5 with one translate_set or left_quotient call per (g,
     subset A of S), each table read at its argument's points in the reach:
     the claim's (count, detail) before it read whole-mask tables.  Like the
-    claim, it shifts A & R, not A (see `_shift_invariance`); on any table,
+    claim, it shifts A & R, not A (see `_shift_scan`); on any table,
     a failure at A is then one at A & R."""
     R = tau.reach
 
@@ -467,3 +472,46 @@ def test_minimal_left_ideals_run_once_per_admitted_instance(monkeypatch):
     by_id = {r.theorem_id: r for r in reports}
     assert all(r.counterexample is None for r in reports)
     assert len(calls) == by_id["T3_1"].instances_checked == 955
+
+
+def test_shift_scan_runs_once_per_admitted_instance(monkeypatch):
+    # C2_5 is T2_4's claim under other texts: a serial verify of every
+    # theorem scans each instance T2_4 admits once, and C2_5 reads that scan
+    scan, calls = theorems._shift_scan, []
+
+    def counted(tau, tb):
+        calls.append(tau)
+        return scan(tau, tb)
+
+    monkeypatch.setattr(theorems, "_shift_scan", counted)
+    reports = theorems._drive(
+        "verify", THEOREM_IDS, default_catalog(), "default", VerifyConfig()
+    )
+    by_id = {r.theorem_id: r for r in reports}
+    assert all(r.counterexample is None for r in reports)
+    assert by_id["C2_5"].instances_checked == 556
+    assert len(calls) == by_id["T2_4"].instances_checked == 1392
+
+
+def test_c2_5_scans_for_itself_once_t2_4_has_stopped(monkeypatch):
+    # a scan faked to fail at the base {0}, which C2_5 never admits, stops
+    # T2_4 at the first instance; C2_5 admits only the full bases, scans
+    # each of them itself, and reports what it reports alone
+    scan, calls = theorems._shift_scan, []
+
+    def failing_at_zero(tau, tb):
+        calls.append(tau.base)
+        return (1, (0, 1, False)) if tau.base == 1 else scan(tau, tb)
+
+    monkeypatch.setattr(theorems, "_shift_scan", failing_at_zero)
+    catalog = family_catalog(["cyclic:4", "cyclic:6"])
+    alone = verify("C2_5", catalog)
+    assert calls == [0b1111, 0b111111]
+    calls.clear()
+    t2_4, c2_5 = theorems._drive("verify", ["T2_4", "C2_5"], catalog, "custom", None)
+    assert t2_4.instances_checked == 1
+    assert t2_4.counterexample["detail"] == {
+        "g": 0, "subset": [0], "claim": "translate of large is large",
+    }
+    assert c2_5.to_json_dict() == alone.to_json_dict()
+    assert calls == [1, 0b1111, 0b111111]
