@@ -24,9 +24,11 @@ The per-subset predicates answer one subset at any order; they and
 `SizeTables` read the right translates U0*x off the filter.  The exhaustive
 sweeps read tables with one entry per subset of a domain: `SizeTables`, over
 the base's reach R = U0 | U0^2 | U0^3 (`PrincipalFilter.reach`), whose four
-tables come from one `masks.union_table` of the quotients U0^-1 {b}, and
-`delta_table`, the union of the traces at each base point over the subsets
-of a domain (the base, for a partition sweep).
+tables are each one int, a bit per subset, built with big-int operations
+from the `masks.union_slices` of the quotients U0^-1 {b}; and
+`delta_table`, a list of the union of the traces at each base point over
+the subsets of a domain (the base, for a partition sweep), whose entries
+are masks.
 """
 
 from __future__ import annotations
@@ -36,7 +38,18 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import SizeLimitExceeded
 from .filters import PrincipalFilter
-from .masks import bits, is_subset, least_cover, popcount, union_at, union_table
+from .masks import (
+    bits,
+    compose,
+    is_subset,
+    least_cover,
+    popcount,
+    subsets_of,
+    supersets_of,
+    union_at,
+    union_slices,
+    union_table,
+)
 from .semigroups import (
     FinSemigroup,
     left_quotient,
@@ -52,7 +65,7 @@ TABLE_ORDER_LIMIT = 12
 
 
 def _check_table(points: int) -> None:
-    """Refuse a table over more than TABLE_ORDER_LIMIT points, before any list."""
+    """Refuse a table over more than TABLE_ORDER_LIMIT points, before it is built."""
     if points > TABLE_ORDER_LIMIT:
         raise SizeLimitExceeded(
             f"table over {points} points is above the table limit {TABLE_ORDER_LIMIT}"
@@ -239,34 +252,36 @@ def classify_all(
 
 class SizeTables:
     """Per-(semigroup, base) predicate tables over the subsets of the base's
-    reach R (`PrincipalFilter.reach`), indexed by positions within R.
+    reach R (`PrincipalFilter.reach`): each table is one int whose bit P is
+    the verdict on the subset of R at the positions P.
 
     Large, thick and small read a set only through its points in U0*U0, and
     prethick through those in U0*U0*U0, so the entry at tau.to_reach(A) is
-    the verdict on every subset A of S.  All four are read off q =
-    `union_table` of the quotients U0^-1 {b} restricted to R, so q[P] is
-    U0^-1 A on R, and the inclusion-minimal right translates: A is large
-    iff q[P] holds U0, thick iff P holds a minimal translate, prethick iff
-    q[P] is thick, and small iff P misses every minimal translate.  A reach
-    of more than TABLE_ORDER_LIMIT points is refused.
+    the verdict on every subset A of S.  A is thick iff it holds a minimal
+    right translate, and small iff it misses all of them.  Large and
+    prethick read q(P) = U0^-1 A on R, a union of the quotients U0^-1 {b}
+    restricted to R, through its `union_slices`: u is in q(P) iff P meets
+    the positions whose quotient holds u.  So A is large iff q(P) holds
+    U0, and prethick iff q(P) holds a minimal translate.  A reach of more
+    than TABLE_ORDER_LIMIT points is refused.
     """
 
     __slots__ = ("large", "thick", "prethick", "small", "__weakref__")
 
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
         _check_table(len(tau.reach_points))
+        R = tau.positions
         quotients = [set_quotient(S, tau.base, 1 << b) for b in tau.reach_points]
-        q = union_table([tau.to_reach(Q) for Q in quotients])
-        U0 = tau.to_reach(tau.base)
-        minimal = [tau.to_reach(E) for E in tau.minimal_translates]
-        M = 0
+        q = union_slices([tau.to_reach(Q) for Q in quotients], R)
+        minimal = tuple(tau.to_reach(E) for E in tau.minimal_translates)
+        thick = M = 0
         for E in minimal:
+            thick |= supersets_of(E, R)
             M |= E
-        subsets = range(len(q))
-        self.large = [not U0 & ~qP for qP in q]
-        self.thick = [any(not E & ~P for E in minimal) for P in subsets]
-        self.prethick = [self.thick[qP] for qP in q]
-        self.small = [not P & M for P in subsets]
+        self.large = compose(((tau.to_reach(tau.base),),), q, R)
+        self.thick = thick
+        self.prethick = compose((minimal,), q, R)
+        self.small = subsets_of(R & ~M)
 
 
 __all__ = [

@@ -6,7 +6,7 @@ the ultrafilters containing tau are the principal ultrafilters at the points
 of U0.  What the base alone determines is computed once per filter, on first
 read: the g with g*U0 <= U0, the right translates U0*x, the union of the
 minimal left ideals of U0, and the reach R = U0 | U0^2 | U0^3 with the image
-lists of the semigroup restricted to it.
+lists of the semigroup restricted to it, as bit slices.
 
 Every size predicate reads a set A only near the base: large, thick and
 small read it through the right translates U0*x (x in U0), which lie in
@@ -18,10 +18,10 @@ indexed by positions within R (`to_reach`), decides every subset of S.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .errors import EmptyBase, ProductLawViolation
-from .masks import bits, is_subset, mask_of, minimal, supersets
+from .masks import bits, is_subset, mask_of, minimal, supersets, union_slices
 from .semigroups import (
     FinSemigroup,
     minimal_left_ideals,
@@ -110,19 +110,26 @@ class PrincipalFilter:
         return mask_of(points[i] for i in bits(P))
 
     @cached_property
-    def _reach_images(self) -> Dict[Tuple[str, int], List[int]]:
-        """What `reach_images` has computed, by (kind, g)."""
+    def positions(self) -> int:
+        """The mask of the positions of R, (1 << |R|) - 1."""
+        return (1 << len(self.reach_points)) - 1
+
+    @cached_property
+    def _reach_slices(self) -> Dict[Tuple[str, int], Tuple[int, ...]]:
+        """What `reach_slices` has computed, by (kind, g)."""
         return {}
 
-    def reach_images(self, kind: str, g: int) -> List[int]:
-        """The image list S.<kind>[g] (`quot`, `trace` or `row`) over R: for
-        each point of R, its image restricted to R, in R's positions.
+    def reach_slices(self, kind: str, g: int) -> Tuple[int, ...]:
+        """The `union_slices` over R of the image list S.<kind>[g] (`quot`,
+        `trace` or `row`) restricted to R: slice q is the set of subsets A of
+        R, by positions, whose image holds the point at position q.
         Computed once per (kind, g)."""
         key = (kind, g)
-        cache = self._reach_images
+        cache = self._reach_slices
         if key not in cache:
             images = getattr(self.semigroup, kind)[g]
-            cache[key] = [self.to_reach(images[x]) for x in self.reach_points]
+            images = [self.to_reach(images[x]) for x in self.reach_points]
+            cache[key] = union_slices(images, self.positions)
         return cache[key]
 
     @cached_property
@@ -162,6 +169,15 @@ def ultrafilter_product(S: FinSemigroup, p: int, q: int, A: int) -> bool:
     return direct
 
 
+def hypothesis_reduction(kind: str) -> str:
+    """The kind whose reduction decides `kind`: extrathick members and the
+    neighborhood shift say what U0*U0 <= U0 says, that every g in U0 is
+    shiftable, so both reduce to semigroup_filter."""
+    if kind in ("extrathick_members", "neighborhood_shift"):
+        return "semigroup_filter"
+    return kind
+
+
 def check_hypothesis(tau: PrincipalFilter, kind: str) -> bool:
     """Decide a theorem hypothesis via the principal reduction.
 
@@ -172,7 +188,8 @@ def check_hypothesis(tau: PrincipalFilter, kind: str) -> bool:
     shift each say every g in U0 is shiftable, and left inverse invariance
     says every g in S is.
     """
-    if kind in ("semigroup_filter", "extrathick_members", "neighborhood_shift"):
+    kind = hypothesis_reduction(kind)
+    if kind == "semigroup_filter":
         return is_subset(tau.base, tau.shiftable)
     if kind == "left_inverse_invariant":
         return tau.shiftable == tau.semigroup.full_mask
@@ -211,4 +228,5 @@ __all__ = [
     "ultrafilter_product",
     "check_hypothesis",
     "hypothesis_forces_full_base",
+    "hypothesis_reduction",
 ]

@@ -6,6 +6,7 @@ are kept as ints throughout; the owning semigroup knows the width.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -68,6 +69,122 @@ def minimal(family: Iterable[int]) -> List[int]:
         if not any(is_subset(k, m) for k in kept):
             kept.append(m)
     return sorted(kept)
+
+
+# ---------------------------------------------------------------------------
+# bit tables: a family of subsets P of the positions R = (1 << r) - 1 as one
+# int, whose bit P is set iff P is in the family
+
+
+def all_subsets(R: int) -> int:
+    """The subsets of R = (1 << r) - 1: the bits below 2^r."""
+    return (2 << R) - 1
+
+
+def subsets_of(X: int) -> int:
+    """The subsets of X: each position of X doubles the table."""
+    s = 1
+    while X:
+        low = X & -X
+        s |= s << low
+        X ^= low
+    return s
+
+
+def meets(K: int, R: int) -> int:
+    """The subsets of R that meet K."""
+    return all_subsets(R) ^ subsets_of(R & ~K)
+
+
+def supersets_of(E: int, R: int) -> int:
+    """The subsets of R that hold E."""
+    return subsets_of(R & ~E) << E
+
+
+def window_count(table: int, start: int, size: int) -> int:
+    """The number of entries of the table in [start, start + size)."""
+    return (table >> start & ((1 << size) - 1)).bit_count()
+
+
+def size_counts(table: int, R: int) -> List[int]:
+    """c[j]: the number of entries P of the table with j points."""
+    layers = [1]  # the subsets of each size of the positions done so far
+    for i in bits(R):
+        layers = [a | b << (1 << i) for a, b in zip(layers + [0], [0] + layers)]
+    return [(table & layer).bit_count() for layer in layers]
+
+
+@cache
+def coordinates(R: int) -> Tuple[int, ...]:
+    """The subsets of R through each of its positions, `supersets_of({i})`:
+    the bit slices of the identity map."""
+    return tuple(supersets_of(1 << i, R) for i in bits(R))
+
+
+def union_slices(images: Sequence[int], R: int) -> Tuple[int, ...]:
+    """The bit slices of the union map f(P) = the union of images[i] over
+    the i in P, for images inside R: slice q is {P : q in f(P)}.
+
+    f(P) meets a set T iff P meets the positions whose image meets T, so
+    slice q is `meets(K_q)`, K_q the positions whose image holds q: the
+    union of the subsets through each of them.
+    """
+    through = coordinates(R)
+    slices = [0] * len(through)
+    for i, image in enumerate(images):
+        while image:
+            low = image & -image
+            slices[low.bit_length() - 1] |= through[i]
+            image ^= low
+    return tuple(slices)
+
+
+def minimal_layers(table: int, R: int) -> Tuple[Tuple[int, ...], ...]:
+    """The minimal members of up-closed families U1, U2, ... over R whose
+    symmetric difference is the table; one layer when it is up-closed.
+
+    U1 is the up-closure of the table, and the rest are the layers of what
+    U1 adds to it: each layer's minimal members are larger than the last's,
+    so there are at most r + 1 layers.  Shifting a table by 1 << i moves
+    each P without i to P | {i}, in the subsets through i, so `above` is
+    the family one step above; the minimal members of an up-closed family
+    are those not above it.
+    """
+    through = coordinates(R)
+    layers = []
+    while table:
+        up = table
+        while True:
+            above = 0
+            for i, through_i in enumerate(through):
+                above |= up << (1 << i) & through_i
+            if not above & ~up:
+                break
+            up |= above
+        layers.append(tuple(bits(up & ~above)))
+        table ^= up
+    return tuple(layers)
+
+
+def compose(layers: Sequence[Sequence[int]], slices: Sequence[int], R: int) -> int:
+    """{P : f(P) is in the table} for the table of `minimal_layers` and a
+    map f given by its bit slices, slice q = {P : q in f(P)}.
+
+    f(P) lies in an up-closed family iff it holds one of its minimal
+    members Q, that is iff P is in slice q for every q in Q.
+    """
+    full, out = all_subsets(R), 0
+    for layer in layers:
+        up = 0
+        for Q in layer:
+            P = full
+            while Q:
+                low = Q & -Q
+                P &= slices[low.bit_length() - 1]
+                Q ^= low
+            up |= P
+        out ^= up
+    return out
 
 
 def union_table(images: Sequence[int]) -> List[int]:

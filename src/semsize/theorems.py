@@ -11,13 +11,13 @@ serves `verify`, `hunt_counterexample` (one spec each) and `replay`.  One pass
 over the catalog runs every requested spec on each instance, whose
 `SizeTables` are built at most once and dropped before the next.  What the
 base alone determines (the shiftable g, the right translates, the union of
-the minimal left ideals, the reach and its image lists) is read off the
-instance's one `PrincipalFilter`, which computes each at most once and is
-dropped with the tables.  The fields of a spec:
+the minimal left ideals, the reach and the slices of its image lists) is
+read off the instance's one `PrincipalFilter`, which computes each at most
+once and is dropped with the tables.  The fields of a spec:
 
-* ``claim(S, tau, tb, cfg)``: the per-subset loop over the instance's
-  `SizeTables` ``tb``; returns the number of assertions made and the detail
-  (plain JSON values) of the first failure, or None;
+* ``claim(S, tau, tb, cfg)``: the claim over every subset, read off the
+  instance's `SizeTables` ``tb``; returns the number of assertions made and
+  the detail (plain JSON values) of the first failure, or None;
 * ``hypothesis``: the `check_hypothesis` kind a filter must satisfy, or None;
   with ``negate`` only filters that fail it are admitted (a dropped hypothesis);
 * ``groups``: True admits only groups, False only non-groups, None both;
@@ -29,23 +29,26 @@ dropped with the tables.  The fields of a spec:
 * ``finding``: a hunt's counterexample text; ``notes``: fixed report notes.
 
 A claim reads tables over the subsets of the base's reach R = U0 | U0^2 |
-U0^3 (`PrincipalFilter.reach`), indexed by positions within R, each a
-`union_table` of one image list restricted to R (`reach_images`): the
-`SizeTables`, for the trace statements the traces at each base point, for
-T2_4 and C2_5 the products g*b and the preimages {x : g*x == b} at each
-shiftable g, for T2_6 the preimages at each base point, and for T3_7 the
-union of the traces.  No claim moves a subset through a set-arithmetic call.
-An equivalence over every subset is one `_agree` of two tables, an
-implication one `_implies`.  A statement that follows from one already
-checked, like T3_5 (iii) from (i), is counted, not swept, and T2_4 and
-C2_5, one claim under two texts, share one scan of an instance.
+U0^3 (`PrincipalFilter.reach`), indexed by positions within R: each is one
+int with a bit per subset, and a claim is a few big-int operations on them.
+A table read at the image of every subset under a map (the products g*b
+and the preimages {x : g*x == b} at each shiftable g for T2_4 and C2_5, the
+preimages at each base point for T2_6, the traces at each base point for
+the trace statements, and their union for T3_7) is `masks.compose`d with
+the bit slices of the map, which the filter computes once per image list
+(`reach_slices`).  No claim lists the subsets of R or moves a subset
+through a set-arithmetic call.  An equivalence over every subset is one
+`_agree` of two tables, an implication one `_implies`.  A statement that
+follows from one already checked, like T3_5 (iii) from (i), is counted,
+not swept, and T2_4 and C2_5, one claim under two texts, share one scan of
+an instance.
 
 The reports stay those of a sweep over all 2^order subsets A of S.  Every
 table entry is A's verdict for each A with the same points in R, since each
 claim reads A only there, up to monotonicity in T2_4/C2_5 (see
-`_shift_scan`).  So the least failing A lies inside R and is
-`from_reach` of the least failing entry, and a count of subsets is a
-weighted count of entries: 2^(order - |R|) each in all (`_all`), and
+`_shift_scan`).  So the least failing A lies inside R and is `from_reach`
+of the lowest failing bit, and a count of subsets is a weighted popcount:
+2^(order - |R|) per entry in all (`_all`), and window popcounts in
 `_below` for those up to a failure.
 
 Degeneracy accounting: an admissible instance is degenerate when it asserted
@@ -73,8 +76,22 @@ from .filters import (
     PrincipalFilter,
     check_hypothesis,
     hypothesis_forces_full_base,
+    hypothesis_reduction,
 )
-from .masks import bits, elements, mask_of, popcount, union_at, union_table
+from .masks import (
+    all_subsets,
+    bits,
+    compose,
+    coordinates,
+    elements,
+    mask_of,
+    meets,
+    minimal_layers,
+    popcount,
+    size_counts,
+    supersets_of,
+    window_count,
+)
 from .partitions import stirling2, sweep_order_limit, sweep_partitions
 from .semigroups import FinSemigroup, is_subgroup
 
@@ -151,6 +168,11 @@ class Spec(NamedTuple):
 # claim bodies
 
 
+def _lowest(table: int) -> int:
+    """The least entry of a nonempty table."""
+    return (table & -table).bit_length() - 1
+
+
 def _below(tau, flags, P):
     """The number of subsets A of S below from_reach(P), as ints, with
     flags[to_reach(A)] set.
@@ -163,13 +185,13 @@ def _below(tau, flags, P):
     for i, e in enumerate(tau.reach_points):
         if P >> i & 1:
             hi = P >> (i + 1) << (i + 1)
-            count += sum(flags[hi : hi + (1 << i)]) << e - i
+            count += window_count(flags, hi, 1 << i) << e - i
     return count
 
 
 def _all(tau, flags):
     """The number of subsets A of S with flags[to_reach(A)] set."""
-    return sum(flags) << tau.semigroup.order - len(tau.reach_points)
+    return flags.bit_count() << tau.semigroup.order - len(tau.reach_points)
 
 
 def _agree(tau, lhs, rhs, lname, rname):
@@ -178,9 +200,10 @@ def _agree(tau, lhs, rhs, lname, rname):
     (2^order, None).  The first mismatch is from_reach of the first
     mismatching entry, since both sides read A only through its reach."""
     if lhs != rhs:
-        P = next(P for P, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
+        P = _lowest(lhs ^ rhs)
         A = tau.from_reach(P)
-        return A + 1, {"subset": elements(A), lname: lhs[P], rname: rhs[P]}
+        detail = {"subset": elements(A), lname: bool(lhs >> P & 1)}
+        return A + 1, {**detail, rname: bool(rhs >> P & 1)}
     return 1 << tau.semigroup.order, None
 
 
@@ -188,48 +211,49 @@ def _implies(tau, premise, conclusion, claim):
     """(assertions, detail) for the claim premise[A] => conclusion[A] on
     every subset A of S: one assertion per A with premise[A] up to the first
     failure, whose detail names the subset and the claim."""
-    premise = list(premise)
-    pairs = enumerate(zip(premise, conclusion))
-    P = next((P for P, (p, c) in pairs if p and not c), None)
-    if P is None:
+    failed = premise & ~conclusion
+    if not failed:
         return _all(tau, premise), None
+    P = _lowest(failed)
     detail = {"subset": elements(tau.from_reach(P)), "claim": claim}
     return _below(tau, premise, P) + 1, detail
 
 
-def _trace_tables(tau):
-    """(g, t) for each g in U0, one at a time: t[P] = {x : x*g in A} on R
-    for every subset A of R."""
+def _traces(tau):
+    """(g, slices) for each g in U0: slice q holds the subsets A of R whose
+    trace {x : x*g in A} holds the point at position q of R."""
     for g in bits(tau.base):
-        yield g, union_table(tau.reach_images("trace", g))
+        yield g, tau.reach_slices("trace", g)
 
 
 def _trace_large(S, tau, tb, cfg):
     """T2_1: L is large iff every trace of L at a base point meets U0."""
-    U0 = tau.to_reach(tau.base)
-    rhs = [True] * len(tb.large)
-    for _, t in _trace_tables(tau):
-        rhs = [r and bool(x & U0) for r, x in zip(rhs, t)]
+    meets_U0 = (tuple(1 << u for u in bits(tau.to_reach(tau.base))),)
+    rhs = all_subsets(tau.positions)
+    for _, t in _traces(tau):
+        rhs &= compose(meets_U0, t, tau.positions)
     return _agree(tau, tb.large, rhs, "large", "trace_condition")
 
 
 def _trace_thick(S, tau, tb, cfg):
     """T2_2: T is thick iff some trace of T at a base point contains U0."""
-    U0 = tau.to_reach(tau.base)
-    rhs = [False] * len(tb.thick)
-    for _, t in _trace_tables(tau):
-        rhs = [r or not U0 & ~x for r, x in zip(rhs, t)]
+    holds_U0 = ((tau.to_reach(tau.base),),)
+    rhs = 0
+    for _, t in _traces(tau):
+        rhs |= compose(holds_U0, t, tau.positions)
     return _agree(tau, tb.thick, rhs, "thick", "trace_condition")
 
 
 def _thick_meets_large(S, tau, tb, cfg):
     """T2_3: T is thick iff T & U0 meets every large set."""
-    U0 = tau.to_reach(tau.base)
-    R = len(tb.large) - 1
+    U0, R = tau.to_reach(tau.base), tau.positions
     # T meets L & U0 for every large L  <=>  the complement of T & U0 is not
     # large (up-closure of the large family); the literal sweep equivalence
-    # is property-tested at small orders
-    rhs = [not tb.large[R & ~(T & U0)] for T in range(R + 1)]
+    # is property-tested at small orders.  A position q of R off U0 is in
+    # R - (T & U0) for every T, and one in U0 for the T without q.
+    full = all_subsets(R)
+    misses = [full ^ t if U0 >> q & 1 else full for q, t in enumerate(coordinates(R))]
+    rhs = full ^ compose(minimal_layers(tb.large, R), misses, R)
     return _agree(tau, tb.thick, rhs, "thick", "meets_every_large")
 
 
@@ -238,27 +262,25 @@ def _shift_scan(tau, tb):
     U0), g*L stays large and g^-1 T thick; failure is None, or g, the
     failing subset and whether it is thick that failed.
 
-    Per g, one `union_table` of the products {g*b} and one of the preimages
-    {x : g*x == b}, over R, give gA[P] = g*A and gqA[P] = g^-1 A on R for
-    every subset A of R.  thick reads g^-1 A at g*U0^2 <= U0^2, inside R,
-    but g*A can meet U0^2 at images of points off R.  A failure there is
-    one at A & R all the same: A & R is large when A is, and g*(A & R) <=
-    g*A is not large when g*A is not.
+    Per g, the large table read at g*A is `compose`d with the slices of
+    the products {g*b} over R, and the thick table read at g^-1 A with
+    those of the preimages {x : g*x == b}.  thick reads g^-1 A at g*U0^2 <=
+    U0^2, inside R, but g*A can meet U0^2 at images of points off R.  A
+    failure there is one at A & R all the same: A & R is large when A is,
+    and g*(A & R) <= g*A is not large when g*A is not.
     """
-    large, thick = tb.large, tb.thick
+    large, thick, R = tb.large, tb.thick, tau.positions
+    large_layers, thick_layers = minimal_layers(large, R), minimal_layers(thick, R)
     count = 0
     for g in bits(tau.shiftable):
-        gA = union_table(tau.reach_images("row", g))
-        gqA = union_table(tau.reach_images("quot", g))
-        for P in range(len(large)):
-            if large[P] and not large[gA[P]]:
-                thick_failed, passed = False, 0
-            elif thick[P] and not thick[gqA[P]]:
-                thick_failed, passed = True, large[P]
-            else:
-                continue
+        large_failed = large & ~compose(large_layers, tau.reach_slices("row", g), R)
+        thick_failed = thick & ~compose(thick_layers, tau.reach_slices("quot", g), R)
+        if large_failed | thick_failed:
+            P = _lowest(large_failed | thick_failed)
+            thick_only = not large_failed >> P & 1
+            passed = thick_only and large >> P & 1
             count += _below(tau, large, P) + _below(tau, thick, P) + passed + 1
-            return count, (g, tau.from_reach(P), thick_failed)
+            return count, (g, tau.from_reach(P), thick_only)
         count += _all(tau, large) + _all(tau, thick)
     return count, None
 
@@ -287,48 +309,51 @@ def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
 def _quotient_stable(family, S, tau, tb, cfg, **labels):
     """T2_6: g^-1 T stays in the family (tb.thick, or tb.large) for g in U0.
 
-    Per g, one `union_table` of the preimages {x : g*x == b} over R gives
-    g^-1 T on R, and stays[P] whether it is in the family."""
-    members = getattr(tb, family)
-    stays = [
-        (g, [members[gT] for gT in union_table(tau.reach_images("quot", g))])
+    Per g, the family read at g^-1 T is `compose`d with the slices of the
+    preimages {x : g*x == b} over R; failed holds the members that leave."""
+    members, R = getattr(tb, family), tau.positions
+    layers = minimal_layers(members, R)
+    failed = [
+        (g, members & ~compose(layers, tau.reach_slices("quot", g), R))
         for g in bits(tau.base)
     ]
-    for P, member in enumerate(members):
-        if not member:
-            continue
-        for j, (g, stay) in enumerate(stays):
-            if not stay[P]:
-                count = _below(tau, members, P) * len(stays) + j + 1
-                return count, {"subset": elements(tau.from_reach(P)), "g": g, **labels}
-    return _all(tau, members) * len(stays), None
+    anywhere = 0
+    for _, f in failed:
+        anywhere |= f
+    if not anywhere:
+        return _all(tau, members) * len(failed), None
+    P = _lowest(anywhere)
+    j, g = next((j, g) for j, (g, f) in enumerate(failed) if f >> P & 1)
+    count = _below(tau, members, P) * len(failed) + j + 1
+    return count, {"subset": elements(tau.from_reach(P)), "g": g, **labels}
 
 
 def _minimal_ideal_traces(S, tau, tb, cfg):
     """T3_1: g lies in a minimal left ideal iff every trace at g is large."""
-    M = tau.minimal_ideal_union
+    M, R = tau.minimal_ideal_union, tau.positions
+    layers = minimal_layers(tb.large, R)
     count = 0
-    for g, t in _trace_tables(tau):
-        bit = tau.to_reach(1 << g)
-        through_g = (P for P in range(len(t)) if P & bit)
-        bad = next((P for P in through_g if not tb.large[t[P]]), None)
+    for g, t in _traces(tau):
+        through_g = supersets_of(tau.to_reach(1 << g), R)
+        failed = through_g & ~compose(layers, t, R)
         count += 1
         in_minimal = bool((M >> g) & 1)
-        if in_minimal != (bad is None):
+        if in_minimal != (not failed):
+            bad = tau.from_reach(_lowest(failed)) if failed else None
             return count, {
                 "g": g,
                 "in_minimal_ideal": in_minimal,
-                "traces_all_large": bad is None,
-                "failing_set": None if bad is None else elements(tau.from_reach(bad)),
+                "traces_all_large": not failed,
+                "failing_set": None if bad is None else elements(bad),
             }
     return count, None
 
 
 def _meets_minimal_is_prethick(S, tau, tb, cfg):
     """C3_1: a set meeting a minimal left ideal is prethick."""
-    M = tau.to_reach(tau.minimal_ideal_union)
-    meets = (bool(P & M) for P in range(len(tb.prethick)))
-    return _implies(tau, meets, tb.prethick, "set meeting a minimal ideal is prethick")
+    meets_M = meets(tau.to_reach(tau.minimal_ideal_union), tau.positions)
+    claim = "set meeting a minimal ideal is prethick"
+    return _implies(tau, meets_M, tb.prethick, claim)
 
 
 def _cover_sweep_fits(S, tau, cfg) -> bool:
@@ -350,6 +375,18 @@ def _cover_bound(S, tau, tb, cfg):
     return record.partitions_checked, None
 
 
+@cache
+def _partition_weights(order: int, r: int) -> Tuple[int, ...]:
+    """w[j]: the 2- and 3-cell partitions, S(k, 2) + S(k, 3), summed over
+    the subsets of S with j given points of a reach of r points and any k
+    of the order - r others."""
+    parts = [stirling2(k, 2) + stirling2(k, 3) for k in range(order + 1)]
+    off = order - r
+    return tuple(
+        sum(comb(off, k) * parts[j + k] for k in range(off + 1)) for j in range(r + 1)
+    )
+
+
 def _prethick_regularity(S, tau, tb, cfg):
     """T3_5: (i) A is prethick iff it meets a minimal left ideal; (iii) every
     finite partition of a prethick set has a prethick cell.
@@ -358,29 +395,23 @@ def _prethick_regularity(S, tau, tb, cfg):
     left ideals, the cell holding a point of A & M meets M, and (i), checked
     on every subset first, makes that cell prethick.  So (iii) is not swept;
     up to REGULARITY_ORDER_LIMIT it counts one assertion per 2- and 3-cell
-    partition of each prethick set, S(|A|, 2) + S(|A|, 3).  A prethick P
-    on R stands for the sets P | N, for N any k of the points off R.
+    partition of each prethick set, weighted by the size of its points in R
+    (`_partition_weights`).
     """
-    M = tau.to_reach(tau.minimal_ideal_union)
-    meets = [bool(P & M) for P in range(len(tb.prethick))]
-    count, detail = _agree(tau, tb.prethick, meets, "prethick", "meets_minimal")
+    meets_M = meets(tau.to_reach(tau.minimal_ideal_union), tau.positions)
+    count, detail = _agree(tau, tb.prethick, meets_M, "prethick", "meets_minimal")
     if detail is not None:
         return count, {"part": "i", **detail}
     if S.order <= REGULARITY_ORDER_LIMIT:
-        r = len(tau.reach_points)
-        off = S.order - r
-        parts = [stirling2(k, 2) + stirling2(k, 3) for k in range(S.order + 1)]
-        by_size = [
-            sum(comb(off, k) * parts[j + k] for k in range(off + 1))
-            for j in range(r + 1)
-        ]
-        count += sum(by_size[P.bit_count()] for P, p in enumerate(tb.prethick) if p)
+        weights = _partition_weights(S.order, len(tau.reach_points))
+        sizes = size_counts(tb.prethick, tau.positions)
+        count += sum(w * n for w, n in zip(weights, sizes))
     return count, None
 
 
 def _prethick_not_small(S, tau, tb, cfg):
     """T3_6: A is prethick iff A is not small."""
-    not_small = [not small for small in tb.small]
+    not_small = all_subsets(tau.positions) ^ tb.small
     return _agree(tau, tb.prethick, not_small, "prethick", "not_small")
 
 
@@ -388,9 +419,15 @@ def _prethick_delta_large(S, tau, tb, cfg):
     """T3_7: the difference set of a prethick set is large.
 
     delta(A) is the union of the traces of A at the base points in A (see
-    `classify.delta_table`), here over R."""
-    traces = ((tau.to_reach(1 << g), t) for g, t in _trace_tables(tau))
-    delta_large = (tb.large[d] for d in union_at(traces, len(tb.large)))
+    `classify.delta_tau`), here over R: its slice q is the union over g in
+    U0 of the subsets through g whose trace at g holds q."""
+    R = tau.positions
+    delta = [0] * len(tau.reach_points)
+    for g, t in _traces(tau):
+        through_g = supersets_of(tau.to_reach(1 << g), R)
+        for q, holds_q in enumerate(t):
+            delta[q] |= through_g & holds_q
+    delta_large = compose(minimal_layers(tb.large, R), delta, R)
     claim = "difference set of prethick is large"
     return _implies(tau, tb.prethick, delta_large, claim)
 
@@ -508,13 +545,24 @@ def _run(
 ) -> List[Tuple[Counter, Optional[dict]]]:
     """Per id, from one pass: counts up to and including its first
     counterexample, and that counterexample or None.
-    An instance's `SizeTables` are built for the first spec that reads them."""
+    An instance's `SizeTables` are built for the first spec that reads them,
+    and whether a hypothesis admits only the full base is decided once per
+    semigroup and reduction."""
     specs = [_SPECS[kind][tid] for tid in ids]
     counts = [Counter() for _ in ids]
     found: List[Optional[dict]] = [None] * len(ids)
+    current, forces = None, {}  # hypothesis_forces_full_base of S, by reduction
     for S, base in pairs:
+        if S is not current:
+            current, forces = S, {}
         tau = PrincipalFilter(S, base)
-        tables = cache(partial(SizeTables, S, tau))
+        built: List[SizeTables] = []
+
+        def tables():
+            if not built:
+                built.append(SizeTables(S, tau))
+            return built[0]
+
         for i, spec in enumerate(specs):
             if found[i] is not None:
                 continue  # this id stopped at its counterexample
@@ -523,12 +571,12 @@ def _run(
                 counts[i]["skipped"] += 1
                 continue
             assertions, detail = result
-            forced = (
-                kind == "verify"
-                and spec.hypothesis is not None
-                and tau.is_trivial
-                and hypothesis_forces_full_base(S, spec.hypothesis)
-            )
+            forced = False
+            if kind == "verify" and spec.hypothesis is not None and tau.is_trivial:
+                reduction = hypothesis_reduction(spec.hypothesis)
+                if reduction not in forces:
+                    forces[reduction] = hypothesis_forces_full_base(S, reduction)
+                forced = forces[reduction]
             counts[i]["checked"] += 1
             counts[i]["assertions"] += assertions
             counts[i]["forced"] += forced

@@ -426,12 +426,13 @@ def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
     for S, base in cases:
         tau = make_principal(S, base)
         tb = SizeTables(S, tau)
-        # one entry per subset of the reach, read at A's points there
-        assert len(tb.large) == 1 << tau.reach.bit_count()
+        # one bit per subset of the reach, read at A's points there
+        tables = (tb.large, tb.thick, tb.prethick, tb.small)
+        assert max(tables).bit_length() <= 1 << tau.reach.bit_count()
         for A in range(S.full_mask + 1):
             want = _translate_reference(S, base, A)
             P = tau.to_reach(A)
-            assert (tb.large[P], tb.thick[P], tb.prethick[P], tb.small[P]) == want
+            assert tuple(bool(t >> P & 1) for t in tables) == want
             assert (
                 large_value(S, tau, A),
                 thick_value(S, tau, A),
@@ -443,19 +444,21 @@ def test_sweep_tables_match_the_per_call_predicates(z6, rz3, null3):
 def test_tables_refuse_domains_above_the_table_limit(monkeypatch):
     # each table has one entry per subset of its domain (the reach for
     # SizeTables): up to TABLE_ORDER_LIMIT points it is built, past it both
-    # builders refuse before any table is listed
+    # builders refuse before any table is built
     from semsize.classify import TABLE_ORDER_LIMIT, SizeTables, delta_table
 
     assert TABLE_ORDER_LIMIT == 12
     z12, z13 = semigroup_from_spec("cyclic:12"), semigroup_from_spec("cyclic:13")
     tau = trivial_filter(z12)
-    assert len(SizeTables(z12, tau).large) == 1 << 12
+    # every nonempty subset of Z12 is large: all bits but the empty set's
+    assert SizeTables(z12, tau).large == (1 << (1 << 12)) - 2
     assert len(delta_table(z12, tau, z12.full_mask)) == 1 << 12
 
-    def fail(images):
-        raise AssertionError("a table was listed")
+    def fail(*args):
+        raise AssertionError("a table was built")
 
     monkeypatch.setattr(classify, "union_table", fail)
+    monkeypatch.setattr(classify, "union_slices", fail)
     tau = trivial_filter(z13)
     limit = "table over 13 points is above the table limit 12"
     with pytest.raises(SizeLimitExceeded, match=limit):
@@ -480,10 +483,11 @@ def test_small_table_matches_the_definition_at_orders_6_to_12():
             tb = SizeTables(S, tau)
             # the tables read at each subset's points in the reach
             reach = [tau.to_reach(A) for A in range(S.full_mask + 1)]
-            large = [tb.large[P] for P in reach]
+            large = [tb.large >> P & 1 for P in reach]
             larges = [L for L in range(S.full_mask + 1) if large[L]]
             for A in range(S.full_mask + 1):
-                assert tb.small[reach[A]] == all(large[L & ~A] for L in larges), (
+                small = bool(tb.small >> reach[A] & 1)
+                assert small == all(large[L & ~A] for L in larges), (
                     S.name, base, A,
                 )
             checked += 1

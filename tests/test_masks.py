@@ -4,17 +4,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semsize.masks import (
+    all_subsets,
     bits,
     complement,
+    compose,
+    coordinates,
     elements,
     is_subset,
     least_cover,
     mask_of,
+    meets,
     minimal,
+    minimal_layers,
     popcount,
+    size_counts,
     submasks,
+    subsets_of,
     supersets,
+    supersets_of,
+    union_slices,
     union_table,
+    window_count,
 )
 
 
@@ -102,3 +112,87 @@ def test_minimal_keeps_the_members_with_no_proper_subset(family):
     )
     assert minimal(family) == want
     assert minimal(iter(family)) == want
+
+
+# ---------------------------------------------------------------------------
+# bit tables over the positions R = (1 << r) - 1, r <= 6, against lists of
+# the 2^r subsets
+
+
+def _table(family):
+    """The bit table of a family of subsets."""
+    out = 0
+    for P in family:
+        out |= 1 << P
+    return out
+
+
+@st.composite
+def _positions(draw):
+    r = draw(st.integers(min_value=0, max_value=6))
+    return (1 << r) - 1
+
+
+@given(_positions(), st.data())
+def test_subset_tables_match_the_listed_subsets(R, data):
+    X = data.draw(st.integers(min_value=0, max_value=R))
+    subsets = range(R + 1)
+    assert all_subsets(R) == _table(subsets)
+    assert subsets_of(X) == _table(P for P in subsets if is_subset(P, X))
+    assert meets(X, R) == _table(P for P in subsets if P & X)
+    assert supersets_of(X, R) == _table(P for P in subsets if is_subset(X, P))
+    assert coordinates(R) == tuple(
+        _table(P for P in subsets if P >> i & 1) for i in bits(R)
+    )
+
+
+@given(_positions(), st.data())
+def test_window_and_size_counts_match_the_listed_entries(R, data):
+    table = data.draw(st.integers(min_value=0, max_value=all_subsets(R)))
+    start = data.draw(st.integers(min_value=0, max_value=R + 1))
+    size = data.draw(st.integers(min_value=0, max_value=R + 1 - start))
+    entries = [table >> P & 1 for P in range(R + 1)]
+    assert window_count(table, start, size) == sum(entries[start : start + size])
+    want = [0] * (R.bit_length() + 1)
+    for P, entry in enumerate(entries):
+        want[P.bit_count()] += entry
+    assert size_counts(table, R) == want
+
+
+@given(_positions(), st.data())
+def test_union_slices_pull_a_set_back_through_the_union_map(R, data):
+    # the subsets P whose image meets T are those meeting the positions
+    # whose image meets T: the union of the slices at the points of T
+    point = st.integers(min_value=0, max_value=R)
+    images = data.draw(st.lists(point, min_size=R.bit_length(), max_size=R.bit_length()))
+    T = data.draw(point)
+    slices = union_slices(images, R)
+    pulled = 0
+    for q in bits(T):
+        pulled |= slices[q]
+    image = [_union(images[i] for i in bits(P)) for P in range(R + 1)]
+    assert pulled == _table(P for P in range(R + 1) if image[P] & T)
+    K = mask_of(i for i, m in enumerate(images) if m & T)
+    assert pulled == meets(K, R)
+
+
+@given(_positions(), st.data())
+def test_compose_reads_any_table_at_the_image_of_each_subset(R, data):
+    # any table, up-closed or not, and any map, given by its slices
+    table = data.draw(st.integers(min_value=0, max_value=all_subsets(R)))
+    point = st.integers(min_value=0, max_value=R)
+    f = data.draw(st.lists(point, min_size=R + 1, max_size=R + 1))
+    slices = [_table(P for P in range(R + 1) if f[P] >> q & 1) for q in bits(R)]
+    layers = minimal_layers(table, R)
+    assert len(layers) <= R.bit_length() + 1
+    assert compose(layers, slices, R) == _table(
+        P for P in range(R + 1) if table >> f[P] & 1
+    )
+
+
+@given(_positions(), st.data())
+def test_an_up_closed_table_is_one_layer_of_its_minimal_members(R, data):
+    family = data.draw(st.lists(st.integers(min_value=0, max_value=R), max_size=4))
+    table = _table(P for P in range(R + 1) if any(is_subset(E, P) for E in family))
+    want = (tuple(minimal(family)),) if family else ()
+    assert minimal_layers(table, R) == want

@@ -572,6 +572,11 @@ def test_theorems_reach_no_per_subset_set_arithmetic():
     assert not _names_used(semsize.theorems) & (SET_ARITHMETIC | {"delta_tau"})
 
 
+def test_theorems_list_no_table_over_the_subsets():
+    # every claim reads bit tables: none lists the images of the subsets
+    assert not _names_used(semsize.theorems) & {"union_table", "union_at"}
+
+
 def test_no_module_reads_the_environment():
     # a run is set by its arguments alone
     names = ["semsize"] + [

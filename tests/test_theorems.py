@@ -29,8 +29,10 @@ def small_catalog():
 
 
 def _full(tau, table):
-    """A reach table read at every subset of S: entry A is table[to_reach(A)]."""
-    return [table[tau.to_reach(A)] for A in range(tau.semigroup.full_mask + 1)]
+    """A reach table read at every subset of S: entry A is its bit at
+    to_reach(A)."""
+    reach = (tau.to_reach(A) for A in range(tau.semigroup.full_mask + 1))
+    return [bool(table >> P & 1) for P in reach]
 
 
 class TestVerify:
@@ -321,8 +323,7 @@ def _verify_flipped(tid, table, mask, monkeypatch):
     class Flipped(SizeTables):
         def __init__(self, S, tau):
             super().__init__(S, tau)
-            entries = getattr(self, table)
-            entries[mask] = not entries[mask]
+            setattr(self, table, getattr(self, table) ^ 1 << mask)
 
     monkeypatch.setattr(theorems, "SizeTables", Flipped)
     z6 = semigroup_from_spec("cyclic:6")
@@ -394,10 +395,10 @@ def _shift_reference(S, tau, tb, large_claim, thick_claim):
     R = tau.reach
 
     def large(A):
-        return tb.large[tau.to_reach(A)]
+        return tb.large >> tau.to_reach(A) & 1
 
     def thick(A):
-        return tb.thick[tau.to_reach(A)]
+        return tb.thick >> tau.to_reach(A) & 1
 
     count = 0
     for g in range(S.order):
@@ -439,8 +440,7 @@ def test_shift_checks_match_a_per_call_reference():
             for table in ("large", "thick"):
                 for M in range(0, size, 1 if size <= 8 else 5):
                     tb = SizeTables(S, tau)
-                    entries = getattr(tb, table)
-                    entries[M] = not entries[M]
+                    setattr(tb, table, getattr(tb, table) ^ 1 << M)
                     want = _shift_reference(S, tau, tb, "L", "T")
                     assert claim("L", "T", S, tau, tb, None) == want, (
                         S.name, base, table, M,
@@ -491,6 +491,26 @@ def test_shift_scan_runs_once_per_admitted_instance(monkeypatch):
     assert all(r.counterexample is None for r in reports)
     assert by_id["C2_5"].instances_checked == 556
     assert len(calls) == by_id["T2_4"].instances_checked == 1392
+
+
+def test_forced_bases_are_decided_once_per_semigroup_and_reduction(monkeypatch):
+    # semigroup_filter, extrathick_members and neighborhood_shift share one
+    # reduction: a serial verify of every theorem asks whether a hypothesis
+    # admits only the full base once per catalog semigroup and reduction
+    from semsize.filters import hypothesis_forces_full_base, hypothesis_reduction
+
+    calls = []
+
+    def counted(S, kind):
+        calls.append((id(S), hypothesis_reduction(kind)))
+        return hypothesis_forces_full_base(S, kind)
+
+    monkeypatch.setattr(theorems, "hypothesis_forces_full_base", counted)
+    reports = theorems._drive(
+        "verify", THEOREM_IDS, default_catalog(), "default", VerifyConfig()
+    )
+    assert all(r.counterexample is None for r in reports)
+    assert len(set(calls)) == len(calls) == 318
 
 
 def test_c2_5_scans_for_itself_once_t2_4_has_stopped(monkeypatch):
