@@ -22,13 +22,12 @@ The large and prethick witnesses are exact at every order: the cover search
 
 The per-subset predicates answer one subset at any order; they and
 `SizeTables` read the right translates U0*x off the filter.  The exhaustive
-sweeps read tables with one entry per subset of a domain: `SizeTables`, over
-the base's reach R = U0 | U0^2 | U0^3 (`PrincipalFilter.reach`), whose four
-tables are each one int, a bit per subset, built with big-int operations
-from the `masks.union_slices` of the quotients U0^-1 {b}; and
-`delta_table`, a list of the union of the traces at each base point over
-the subsets of a domain (the base, for a partition sweep), whose entries
-are masks.
+sweeps read bit tables, each one int with a bit per subset of a domain:
+`SizeTables`, over the base's reach R = U0 | U0^2 | U0^3
+(`PrincipalFilter.reach`), built with big-int operations from the minimal
+translates; and `delta_slices`, the bit slices of the difference set over
+the subsets of a domain (R for T3_7, the base for a partition sweep),
+built straight from the Cayley table.
 """
 
 from __future__ import annotations
@@ -39,20 +38,21 @@ from typing import List, NamedTuple, Optional, Tuple
 from .errors import SizeLimitExceeded
 from .filters import PrincipalFilter
 from .masks import (
+    all_subsets,
     bits,
     compose,
     is_subset,
     least_cover,
+    meets,
+    point_slices,
     popcount,
     subsets_of,
     supersets_of,
-    union_at,
-    union_slices,
-    union_table,
 )
 from .semigroups import (
     FinSemigroup,
     left_quotient,
+    right_translate,
     set_quotient,
     trace_set,
 )
@@ -100,22 +100,21 @@ def delta_tau(S: FinSemigroup, tau: PrincipalFilter, A: int) -> int:
     return out
 
 
-def delta_table(S: FinSemigroup, tau: PrincipalFilter, domain: int) -> List[int]:
-    """d[P] = delta_tau(S, tau, A) for every subset A of the domain, where
-    the mask P holds the positions of A's points within the domain.
+def delta_slices(S: FinSemigroup, tau: PrincipalFilter, domain: int) -> Tuple[int, ...]:
+    """Slice x, for each x of S: the subsets A of the domain, by positions
+    within it, with x in delta_tau(S, tau, A).
 
-    delta(A) is the union of the traces of A at the base points in A, and
-    the trace of A at g is t[P] for t = `union_table` of the preimages
-    S.trace[g][e] of the domain's points e (at most TABLE_ORDER_LIMIT of them).
+    x is in delta(A) iff x*a is in A for some a in A & U0, so slice x is
+    the union, over the base points a of the domain, of the subsets through
+    both a and x*a (`masks.point_slices`).  A domain of more than
+    TABLE_ORDER_LIMIT points is refused.
     """
-    points = list(bits(domain))
-    _check_table(len(points))
-    traces = (
-        (1 << i, union_table([S.trace[g][e] for e in points]))
-        for i, g in enumerate(points)
-        if tau.base >> g & 1
-    )
-    return union_at(traces, 1 << len(points))
+    _check_table(domain.bit_count())
+    through, slices = point_slices(domain, S.order), [0] * S.order
+    for a in bits(domain & tau.base):
+        for x, row in enumerate(S.table):
+            slices[x] |= through[a] & through[row[a]]
+    return tuple(slices)
 
 
 # ---------------------------------------------------------------------------
@@ -257,29 +256,29 @@ class SizeTables:
 
     Large, thick and small read a set only through its points in U0*U0, and
     prethick through those in U0*U0*U0, so the entry at tau.to_reach(A) is
-    the verdict on every subset A of S.  A is thick iff it holds a minimal
-    right translate, and small iff it misses all of them.  Large and
-    prethick read q(P) = U0^-1 A on R, a union of the quotients U0^-1 {b}
-    restricted to R, through its `union_slices`: u is in q(P) iff P meets
-    the positions whose quotient holds u.  So A is large iff q(P) holds
-    U0, and prethick iff q(P) holds a minimal translate.  A reach of more
-    than TABLE_ORDER_LIMIT points is refused.
+    the verdict on every subset A of S.  A is large iff it meets every
+    minimal right translate E, thick iff it holds one, and small iff it
+    misses all of them.  A is prethick iff q(P) = U0^-1 A holds some E,
+    and x is in q(P) iff A meets U0*x, which lies in R for x in U0*U0: so
+    q(P) is given by its bit slices `meets(U0*x)`.  A reach of more than
+    TABLE_ORDER_LIMIT points is refused.
     """
 
     __slots__ = ("large", "thick", "prethick", "small", "__weakref__")
 
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
         _check_table(len(tau.reach_points))
-        R = tau.positions
-        quotients = [set_quotient(S, tau.base, 1 << b) for b in tau.reach_points]
-        q = union_slices([tau.to_reach(Q) for Q in quotients], R)
+        R, U0 = tau.positions, tau.base
         minimal = tuple(tau.to_reach(E) for E in tau.minimal_translates)
-        thick = M = 0
+        self.large, self.thick, M = all_subsets(R), 0, 0
         for E in minimal:
-            thick |= supersets_of(E, R)
+            self.large &= meets(E, R)
+            self.thick |= supersets_of(E, R)
             M |= E
-        self.large = compose(((tau.to_reach(tau.base),),), q, R)
-        self.thick = thick
+        # only the slices at points of U0*U0 are read, at the minimal translates
+        q = [
+            meets(tau.to_reach(right_translate(S, U0, x)), R) for x in tau.reach_points
+        ]
         self.prethick = compose((minimal,), q, R)
         self.small = subsets_of(R & ~M)
 
@@ -289,7 +288,7 @@ __all__ = [
     "SizeTables",
     "PREDICATES",
     "delta_tau",
-    "delta_table",
+    "delta_slices",
     "large_value",
     "thick_value",
     "extrathick_value",

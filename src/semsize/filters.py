@@ -5,8 +5,10 @@ U0 (the intersection of all members); ``U in tau`` is the superset test, and
 the ultrafilters containing tau are the principal ultrafilters at the points
 of U0.  What the base alone determines is computed once per filter, on first
 read: the g with g*U0 <= U0, the right translates U0*x, the union of the
-minimal left ideals of U0, and the reach R = U0 | U0^2 | U0^3 with the image
-lists of the semigroup restricted to it, as bit slices.
+minimal left ideals of U0, and the reach R = U0 | U0^2 | U0^3 with, at each
+point, the subsets of R through it (`through`).  The bit slices of a map
+over R are lookups in `through` at products read off the Cayley table
+(`reach_slices`), so they are not kept.
 
 Every size predicate reads a set A only near the base: large, thick and
 small read it through the right translates U0*x (x in U0), which lie in
@@ -18,10 +20,10 @@ indexed by positions within R (`to_reach`), decides every subset of S.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from .errors import EmptyBase, ProductLawViolation
-from .masks import bits, is_subset, mask_of, minimal, supersets, union_slices
+from .masks import bits, is_subset, mask_of, minimal, point_slices, supersets
 from .semigroups import (
     FinSemigroup,
     minimal_left_ideals,
@@ -98,10 +100,8 @@ class PrincipalFilter:
         """The positions within R of the points of A in R; ascending masks
         stay ascending."""
         place, out = self._reach_place, 0
-        while A:  # `masks.bits` inlined: this runs per point of each image list
-            low = A & -A
-            out |= place[low.bit_length() - 1]
-            A ^= low
+        for x in bits(A):
+            out |= place[x]
         return out
 
     def from_reach(self, P: int) -> int:
@@ -115,22 +115,28 @@ class PrincipalFilter:
         return (1 << len(self.reach_points)) - 1
 
     @cached_property
-    def _reach_slices(self) -> Dict[Tuple[str, int], Tuple[int, ...]]:
-        """What `reach_slices` has computed, by (kind, g)."""
-        return {}
+    def through(self) -> Tuple[int, ...]:
+        """through[x]: the subsets of R, by positions, that hold x; 0 off R."""
+        return point_slices(self.reach, self.semigroup.order)
 
     def reach_slices(self, kind: str, g: int) -> Tuple[int, ...]:
-        """The `union_slices` over R of the image list S.<kind>[g] (`quot`,
-        `trace` or `row`) restricted to R: slice q is the set of subsets A of
-        R, by positions, whose image holds the point at position q.
-        Computed once per (kind, g)."""
-        key = (kind, g)
-        cache = self._reach_slices
-        if key not in cache:
-            images = getattr(self.semigroup, kind)[g]
-            images = [self.to_reach(images[x]) for x in self.reach_points]
-            cache[key] = union_slices(images, self.positions)
-        return cache[key]
+        """The bit slices over R of the image of A under g: slice i is the
+        set of subsets A of R, by positions, whose image holds the point x_i
+        at position i.  The image is g^-1 A (`quot`), the trace {x : x*g in
+        A} (`trace`) or g*A (`row`), restricted to R: x_i is in the first two
+        iff g*x_i or x_i*g is in A, and in g*A iff some y of A has g*y = x_i.
+        """
+        table, through = self.semigroup.table, self.through
+        if kind == "quot":
+            return tuple(through[table[g][x]] for x in self.reach_points)
+        if kind == "trace":
+            return tuple(through[table[x][g]] for x in self.reach_points)
+        slices = dict.fromkeys(self.reach_points, 0)
+        for y in self.reach_points:
+            gy = table[g][y]
+            if gy in slices:
+                slices[gy] |= through[y]
+        return tuple(slices.values())
 
     @cached_property
     def minimal_ideal_union(self) -> int:

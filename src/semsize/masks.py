@@ -6,7 +6,7 @@ are kept as ints throughout; the owning semigroup knows the width.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -121,24 +121,24 @@ def coordinates(R: int) -> Tuple[int, ...]:
     return tuple(supersets_of(1 << i, R) for i in bits(R))
 
 
-def union_slices(images: Sequence[int], R: int) -> Tuple[int, ...]:
-    """The bit slices of the union map f(P) = the union of images[i] over
-    the i in P, for images inside R: slice q is {P : q in f(P)}.
-
-    f(P) meets a set T iff P meets the positions whose image meets T, so
-    slice q is `meets(K_q)`, K_q the positions whose image holds q: the
-    union of the subsets through each of them.
-    """
-    through = coordinates(R)
-    slices = [0] * len(through)
-    for i, image in enumerate(images):
-        while image:
-            low = image & -image
-            slices[low.bit_length() - 1] |= through[i]
-            image ^= low
-    return tuple(slices)
+def point_slices(domain: int, width: int) -> Tuple[int, ...]:
+    """t[x] for each x below width: the subsets of the domain, by positions
+    within it, that hold x (`coordinates`), and 0 for x off the domain."""
+    t = [0] * width
+    for x, through in zip(bits(domain), coordinates((1 << domain.bit_count()) - 1)):
+        t[x] = through
+    return tuple(t)
 
 
+def transpose(slices: Sequence[int], size: int) -> List[int]:
+    """d[P] = the mask of the q with P in slices[q], for every P below size:
+    the image of each subset under a map given by its bit slices.  Written
+    out in binary with q descending, column P of the slices is d[P]."""
+    rows = [format(s, "b").zfill(size) for s in reversed(slices)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
+@lru_cache(maxsize=2)
 def minimal_layers(table: int, R: int) -> Tuple[Tuple[int, ...], ...]:
     """The minimal members of up-closed families U1, U2, ... over R whose
     symmetric difference is the table; one layer when it is up-closed.
@@ -149,6 +149,9 @@ def minimal_layers(table: int, R: int) -> Tuple[Tuple[int, ...], ...]:
     each P without i to P | {i}, in the subsets through i, so `above` is
     the family one step above; the minimal members of an up-closed family
     are those not above it.
+
+    The last two answers are kept: an instance's claims read the layers of
+    its large and thick tables again and again.
     """
     through = coordinates(R)
     layers = []
@@ -185,26 +188,6 @@ def compose(layers: Sequence[Sequence[int]], slices: Sequence[int], R: int) -> i
             up |= P
         out ^= up
     return out
-
-
-def union_table(images: Sequence[int]) -> List[int]:
-    """t[mask]: the union of images[i] over the bits i of mask, for every
-    mask below 2**len(images); each image doubles the table."""
-    t = [0]
-    for img in images:
-        t += [m | img for m in t]
-    return t
-
-
-def union_at(tables: Iterable[Tuple[int, List[int]]], size: int) -> List[int]:
-    """d[P]: the union of t[P] over the pairs (bit, t) whose bit is in P,
-    for every P below size."""
-    d = [0] * size
-    for bit, t in tables:
-        for P in range(bit, size):
-            if P & bit:
-                d[P] |= t[P]
-    return d
 
 
 def least_cover(target: int, cands: Sequence[Tuple[int, int]]) -> Optional[int]:

@@ -5,8 +5,9 @@ pool F must be before some cell A covers U0 with translates or quotients
 of its difference set delta(A) (`classify.delta_tau`; A*A^-1 on a group),
 in the form its mode names (see `min_cover`).  Every mode runs on every
 semigroup.  The sweep streams the partitions once: cells are masks of
-base positions, their difference sets come from a `classify.delta_table`
-over the base's subsets, and the argmax is kept as the sweep goes.
+base positions, their difference sets come from the `classify.delta_slices`
+over the base's subsets, transposed once into a list, and the argmax is
+kept as the sweep goes.
 
 When the base is a subgroup H of order m inside the pool, the worst cover
 is at most finite_cover_bound(m, n) = m // ceil(m/n) <= n, by the packing
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .classify import delta_table, delta_tau, prethick_value
+from .classify import delta_slices, delta_tau, prethick_value
 from .errors import BoundViolation, InputError, SizeLimitExceeded
 from .filters import PrincipalFilter, check_hypothesis
-from .masks import bits, elements, is_subset, least_cover, mask_of, popcount
+from .masks import bits, elements, is_subset, least_cover, mask_of, popcount, transpose
 from .semigroups import FinSemigroup, is_subgroup, left_quotient, translate_set
 
 SWEEP_ORDER_LIMIT = {1: 12, 2: 12, 3: 8}
@@ -231,7 +232,8 @@ def sweep_partitions(
     and pool are checked as there, once, before any partition is
     enumerated.  The sweep is one pass over `enumerate_partitions`: it
     reads each cell as a mask of base positions from the labels, and its
-    difference set from a `delta_table` over the base's subsets.  Cells
+    difference set from the `delta_slices` over the base's subsets,
+    `masks.transpose`d once into a list indexed by cell.  Cells
     with the same difference set have the same least cover, so the sweep
     searches each difference set once and keeps its size until it returns.
     Of the partitions with the worst cover, the argmax is the one whose
@@ -261,7 +263,7 @@ def sweep_partitions(
     # delta[P] is the difference set of the cell at base positions P, and
     # covers keeps the size of each difference set's least cover (None when
     # it has none), since a cell enters its cover only through it
-    delta = delta_table(S, tau, tau.base)
+    delta = transpose(delta_slices(S, tau, tau.base), 1 << popcount(tau.base))
     covers: dict = {}
     worst, infeasible, argmax, argkey, checked = -1, 0, None, None, 0
     parts = enumerate_partitions(tau.base, n, symmetry or None)

@@ -11,7 +11,7 @@ serves `verify`, `hunt_counterexample` (one spec each) and `replay`.  One pass
 over the catalog runs every requested spec on each instance, whose
 `SizeTables` are built at most once and dropped before the next.  What the
 base alone determines (the shiftable g, the right translates, the union of
-the minimal left ideals, the reach and the slices of its image lists) is
+the minimal left ideals, the reach and the subsets through its points) is
 read off the instance's one `PrincipalFilter`, which computes each at most
 once and is dropped with the tables.  The fields of a spec:
 
@@ -31,17 +31,17 @@ once and is dropped with the tables.  The fields of a spec:
 A claim reads tables over the subsets of the base's reach R = U0 | U0^2 |
 U0^3 (`PrincipalFilter.reach`), indexed by positions within R: each is one
 int with a bit per subset, and a claim is a few big-int operations on them.
-A table read at the image of every subset under a map (the products g*b
-and the preimages {x : g*x == b} at each shiftable g for T2_4 and C2_5, the
-preimages at each base point for T2_6, the traces at each base point for
-the trace statements, and their union for T3_7) is `masks.compose`d with
-the bit slices of the map, which the filter computes once per image list
-(`reach_slices`).  No claim lists the subsets of R or moves a subset
-through a set-arithmetic call.  An equivalence over every subset is one
-`_agree` of two tables, an implication one `_implies`.  A statement that
-follows from one already checked, like T3_5 (iii) from (i), is counted,
-not swept, and T2_4 and C2_5, one claim under two texts, share one scan of
-an instance.
+A table read at the image of every subset under a map (g*A and g^-1 A at
+each shiftable g for T2_4 and C2_5, g^-1 A at each base point for T2_6,
+the traces at each base point for the trace statements, and the
+difference set for T3_7) is `masks.compose`d with the bit slices of the
+map, which `PrincipalFilter.reach_slices` and `classify.delta_slices` read
+straight off the Cayley table.  No claim lists the subsets of R or moves a
+subset through a set-arithmetic call.  An equivalence over every subset is
+one `_agree` of two tables, an implication one `_implies`.  A statement
+that follows from one already checked, like T3_5 (iii) from (i), is
+counted, not swept, and T2_4 and C2_5, one claim under two texts, share
+one scan of an instance.
 
 The reports stay those of a sweep over all 2^order subsets A of S.  Every
 table entry is A's verdict for each A with the same points in R, since each
@@ -70,7 +70,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from .catalog import CatalogEntry
-from .classify import TABLE_ORDER_LIMIT, SizeTables
+from .classify import TABLE_ORDER_LIMIT, SizeTables, delta_slices
 from .errors import BoundViolation, InputError
 from .filters import (
     PrincipalFilter,
@@ -89,7 +89,6 @@ from .masks import (
     minimal_layers,
     popcount,
     size_counts,
-    supersets_of,
     window_count,
 )
 from .partitions import stirling2, sweep_order_limit, sweep_partitions
@@ -219,19 +218,12 @@ def _implies(tau, premise, conclusion, claim):
     return _below(tau, premise, P) + 1, detail
 
 
-def _traces(tau):
-    """(g, slices) for each g in U0: slice q holds the subsets A of R whose
-    trace {x : x*g in A} holds the point at position q of R."""
-    for g in bits(tau.base):
-        yield g, tau.reach_slices("trace", g)
-
-
 def _trace_large(S, tau, tb, cfg):
     """T2_1: L is large iff every trace of L at a base point meets U0."""
     meets_U0 = (tuple(1 << u for u in bits(tau.to_reach(tau.base))),)
     rhs = all_subsets(tau.positions)
-    for _, t in _traces(tau):
-        rhs &= compose(meets_U0, t, tau.positions)
+    for g in bits(tau.base):
+        rhs &= compose(meets_U0, tau.reach_slices("trace", g), tau.positions)
     return _agree(tau, tb.large, rhs, "large", "trace_condition")
 
 
@@ -239,8 +231,8 @@ def _trace_thick(S, tau, tb, cfg):
     """T2_2: T is thick iff some trace of T at a base point contains U0."""
     holds_U0 = ((tau.to_reach(tau.base),),)
     rhs = 0
-    for _, t in _traces(tau):
-        rhs |= compose(holds_U0, t, tau.positions)
+    for g in bits(tau.base):
+        rhs |= compose(holds_U0, tau.reach_slices("trace", g), tau.positions)
     return _agree(tau, tb.thick, rhs, "thick", "trace_condition")
 
 
@@ -333,9 +325,9 @@ def _minimal_ideal_traces(S, tau, tb, cfg):
     M, R = tau.minimal_ideal_union, tau.positions
     layers = minimal_layers(tb.large, R)
     count = 0
-    for g, t in _traces(tau):
-        through_g = supersets_of(tau.to_reach(1 << g), R)
-        failed = through_g & ~compose(layers, t, R)
+    for g in bits(tau.base):
+        traces = tau.reach_slices("trace", g)
+        failed = tau.through[g] & ~compose(layers, traces, R)
         count += 1
         in_minimal = bool((M >> g) & 1)
         if in_minimal != (not failed):
@@ -416,18 +408,12 @@ def _prethick_not_small(S, tau, tb, cfg):
 
 
 def _prethick_delta_large(S, tau, tb, cfg):
-    """T3_7: the difference set of a prethick set is large.
-
-    delta(A) is the union of the traces of A at the base points in A (see
-    `classify.delta_tau`), here over R: its slice q is the union over g in
-    U0 of the subsets through g whose trace at g holds q."""
-    R = tau.positions
-    delta = [0] * len(tau.reach_points)
-    for g, t in _traces(tau):
-        through_g = supersets_of(tau.to_reach(1 << g), R)
-        for q, holds_q in enumerate(t):
-            delta[q] |= through_g & holds_q
-    delta_large = compose(minimal_layers(tb.large, R), delta, R)
+    """T3_7: the difference set of a prethick set is large; its slices over
+    R are `classify.delta_slices` at the points of R."""
+    R, delta = tau.positions, delta_slices(S, tau, tau.reach)
+    delta_large = compose(
+        minimal_layers(tb.large, R), [delta[x] for x in tau.reach_points], R
+    )
     claim = "difference set of prethick is large"
     return _implies(tau, tb.prethick, delta_large, claim)
 

@@ -445,26 +445,26 @@ def test_tables_refuse_domains_above_the_table_limit(monkeypatch):
     # each table has one entry per subset of its domain (the reach for
     # SizeTables): up to TABLE_ORDER_LIMIT points it is built, past it both
     # builders refuse before any table is built
-    from semsize.classify import TABLE_ORDER_LIMIT, SizeTables, delta_table
+    from semsize.classify import TABLE_ORDER_LIMIT, SizeTables, delta_slices
 
     assert TABLE_ORDER_LIMIT == 12
     z12, z13 = semigroup_from_spec("cyclic:12"), semigroup_from_spec("cyclic:13")
     tau = trivial_filter(z12)
     # every nonempty subset of Z12 is large: all bits but the empty set's
     assert SizeTables(z12, tau).large == (1 << (1 << 12)) - 2
-    assert len(delta_table(z12, tau, z12.full_mask)) == 1 << 12
+    assert max(delta_slices(z12, tau, z12.full_mask)).bit_length() == 1 << 12
 
     def fail(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(classify, "union_table", fail)
-    monkeypatch.setattr(classify, "union_slices", fail)
+    monkeypatch.setattr(classify, "meets", fail)
+    monkeypatch.setattr(classify, "point_slices", fail)
     tau = trivial_filter(z13)
     limit = "table over 13 points is above the table limit 12"
     with pytest.raises(SizeLimitExceeded, match=limit):
         SizeTables(z13, tau)
     with pytest.raises(SizeLimitExceeded, match=limit):
-        delta_table(z13, tau, z13.full_mask)
+        delta_slices(z13, tau, z13.full_mask)
 
 
 def test_small_table_matches_the_definition_at_orders_6_to_12():
@@ -509,7 +509,7 @@ def test_trace_theorem_forms_on_order_2_catalog():
                 )
 
 
-def test_delta_table_is_delta_tau_of_every_subset():
+def test_delta_slices_are_delta_tau_of_every_subset():
     # every order<=3 instance at every base, and each default family at its
     # full base and at its first proper default base
     from semsize.catalog import (
@@ -517,7 +517,7 @@ def test_delta_table_is_delta_tau_of_every_subset():
         family_catalog,
         order_le_catalog,
     )
-    from semsize.classify import delta_table
+    from semsize.classify import delta_slices
 
     pairs = [(e.semigroup, b) for e in order_le_catalog(3) for b in e.bases]
     for spec in DEFAULT_FAMILY_SPECS:
@@ -527,15 +527,15 @@ def test_delta_table_is_delta_tau_of_every_subset():
         pairs += [(S, S.full_mask), (S, proper)]
     for S, base in pairs:
         tau = make_principal(S, base)
-        d = delta_table(S, tau, S.full_mask)
-        assert len(d) == S.full_mask + 1
-        assert d == [delta_tau(S, tau, A) for A in range(S.full_mask + 1)], (
-            S.name, base,
-        )
-        # over the base the table is indexed by positions within the base
-        points = elements(base)
-        d = delta_table(S, tau, base)
-        assert len(d) == 1 << len(points)
-        for P in range(len(d)):
-            A = mask_of(points[i] for i in bits(P))
-            assert d[P] == delta_tau(S, tau, A), (S.name, base, A)
+        # slice x holds the subsets A, by positions within the domain, whose
+        # difference set holds x: over S, and over the base
+        for domain in (S.full_mask, base):
+            points = elements(domain)
+            d = delta_slices(S, tau, domain)
+            assert len(d) == S.order
+            for P in range(1 << len(points)):
+                delta = delta_tau(S, tau, mask_of(points[i] for i in bits(P)))
+                got = [x >> P & 1 for x in d]
+                assert got == [delta >> x & 1 for x in range(S.order)], (
+                    S.name, base, domain, P,
+                )

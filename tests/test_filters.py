@@ -8,13 +8,17 @@ from semsize import (
     default_catalog,
     enumerate_semigroups,
     hypothesis_forces_full_base,
+    left_quotient,
     make_principal,
     mask_of,
+    order_le_catalog,
     semigroup_from_spec,
+    trace_set,
+    translate_set,
     trivial_filter,
     ultrafilter_product,
 )
-from semsize.masks import elements
+from semsize.masks import elements, transpose
 
 
 # --- literal quantifier forms, evaluated over every filter member -----------
@@ -262,3 +266,29 @@ def test_forced_full_base_matches_the_base_sweep():
             forced += value
     # both answers occur, so the comparison is not vacuous
     assert 0 < forced < len(semigroups) * len(kinds)
+
+
+_IMAGES = {
+    "quot": left_quotient,
+    "trace": lambda S, g, A: trace_set(S, A, g),
+    "row": translate_set,
+}
+
+
+@pytest.mark.parametrize("kind", _IMAGES)
+def test_reach_slices_are_the_set_arithmetic_restricted_to_the_reach(kind):
+    # every order<=3 instance, base and g: the slices, transposed, list the
+    # image of each subset of R under the set arithmetic, restricted to R
+    checked = 0
+    for entry in order_le_catalog(3):
+        S = entry.semigroup
+        for base in entry.bases:
+            tau = make_principal(S, base)
+            subsets = range(tau.positions + 1)
+            for g in range(S.order):
+                got = transpose(tau.reach_slices(kind, g), len(subsets))
+                image = (_IMAGES[kind](S, g, tau.from_reach(P)) for P in subsets)
+                want = [tau.to_reach(A) for A in image]
+                assert got == want, (S.name, base, g)
+                checked += 1
+    assert checked == 2422

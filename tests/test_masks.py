@@ -16,14 +16,14 @@ from semsize.masks import (
     meets,
     minimal,
     minimal_layers,
+    point_slices,
     popcount,
     size_counts,
     submasks,
     subsets_of,
     supersets,
     supersets_of,
-    union_slices,
-    union_table,
+    transpose,
     window_count,
 )
 
@@ -97,14 +97,6 @@ def test_subset_agrees_with_sets(a, b):
     assert is_subset(mask_of(a), mask_of(b)) == (a <= b)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), max_size=10))
-def test_union_table_is_the_union_at_each_mask(images):
-    t = union_table(images)
-    assert len(t) == 1 << len(images)
-    for m in range(len(t)):
-        assert t[m] == _union(images[i] for i in bits(m))
-
-
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 8) - 1), max_size=12))
 def test_minimal_keeps_the_members_with_no_proper_subset(family):
     want = sorted(
@@ -159,21 +151,28 @@ def test_window_and_size_counts_match_the_listed_entries(R, data):
     assert size_counts(table, R) == want
 
 
+@given(st.integers(min_value=0, max_value=(1 << 10) - 1), st.integers(0, 3))
+def test_point_slices_hold_the_subsets_through_each_point(domain, extra):
+    # the subsets of the domain by positions: P holds x iff x is the point
+    # at one of P's positions, and no P holds a point off the domain
+    width = domain.bit_length() + extra
+    points = elements(domain)
+    slices = point_slices(domain, width)
+    assert len(slices) == width
+    subsets = [mask_of(points[i] for i in bits(P)) for P in range(1 << len(points))]
+    for x in range(width):
+        assert slices[x] == _table(P for P, A in enumerate(subsets) if A >> x & 1)
+
+
 @given(_positions(), st.data())
-def test_union_slices_pull_a_set_back_through_the_union_map(R, data):
-    # the subsets P whose image meets T are those meeting the positions
-    # whose image meets T: the union of the slices at the points of T
-    point = st.integers(min_value=0, max_value=R)
-    images = data.draw(st.lists(point, min_size=R.bit_length(), max_size=R.bit_length()))
-    T = data.draw(point)
-    slices = union_slices(images, R)
-    pulled = 0
-    for q in bits(T):
-        pulled |= slices[q]
-    image = [_union(images[i] for i in bits(P)) for P in range(R + 1)]
-    assert pulled == _table(P for P in range(R + 1) if image[P] & T)
-    K = mask_of(i for i, m in enumerate(images) if m & T)
-    assert pulled == meets(K, R)
+def test_transpose_lists_the_image_of_each_subset(R, data):
+    # slice q of a map is {P : q in f(P)}; the transpose lists f(P)
+    width = data.draw(st.integers(min_value=1, max_value=8))
+    f = data.draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=R + 1, max_size=R + 1)
+    )
+    slices = [_table(P for P in range(R + 1) if f[P] >> q & 1) for q in range(width)]
+    assert transpose(slices, R + 1) == f
 
 
 @given(_positions(), st.data())

@@ -15,14 +15,23 @@ import pytest
 import semsize.theorems as theorems
 from semsize import elements, mask_of, semigroup_from_spec, verify
 from semsize.catalog import default_catalog, entry_for
-from semsize.classify import SizeTables, delta_table
+from semsize.classify import SizeTables
 from semsize.filters import PrincipalFilter
-from semsize.masks import bits, union_table
+from semsize.masks import bits
 from semsize.partitions import stirling2
 from semsize.semigroups import set_quotient
 from semsize.theorems import HUNTS, THEOREMS, VerifyConfig
 
 TABLES = ("large", "thick", "prethick", "small")
+
+
+def union_table(images):
+    """t[A]: the union of images[i] over the points i of A, for every subset
+    A of S; each image doubles the table."""
+    t = [0]
+    for image in images:
+        t += [m | image for m in t]
+    return t
 
 
 class FullTables:
@@ -177,7 +186,12 @@ def _prethick_not_small(S, tau, tb, cfg):
 
 
 def _prethick_delta_large(S, tau, tb, cfg):
-    delta = delta_table(S, tau, S.full_mask)
+    # delta(A) is the union of the traces of A at its base points
+    delta = [0] * (S.full_mask + 1)
+    for g, t in _trace_tables(S, tau.base):
+        for A in range(1 << g, S.full_mask + 1):
+            if A >> g & 1:
+                delta[A] |= t[A]
     delta_large = (tb.large[d] for d in delta)
     return _implies(tb.prethick, delta_large, "difference set of prethick is large")
 

@@ -572,9 +572,14 @@ def test_theorems_reach_no_per_subset_set_arithmetic():
     assert not _names_used(semsize.theorems) & (SET_ARITHMETIC | {"delta_tau"})
 
 
-def test_theorems_list_no_table_over_the_subsets():
-    # every claim reads bit tables: none lists the images of the subsets
-    assert not _names_used(semsize.theorems) & {"union_table", "union_at"}
+def test_table_modules_read_no_image_list():
+    # every bit slice is read straight off the Cayley table: the modules
+    # that build and read the tables read none of the per-point image lists
+    image_lists = {"quot", "trace", "row", "col"}
+    for module in (
+        semsize.filters, semsize.classify, semsize.theorems, semsize.partitions
+    ):
+        assert not _names_used(module) & image_lists, module.__name__
 
 
 def test_no_module_reads_the_environment():

@@ -62,19 +62,19 @@ class TestVerify:
         assert report.instances_checked >= 2
 
     def test_t3_2_delta_tables_span_only_the_base(self, monkeypatch):
-        # each sweep reads a delta table with one entry per subset of its
-        # base: 4 for the subgroup {0, 6} of Z12, not one per subset of Z12
+        # each sweep reads delta slices with one bit per subset of its base:
+        # 4 for the subgroup {0, 6} of Z12, not one per subset of Z12
         import semsize.partitions as partitions
 
         sizes = {}
-        real = partitions.delta_table
+        real = partitions.delta_slices
 
         def recorded(S, tau, domain):
             d = real(S, tau, domain)
-            sizes[domain] = len(d)
+            sizes[domain] = max(d).bit_length()
             return d
 
-        monkeypatch.setattr(partitions, "delta_table", recorded)
+        monkeypatch.setattr(partitions, "delta_slices", recorded)
         report = verify(
             "T3_2", family_catalog(["cyclic:12"]), catalog_label="cyclic:12",
             cfg=VerifyConfig(workers=1),
@@ -491,6 +491,21 @@ def test_shift_scan_runs_once_per_admitted_instance(monkeypatch):
     assert all(r.counterexample is None for r in reports)
     assert by_id["C2_5"].instances_checked == 556
     assert len(calls) == by_id["T2_4"].instances_checked == 1392
+
+
+def test_each_table_is_decomposed_once_per_instance():
+    # T2_3, T2_4, T2_6, T3_1 and T3_7 each read the minimal layers of the
+    # large or the thick table of an instance; a serial verify of every
+    # theorem decomposes each of them once
+    from semsize.masks import minimal_layers
+
+    minimal_layers.cache_clear()
+    reports = theorems._drive(
+        "verify", THEOREM_IDS, default_catalog(), "default", VerifyConfig()
+    )
+    assert all(r.counterexample is None for r in reports)
+    info = minimal_layers.cache_info()
+    assert (info.misses, info.hits + info.misses) == (1507, 6205)
 
 
 def test_forced_bases_are_decided_once_per_semigroup_and_reduction(monkeypatch):
