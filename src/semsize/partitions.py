@@ -15,9 +15,9 @@ argument of Ruzsa's covering lemma: some cell A has |A| >= ceil(m/n); a
 maximal F <= H with the f*A pairwise disjoint has |F| <= m/|A|, and every
 x*A meets some f*A, so F*A*A^-1 >= H.  The sweep asserts that bound.
 
-When the filter is left inverse invariant and U0 prethick, every finite
-partition of U0 has a cell A whose delta(A) is large (T3_5 (iii) with
-T3_7): some F <= U0 has F^-1 delta(A) >= U0.  A quotient sweep whose pool
+When U0*U0 <= U0, U0 is prethick and every finite partition of U0 has a
+cell A whose delta(A) is large (T3_5 (iii) with T3_7, which hold for such
+bases): some F <= U0 has F^-1 delta(A) >= U0.  A quotient sweep whose pool
 holds U0 asserts that every partition has such a cell.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .classify import delta_slices, delta_tau, prethick_value
+from .classify import delta_slices, delta_tau
 from .errors import BoundViolation, InputError, SizeLimitExceeded
 from .filters import PrincipalFilter, check_hypothesis
 from .masks import bits, elements, is_subset, least_cover, mask_of, popcount, transpose
@@ -242,9 +242,9 @@ def sweep_partitions(
     When the base is a subgroup contained in V, the record carries
     finite_cover_bound(|base|, n) as its proved bound, and an infeasible
     partition or a worst cover above it raises BoundViolation.  Otherwise
-    the proved bound is None.  A quotient sweep whose V holds the base of
-    a left inverse invariant filter with a prethick base also raises
-    BoundViolation on an infeasible partition (see the module docstring).
+    the proved bound is None.  A quotient sweep whose V holds a base with
+    U0*U0 <= U0 also raises BoundViolation on an infeasible partition (see
+    the module docstring).
     Any other sweep without a feasible partition raises SizeLimitExceeded.
     """
     limit = sweep_order_limit(n)
@@ -254,7 +254,8 @@ def sweep_partitions(
         )
     V = tau.base if V is None else V
     _check_mode(S, mode, V)
-    proved = is_subset(tau.base, V) and is_subgroup(S, tau.base)
+    pooled = is_subset(tau.base, V)
+    proved = pooled and is_subgroup(S, tau.base)
     if symmetry:
         symmetry = [p for p in symmetry if _fixes(p, tau.base) and _fixes(p, V)]
     if popcount(tau.base) < n:
@@ -295,15 +296,10 @@ def sweep_partitions(
             f"{S.name}: worst_min_F {worst} (infeasible={infeasible}) breaks the "
             f"proved bound {bound} at n={n}; implementation bug"
         )
-    if (
-        infeasible
-        and mode == "quotient"
-        and is_subset(tau.base, V)
-        and check_hypothesis(tau, "left_inverse_invariant")
-        and prethick_value(S, tau, tau.base)
-    ):
+    closed = mode == "quotient" and pooled and check_hypothesis(tau, "semigroup_filter")
+    if infeasible and closed:
         raise BoundViolation(
-            f"{S.name}: {infeasible} partitions of a prethick base have no cell "
+            f"{S.name}: {infeasible} partitions of a subsemigroup base have no cell "
             f"with a large difference set at n={n}; implementation bug"
         )
     if argmax is None:

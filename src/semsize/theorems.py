@@ -20,12 +20,10 @@ once and is dropped with the tables.  The fields of a spec:
   the detail (plain JSON values) of the first failure, or None;
 * ``hypothesis``: the `check_hypothesis` kind a filter must satisfy, or None;
   with ``negate`` only filters that fail it are admitted (a dropped hypothesis);
-* ``groups``: True admits only groups, False only non-groups, None both;
-* ``admit(S, tau, cfg)``: any further admission test (size limits, cells);
-* ``annotate_forced``: see the degeneracy rule below; ``tables``: False when
-  the claim reads no `SizeTables` (it then gets None, and none are built);
-  a spec that reads them skips instances whose reach exceeds
-  `classify.TABLE_ORDER_LIMIT` points, past which `SizeTables` refuses;
+* ``admit(S, tau, cfg)``: any other admission test (groups, sizes, cells);
+* ``tables``: False when the claim reads no `SizeTables` (it then gets None,
+  and none are built); a spec that reads them skips instances whose reach
+  exceeds `classify.TABLE_ORDER_LIMIT` points, past which `SizeTables` refuses;
 * ``finding``: a hunt's counterexample text; ``notes``: fixed report notes.
 
 A claim reads tables over the subsets of the base's reach R = U0 | U0^2 |
@@ -55,10 +53,7 @@ Degeneracy accounting: an admissible instance is degenerate when it asserted
 nothing (empty inner domain) or when its hypothesis admits no base other
 than the full set, so the run only exercised the absolute theory.  Only
 `verify` counts these forced bases; a hunt's hypothesis is dropped or
-negated, so it has none.  The lone exception is the prethick/not-small
-equivalence on groups (``annotate_forced``), whose hypothesis always
-collapses onto the absolute case; those instances are annotated instead of
-discounted, otherwise the check could never be effective.
+negated, so it has none.
 """
 
 from __future__ import annotations
@@ -130,22 +125,13 @@ class TheoremReport(NamedTuple):
     found: bool = False
 
     def to_json_dict(self) -> dict:
-        out = {
-            "theorem": self.theorem_id,
-            "catalog": self.catalog_label,
-            "instances_checked": self.instances_checked,
-            "degenerate_count": self.degenerate_count,
-            "effective_count": self.effective_count,
-            "skipped_count": self.skipped_count,
-            "forced_absolute_count": self.forced_absolute_count,
-            "assertions": self.assertions,
-            "counterexample": self.counterexample,
-            "vacuity_warning": self.vacuity_warning,
-            "notes": list(self.notes),
-        }
-        if self.search:
-            out["search"] = True
-            out["found"] = self.found
+        """The report's fields, with theorem_id and catalog_label as theorem
+        and catalog, and search and found only on a hunt's report."""
+        out = self._asdict()
+        out["theorem"], out["catalog"] = out.pop("theorem_id"), out.pop("catalog_label")
+        out["notes"] = list(self.notes)
+        if not self.search:
+            del out["search"], out["found"]
         return out
 
 
@@ -155,9 +141,7 @@ class Spec(NamedTuple):
     claim: Callable[..., Tuple[int, Optional[dict]]]
     hypothesis: Optional[str] = None
     negate: bool = False
-    groups: Optional[bool] = None
     admit: Optional[Callable[..., bool]] = None
-    annotate_forced: bool = False
     tables: bool = True
     finding: Optional[str] = None
     notes: Tuple[str, ...] = ()
@@ -383,6 +367,12 @@ def _prethick_regularity(S, tau, tb, cfg):
     """T3_5: (i) A is prethick iff it meets a minimal left ideal; (iii) every
     finite partition of a prethick set has a prethick cell.
 
+    Both hold for every base with U0*U0 <= U0, where each minimal left ideal
+    L of U0 is U0*y for every y in L.  A is prethick iff some x in U0 has,
+    for every u in U0, an f with f*u*x in A.  If A meets L at y, take x = y:
+    u*y is in L = U0*(u*y), so f*u*y = y for some f.  Conversely, the left
+    ideal U0*x holds a minimal L = U0*(u*x), and f*u*x is in L & A.
+
     (iii) follows from (i): a prethick A meets the union M of the minimal
     left ideals, the cell holding a point of A & M meets M, and (i), checked
     on every subset first, makes that cell prethick.  So (iii) is not swept;
@@ -402,14 +392,21 @@ def _prethick_regularity(S, tau, tb, cfg):
 
 
 def _prethick_not_small(S, tau, tb, cfg):
-    """T3_6: A is prethick iff A is not small."""
+    """T3_6: A is prethick iff A is not small.  Under U0*U0 <= U0 the minimal
+    right translates U0*x, which a small set misses, are the minimal left
+    ideals of U0, which a prethick set meets (`_prethick_regularity`)."""
     not_small = all_subsets(tau.positions) ^ tb.small
     return _agree(tau, tb.prethick, not_small, "prethick", "not_small")
 
 
 def _prethick_delta_large(S, tau, tb, cfg):
     """T3_7: the difference set of a prethick set is large; its slices over
-    R are `classify.delta_slices` at the points of R."""
+    R are `classify.delta_slices` at the points of R.
+
+    Under U0*U0 <= U0 a prethick A meets a minimal left ideal L of U0 at
+    some y (`_prethick_regularity`), and delta(A) holds {x : x*y in A}.
+    Each u in U0 has u*y in L = U0*(u*y), so some v has v*u*y = y: v*u is
+    in delta(A) & U0*u, and delta(A), meeting every U0*u, is large."""
     R, delta = tau.positions, delta_slices(S, tau, tau.reach)
     delta_large = compose(
         minimal_layers(tb.large, R), [delta[x] for x in tau.reach_points], R
@@ -420,6 +417,9 @@ def _prethick_delta_large(S, tau, tb, cfg):
 
 # ---------------------------------------------------------------------------
 # the spec table
+
+# left inverse invariance (LII), the paper's hypothesis of T3_5 and T3_7
+_LII_NOTE = "the paper assumes left inverse invariance; checked under U0*U0 <= U0"
 
 
 THEOREMS: Dict[str, Spec] = {
@@ -447,28 +447,28 @@ THEOREMS: Dict[str, Spec] = {
     ),
     "T3_1": Spec(_minimal_ideal_traces, hypothesis="semigroup_filter"),
     "C3_1": Spec(_meets_minimal_is_prethick, hypothesis="semigroup_filter"),
-    "T3_2": Spec(_cover_bound, groups=True, admit=_cover_sweep_fits, tables=False),
+    "T3_2": Spec(_cover_bound, admit=_cover_sweep_fits, tables=False),
     "T3_5": Spec(
         _prethick_regularity,
-        hypothesis="left_inverse_invariant",
+        hypothesis="semigroup_filter",
         notes=(
             "closure membership statement degenerates onto the minimal-ideal "
             "membership statement at finite scale",
+            _LII_NOTE,
         ),
     ),
     "T3_6": Spec(
         _prethick_not_small,
-        hypothesis="left_invariant",
-        groups=True,
+        hypothesis="semigroup_filter",
         admit=lambda S, tau, cfg: S.order <= cfg.small_order_limit,
-        annotate_forced=True,
         notes=(
-            "left invariance admits only the full base on a finite group; "
-            "instances exercise the absolute theory and are annotated, not "
-            "discounted",
+            "the paper assumes a left invariant filter on a group; checked "
+            "under U0*U0 <= U0",
         ),
     ),
-    "T3_7": Spec(_prethick_delta_large, hypothesis="left_inverse_invariant"),
+    "T3_7": Spec(
+        _prethick_delta_large, hypothesis="semigroup_filter", notes=(_LII_NOTE,)
+    ),
 }
 THEOREM_IDS = tuple(THEOREMS)  # what "verify --theorem all" runs, in order
 THEOREMS["C3_2"] = THEOREMS["T3_2"]  # corollary alias for the same sweep
@@ -489,7 +489,8 @@ HUNTS: Dict[str, Spec] = {
         notes=("thick = meets-every-large with the extrathick hypothesis dropped",),
     ),
     "T3_6_semigroup": THEOREMS["T3_6"]._replace(
-        groups=False,
+        hypothesis="left_invariant",
+        admit=lambda S, tau, cfg: not S.is_group and S.order <= cfg.small_order_limit,
         finding="prethick/not-small equivalence fails off groups",
         notes=(
             "prethick iff not small on non-group semigroups with a left "
@@ -511,8 +512,6 @@ def _check(
 ) -> Optional[Tuple[int, Optional[dict]]]:
     """(assertions, detail) for an admitted instance, else None; `tables()`
     returns the instance's SizeTables."""
-    if spec.groups is not None and S.is_group != spec.groups:
-        return None
     if spec.tables and len(tau.reach_points) > TABLE_ORDER_LIMIT:
         return None
     kind = spec.hypothesis
@@ -557,8 +556,8 @@ def _run(
                 counts[i]["skipped"] += 1
                 continue
             assertions, detail = result
-            forced = False
-            if kind == "verify" and spec.hypothesis is not None and tau.is_trivial:
+            forced = kind == "verify" and spec.hypothesis is not None and tau.is_trivial
+            if forced:
                 reduction = hypothesis_reduction(spec.hypothesis)
                 if reduction not in forces:
                     forces[reduction] = hypothesis_forces_full_base(S, reduction)
@@ -566,7 +565,7 @@ def _run(
             counts[i]["checked"] += 1
             counts[i]["assertions"] += assertions
             counts[i]["forced"] += forced
-            if assertions == 0 or (forced and not spec.annotate_forced):
+            if assertions == 0 or forced:
                 counts[i]["degenerate"] += 1
             else:
                 counts[i]["effective"] += 1

@@ -181,14 +181,15 @@ class TestVerify:
         )
         assert code == 0
         reports = {r["theorem"]: r for r in map(json.loads, out.splitlines())}
-        for tid in ("T2_1", "T2_2", "T2_3", "T2_4", "T2_6", "T3_1", "C3_1"):
+        for tid in ("T2_1", "T2_2", "T2_3", "T2_4", "T2_6", "T3_1", "C3_1",
+                    "T3_5", "T3_7"):
             report = reports[tid]
             assert (report["instances_checked"], report["skipped_count"]) == (36, 2)
             assert report["effective_count"] == 36
             assert report["counterexample"] is None
         # left inverse invariance admits only the full base of a group, and
         # T3_2 and T3_6 admit no order above 12 and 8
-        for tid in ("C2_5", "T3_2", "T3_5", "T3_6", "T3_7"):
+        for tid in ("C2_5", "T3_2", "T3_6"):
             assert reports[tid]["instances_checked"] == 0
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
@@ -294,8 +295,8 @@ class TestSearch:
                               "alt_bound": None}
 
     def test_infeasible_admitted_quotient_sweep_exits_1(self, capsys, monkeypatch):
-        # the trivial filter of rightzero:3 is left inverse invariant with a
-        # prethick base, so some cell of every partition must be covered
+        # the full base of rightzero:3 is closed under the product, so some
+        # cell of every partition must be covered
         import semsize.partitions
 
         monkeypatch.setattr(semsize.partitions, "_cover", lambda *args: None)

@@ -5,12 +5,14 @@ checkers were rewritten as a spec table; any change to a report line (counts,
 counterexample payload, notes, key order) shows up here as a diff.  Two of the
 hunt fixtures carry counterexample payloads, so the counterexample builder is
 pinned too.  The default-catalog fixtures were written before the checkers
-read whole-mask tables and T3_5 (iii) was counted from (i).  The search
-fixtures pin the JSON record and the appended CSV rows of the partition
-sweep; the classify fixture pins all five verdicts, with their witnesses,
-on every subset of two small instances.  The families fixture pins the
-Cayley table of every named family at several sizes, and of six products,
-as written before the families shared one table constructor.
+read whole-mask tables and T3_5 (iii) was counted from (i); the T3_5, T3_6
+and T3_7 lines of the four verify fixtures were rewritten when those
+statements moved to the hypothesis U0*U0 <= U0, and no other line changed
+then.  The search fixtures pin the JSON record and the appended CSV rows of
+the partition sweep; the classify fixture pins all five verdicts, with their
+witnesses, on every subset of two small instances.  The families fixture
+pins the Cayley table of every named family at several sizes, and of six
+products, as written before the families shared one table constructor.
 """
 
 import json

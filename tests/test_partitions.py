@@ -400,18 +400,19 @@ class TestSweeps:
         with pytest.raises(InputError):
             sweep_partitions(rz3, make_principal(rz3, mask_of([0])), 2, mode)
 
-    def test_prethick_bases_of_left_inverse_invariant_filters_are_feasible(self):
-        # every partition of a prethick U0 has a cell A with delta(A) large
-        # (T3_5 (iii) with T3_7), so these quotient sweeps find no
-        # infeasible partition, and the sweep asserts as much
+    def test_quotient_sweeps_of_subsemigroup_bases_are_feasible(self):
+        # a base with U0*U0 <= U0 is prethick, and every partition of it has
+        # a cell A with delta(A) large (T3_5 (iii) with T3_7), so these
+        # quotient sweeps find no infeasible partition, and the sweep
+        # asserts as much
         swept = 0
         for entry in default_catalog():
             S = entry.semigroup
-            if S.order > 6:
+            if S.order > 8:
                 continue
             for base in entry.bases:
                 tau = make_principal(S, base)
-                if not check_hypothesis(tau, "left_inverse_invariant"):
+                if not check_hypothesis(tau, "semigroup_filter"):
                     continue
                 assert prethick_value(S, tau, base)
                 for n in (2, 3):
@@ -420,12 +421,12 @@ class TestSweeps:
                     rec = sweep_partitions(S, tau, n, "quotient")
                     assert rec.infeasible_partitions == 0
                     swept += 1
-        assert swept == 651
+        assert swept == 936
 
     def test_an_infeasible_admitted_quotient_sweep_is_a_violation(self, monkeypatch):
-        # the trivial filter of rightzero:3 is left inverse invariant and
-        # its base prethick; off groups no bound is proved, so only the
-        # feasibility rule can fire, and it fires in quotient mode only
+        # the full base of rightzero:3 is closed under the product; off
+        # groups no bound is proved, so only the feasibility rule can fire,
+        # and it fires in quotient mode only
         monkeypatch.setattr(semsize.partitions, "_cover", lambda *args: None)
         rz3 = semigroup_from_spec("rightzero:3")
         tau = trivial_filter(rz3)
@@ -437,6 +438,14 @@ class TestSweeps:
         # a pool without the base carries no such statement
         with pytest.raises(SizeLimitExceeded):
             sweep_partitions(rz3, tau, 2, "quotient", mask_of([0]))
+        # in leftzero:3 (x*y = x) the base {0, 1} is closed under the
+        # product but no left ideal (S*{0, 1} = S): the filter is not left
+        # inverse invariant, and U0*U0 <= U0 alone admits the rule
+        lz3 = semigroup_from_spec("leftzero:3")
+        tau = make_principal(lz3, mask_of([0, 1]))
+        assert not check_hypothesis(tau, "left_inverse_invariant")
+        with pytest.raises(BoundViolation, match="large difference set"):
+            sweep_partitions(lz3, tau, 2, "quotient")
 
     def test_finite_cover_bound(self):
         assert [finite_cover_bound(8, n) for n in range(1, 9)] == [

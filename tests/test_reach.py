@@ -236,7 +236,7 @@ def test_every_claim_over_the_reach_matches_the_full_tables():
                 assert got == want, (S.name, base, spec)
                 checks += got is not None
     assert (entries, full_entries) == (23838, 71466)
-    assert checks == 11333
+    assert checks == 13055
 
 
 _FLIP_CASES = [

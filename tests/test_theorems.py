@@ -4,6 +4,8 @@ import pickle
 
 import pytest
 
+from conftest import brute_minimal_left_ideals
+
 from semsize import (
     build_catalog,
     elements,
@@ -18,6 +20,7 @@ import semsize.theorems as theorems
 from semsize.catalog import default_catalog, entry_for, family_catalog
 from semsize.classify import SizeTables
 from semsize.filters import PrincipalFilter, check_hypothesis
+from semsize.literal import LiteralContext
 from semsize.masks import is_subset
 from semsize.partitions import enumerate_partitions
 from semsize.semigroups import left_quotient, minimal_left_ideals, translate_set
@@ -100,16 +103,19 @@ class TestVerify:
         assert with_rz.effective_count > 0
         assert not with_rz.vacuity_warning
 
-    def test_t3_6_groups_effective_despite_forced_base(self, z4):
+    def test_t3_6_effective_on_every_subgroup_base_of_a_group(self, z4):
+        # U0*U0 <= U0 admits the subgroups {0}, {0, 2} and Z4, and the
+        # proper ones make the full base of Z4 not forced; the paper's left
+        # invariance would admit Z4 alone
         report = verify("T3_6", [entry_for(z4)], catalog_label="z4")
         assert report.counterexample is None
-        assert report.instances_checked == 1
-        assert report.forced_absolute_count == 1
-        assert report.effective_count == 1  # annotated, not discounted
-        assert report.notes
+        assert report.instances_checked == report.effective_count == 3
+        assert report.forced_absolute_count == 0
+        assert "left invariant filter on a group" in report.notes[0]
 
     def test_vacuity_warning_when_nothing_applies(self, rz3):
-        report = verify("T3_6", [entry_for(rz3)], catalog_label="rz3")
+        # T3_2 needs a subgroup base, and rightzero:3 is not a group
+        report = verify("T3_2", [entry_for(rz3)], catalog_label="rz3")
         assert report.instances_checked == 0
         assert report.vacuity_warning
 
@@ -262,6 +268,26 @@ def test_meets_every_large_matches_literal_sweep():
                 assert complement_form == literal
 
 
+def test_prethick_meets_minimal_and_not_small_agree_under_a_closed_base():
+    # T3_5 (i) and T3_6 under U0*U0 <= U0, read off the literal quantifier
+    # forms: on every closed base of order <= 3, A is prethick iff A meets
+    # the union M of the minimal left ideals of U0 iff A is not small
+    bases = 0
+    for entry in order_le_catalog(3):
+        S = entry.semigroup
+        for base in entry.bases:
+            U0 = elements(base)
+            if any(S.table[a][b] not in U0 for a in U0 for b in U0):
+                continue
+            M = mask_of(set().union(*brute_minimal_left_ideals(S, U0)))
+            ctx = LiteralContext(S, PrincipalFilter(S, base))
+            for A in range(S.full_mask + 1):
+                trio = (ctx.prethick(A), bool(A & M), not ctx.small(A))
+                assert len(set(trio)) == 1, (S.name, U0, elements(A), trio)
+            bases += 1
+    assert bases == 599
+
+
 def test_every_partition_of_a_prethick_set_has_a_prethick_cell():
     # T3_5 (iii) is counted from (i), not swept; the sweep runs here on the
     # order<=3 catalog and the order <= 6 golden mixed catalog: each 2- and
@@ -296,7 +322,7 @@ def test_every_partition_of_a_prethick_set_has_a_prethick_cell():
             assertions += report.assertions
     whole = verify("T3_5", catalog, cfg=cfg)
     assert (whole.instances_checked, whole.assertions) == (admitted, assertions)
-    assert admitted == 356 + 27  # order<=3, then the mixed catalog
+    assert admitted == 599 + 42  # order<=3, then the mixed catalog
 
 
 _M = 0b101101  # {0, 2, 3, 5} in cyclic:6
@@ -505,7 +531,7 @@ def test_each_table_is_decomposed_once_per_instance():
     )
     assert all(r.counterexample is None for r in reports)
     info = minimal_layers.cache_info()
-    assert (info.misses, info.hits + info.misses) == (1507, 6205)
+    assert (info.misses, info.hits + info.misses) == (1507, 6604)
 
 
 def test_forced_bases_are_decided_once_per_semigroup_and_reduction(monkeypatch):
@@ -525,7 +551,7 @@ def test_forced_bases_are_decided_once_per_semigroup_and_reduction(monkeypatch):
         "verify", THEOREM_IDS, default_catalog(), "default", VerifyConfig()
     )
     assert all(r.counterexample is None for r in reports)
-    assert len(set(calls)) == len(calls) == 318
+    assert len(set(calls)) == len(calls) == 302
 
 
 def test_c2_5_scans_for_itself_once_t2_4_has_stopped(monkeypatch):
