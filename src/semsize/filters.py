@@ -175,13 +175,8 @@ def ultrafilter_product(S: FinSemigroup, p: int, q: int, A: int) -> bool:
     return direct
 
 
-def hypothesis_reduction(kind: str) -> str:
-    """The kind whose reduction decides `kind`: extrathick members and the
-    neighborhood shift say what U0*U0 <= U0 says, that every g in U0 is
-    shiftable, so both reduce to semigroup_filter."""
-    if kind in ("extrathick_members", "neighborhood_shift"):
-        return "semigroup_filter"
-    return kind
+# the kinds that say U0*U0 <= U0 (see check_hypothesis)
+_CLOSED_BASE_KINDS = ("semigroup_filter", "extrathick_members", "neighborhood_shift")
 
 
 def check_hypothesis(tau: PrincipalFilter, kind: str) -> bool:
@@ -194,8 +189,7 @@ def check_hypothesis(tau: PrincipalFilter, kind: str) -> bool:
     shift each say every g in U0 is shiftable, and left inverse invariance
     says every g in S is.
     """
-    kind = hypothesis_reduction(kind)
-    if kind == "semigroup_filter":
+    if kind in _CLOSED_BASE_KINDS:
         return is_subset(tau.base, tau.shiftable)
     if kind == "left_inverse_invariant":
         return tau.shiftable == tau.semigroup.full_mask
@@ -210,21 +204,29 @@ def hypothesis_forces_full_base(S: FinSemigroup, kind: str) -> bool:
 
     Used by the theorem checkers to flag instances whose relative hypothesis
     collapsed onto the absolute theory instead of passing them off as
-    silently vacuous.
+    silently vacuous.  Each kind has a closed form:
 
-    Only S satisfies a kind iff no proper candidate does: the idempotent
-    singletons {e} and the principal left ideals {x} | S*x.  A proper
-    subsemigroup (U0*U0 <= U0) contains some {e}, itself a subsemigroup; a
-    proper left ideal contains the left ideal {x} | S*x; a proper
-    left-invariant U0 contains {x} | S*x, the orbit of x under the
-    permutations of U0 the left translations generate, so it is
-    left-invariant too.
+    * U0*U0 <= U0 (the three closed-base kinds): iff S has one element.  A
+      finite semigroup has an idempotent e, and {e} is closed.
+    * left inverse invariance, S*U0 <= U0: iff S is left simple, S*x = S
+      for every x.  Each S*x is a left ideal, and a left ideal U0 holds S*x
+      for each x in U0.
+    * left invariance, U0 <= g*U0 for every g: iff no minimal left ideal
+      L != S is left invariant.  A left invariant U0 has g*U0 = U0, since
+      |g*U0| <= |U0|, so it is a left ideal and holds some L, and each g is
+      one-to-one on U0 and maps L into L, so g*L = L.
     """
     full = S.full_mask
-    candidates = {1 << e for e in range(S.order) if S.table[e][e] == e}
-    candidates |= {(1 << x) | right_translate(S, full, x) for x in range(S.order)}
-    candidates.discard(full)
-    return not any(check_hypothesis(PrincipalFilter(S, P), kind) for P in candidates)
+    if kind in _CLOSED_BASE_KINDS:
+        return S.order == 1
+    if kind == "left_inverse_invariant":
+        return all(right_translate(S, full, x) == full for x in range(S.order))
+    if kind == "left_invariant":
+        return not any(
+            L != full and check_hypothesis(PrincipalFilter(S, L), kind)
+            for L in minimal_left_ideals(S)
+        )
+    raise ValueError(f"unknown hypothesis kind {kind!r}")
 
 
 __all__ = [
@@ -234,5 +236,4 @@ __all__ = [
     "ultrafilter_product",
     "check_hypothesis",
     "hypothesis_forces_full_base",
-    "hypothesis_reduction",
 ]

@@ -19,7 +19,6 @@ once and is dropped with the tables.  The fields of a spec:
   instance's `SizeTables` ``tb``; returns the number of assertions made and
   the detail (plain JSON values) of the first failure, or None;
 * ``hypothesis``: the `check_hypothesis` kind a filter must satisfy, or None;
-  with ``negate`` only filters that fail it are admitted (a dropped hypothesis);
 * ``admit(S, tau, cfg)``: any other admission test (groups, sizes, cells);
 * ``tables``: False when the claim reads no `SizeTables` (it then gets None,
   and none are built); a spec that reads them skips instances whose reach
@@ -51,9 +50,9 @@ of the lowest failing bit, and a count of subsets is a weighted popcount:
 
 Degeneracy accounting: an admissible instance is degenerate when it asserted
 nothing (empty inner domain) or when its hypothesis admits no base other
-than the full set, so the run only exercised the absolute theory.  Only
-`verify` counts these forced bases; a hunt's hypothesis is dropped or
-negated, so it has none.
+than the full set, so the run only exercised the absolute theory
+(`hypothesis_forces_full_base`).  Only `verify` counts these forced bases,
+so a hunt reports none, whatever its hypothesis.
 """
 
 from __future__ import annotations
@@ -67,12 +66,7 @@ from weakref import WeakKeyDictionary
 from .catalog import CatalogEntry
 from .classify import TABLE_ORDER_LIMIT, SizeTables, delta_slices
 from .errors import BoundViolation, InputError
-from .filters import (
-    PrincipalFilter,
-    check_hypothesis,
-    hypothesis_forces_full_base,
-    hypothesis_reduction,
-)
+from .filters import PrincipalFilter, check_hypothesis, hypothesis_forces_full_base
 from .masks import (
     all_subsets,
     bits,
@@ -140,7 +134,6 @@ class Spec(NamedTuple):
 
     claim: Callable[..., Tuple[int, Optional[dict]]]
     hypothesis: Optional[str] = None
-    negate: bool = False
     admit: Optional[Callable[..., bool]] = None
     tables: bool = True
     finding: Optional[str] = None
@@ -484,7 +477,8 @@ HUNTS: Dict[str, Spec] = {
         ),
     ),
     "T2_3_no_extrathick": THEOREMS["T2_3"]._replace(
-        negate=True,
+        hypothesis=None,
+        admit=lambda S, tau, cfg: not check_hypothesis(tau, "extrathick_members"),
         finding="equivalence breaks without the extrathick hypothesis",
         notes=("thick = meets-every-large with the extrathick hypothesis dropped",),
     ),
@@ -515,7 +509,7 @@ def _check(
     if spec.tables and len(tau.reach_points) > TABLE_ORDER_LIMIT:
         return None
     kind = spec.hypothesis
-    if kind is not None and check_hypothesis(tau, kind) == spec.negate:
+    if kind is not None and not check_hypothesis(tau, kind):
         return None
     if spec.admit is not None and not spec.admit(S, tau, cfg):
         return None
@@ -530,16 +524,11 @@ def _run(
 ) -> List[Tuple[Counter, Optional[dict]]]:
     """Per id, from one pass: counts up to and including its first
     counterexample, and that counterexample or None.
-    An instance's `SizeTables` are built for the first spec that reads them,
-    and whether a hypothesis admits only the full base is decided once per
-    semigroup and reduction."""
+    An instance's `SizeTables` are built for the first spec that reads them."""
     specs = [_SPECS[kind][tid] for tid in ids]
     counts = [Counter() for _ in ids]
     found: List[Optional[dict]] = [None] * len(ids)
-    current, forces = None, {}  # hypothesis_forces_full_base of S, by reduction
     for S, base in pairs:
-        if S is not current:
-            current, forces = S, {}
         tau = PrincipalFilter(S, base)
         built: List[SizeTables] = []
 
@@ -556,12 +545,12 @@ def _run(
                 counts[i]["skipped"] += 1
                 continue
             assertions, detail = result
-            forced = kind == "verify" and spec.hypothesis is not None and tau.is_trivial
-            if forced:
-                reduction = hypothesis_reduction(spec.hypothesis)
-                if reduction not in forces:
-                    forces[reduction] = hypothesis_forces_full_base(S, reduction)
-                forced = forces[reduction]
+            forced = (
+                kind == "verify"
+                and spec.hypothesis is not None
+                and tau.is_trivial
+                and hypothesis_forces_full_base(S, spec.hypothesis)
+            )
             counts[i]["checked"] += 1
             counts[i]["assertions"] += assertions
             counts[i]["forced"] += forced

@@ -169,6 +169,10 @@ class TestHypotheses:
     def test_unknown_kind_is_refused(self, z4):
         with pytest.raises(ValueError):
             check_hypothesis(trivial_filter(z4), "shiftable_at")
+        # the order-1 semigroup too, where every kind admits only the full base
+        for S in (z4, semigroup_from_spec("cyclic:1")):
+            with pytest.raises(ValueError):
+                hypothesis_forces_full_base(S, "shiftable_at")
 
     def test_reduced_equals_literal_on_small_catalog(self):
         kinds = (
@@ -245,6 +249,20 @@ def swept_forces_full_base(S, kind):
     )
 
 
+_KINDS = ("semigroup_filter", "left_invariant", "left_inverse_invariant",
+          "extrathick_members", "neighborhood_shift")
+
+# (U0*U0 <= U0, left invariant, left inverse invariant) forced, on
+# semigroups where the three closed forms part ways
+_SPLIT_VERDICTS = {
+    "product:leftzero:2,cyclic:3": (False, True, True),  # a left group
+    "product:rightzero:2,leftzero:2": (False, True, False),
+    "fulltransformation:2": (False, True, False),
+    "product:fulltransformation:2,cyclic:2": (False, True, False),
+    "product:null:2,cyclic:2": (False, False, False),
+}
+
+
 def test_forced_full_base_matches_the_base_sweep():
     semigroups = [entry.semigroup for entry in default_catalog()] + [
         semigroup_from_spec(spec)
@@ -254,18 +272,41 @@ def test_forced_full_base_matches_the_base_sweep():
             "product:rightzero:2,cyclic:3",
             "product:leftzero:2,null:3",
             "product:cyclic:2,cyclic:3",
+            *_SPLIT_VERDICTS,
         )
     ]
-    kinds = ("semigroup_filter", "left_invariant", "left_inverse_invariant",
-             "extrathick_members", "neighborhood_shift")
     forced = 0
     for S in semigroups:
-        for kind in kinds:
+        for kind in _KINDS:
             value = hypothesis_forces_full_base(S, kind)
             assert value == swept_forces_full_base(S, kind), (S.name, kind)
             forced += value
     # both answers occur, so the comparison is not vacuous
-    assert 0 < forced < len(semigroups) * len(kinds)
+    assert 0 < forced < len(semigroups) * len(_KINDS)
+    for spec, verdicts in _SPLIT_VERDICTS.items():
+        S = semigroup_from_spec(spec)
+        assert tuple(hypothesis_forces_full_base(S, kind) for kind in _KINDS[:3]) == (
+            verdicts
+        ), spec
+
+
+def test_forced_full_base_builds_no_proper_filter(monkeypatch):
+    # every kind but left invariance is decided in closed form, without
+    # trying a proper base
+    import semsize.filters as filters
+
+    built, cls = [], filters.PrincipalFilter
+
+    def recording(S, base):
+        built.append((S, base))
+        return cls(S, base)
+
+    monkeypatch.setattr(filters, "PrincipalFilter", recording)
+    for entry in default_catalog():
+        for kind in _KINDS:
+            if kind != "left_invariant":
+                hypothesis_forces_full_base(entry.semigroup, kind)
+    assert [(S.name, base) for S, base in built if base != S.full_mask] == []
 
 
 _IMAGES = {

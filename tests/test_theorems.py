@@ -534,26 +534,6 @@ def test_each_table_is_decomposed_once_per_instance():
     assert (info.misses, info.hits + info.misses) == (1507, 6604)
 
 
-def test_forced_bases_are_decided_once_per_semigroup_and_reduction(monkeypatch):
-    # semigroup_filter, extrathick_members and neighborhood_shift share one
-    # reduction: a serial verify of every theorem asks whether a hypothesis
-    # admits only the full base once per catalog semigroup and reduction
-    from semsize.filters import hypothesis_forces_full_base, hypothesis_reduction
-
-    calls = []
-
-    def counted(S, kind):
-        calls.append((id(S), hypothesis_reduction(kind)))
-        return hypothesis_forces_full_base(S, kind)
-
-    monkeypatch.setattr(theorems, "hypothesis_forces_full_base", counted)
-    reports = theorems._drive(
-        "verify", THEOREM_IDS, default_catalog(), "default", VerifyConfig()
-    )
-    assert all(r.counterexample is None for r in reports)
-    assert len(set(calls)) == len(calls) == 302
-
-
 def test_c2_5_scans_for_itself_once_t2_4_has_stopped(monkeypatch):
     # a scan faked to fail at the base {0}, which C2_5 never admits, stops
     # T2_4 at the first instance; C2_5 admits only the full bases, scans
