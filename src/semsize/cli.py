@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import catalog as catalog_mod
-from .classify import classify_all
+from .classify import PREDICATES, classify_all
 from .errors import (
     AssociativityError,
     BoundViolation,
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--predicate",
         default="all",
-        choices=["all", "large", "thick", "extrathick", "prethick", "small"],
+        choices=("all",) + PREDICATES,
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_classify)

@@ -2,10 +2,9 @@
 
 This module quantifies literally: over every filter member U >= U0, every
 finite F <= U, and every member V >= U0, with no extremal-instantiation
-shortcuts.  It deliberately avoids the per-element image lists behind the
-set arithmetic of `semigroups` and works from the raw Cayley table, so a bug
-in the fast path cannot hide here.  Intended for differential testing on small
-orders.
+shortcuts.  It reads the raw Cayley table with its own loops and calls none
+of the set arithmetic of `semigroups`, so a bug in the fast path cannot hide
+here.  Intended for differential testing on small orders.
 """
 
 from __future__ import annotations

@@ -62,8 +62,8 @@ def test_report_matches_golden(name, tmp_path, capsys):
 
 
 def test_parallel_verify_matches_golden(tmp_path, capsys):
-    # each task pickles its semigroups as (table, name); the workers build
-    # their own set-arithmetic tables
+    # each task pickles its semigroups as (table, name), all that a worker
+    # needs to rebuild them
     name = "verify_all_order3.jsonl"
     out = tmp_path / name
     assert main(CASES[name] + ["--workers", "2", "--out", str(out)]) == 0

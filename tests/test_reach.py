@@ -34,6 +34,16 @@ def union_table(images):
     return t
 
 
+def preimages(products):
+    """pre[b] = {x : products[x] == b} for every point b: over a row of the
+    Cayley table the images of a left quotient, over a column those of a
+    trace."""
+    pre = [0] * len(products)
+    for x, v in enumerate(products):
+        pre[v] |= 1 << x
+    return pre
+
+
 class FullTables:
     """The four size tables over every subset mask of S."""
 
@@ -85,7 +95,7 @@ def _implies(premise, conclusion, claim):
 
 def _trace_tables(S, U0):
     for g in bits(U0):
-        yield g, union_table(S.trace[g])
+        yield g, union_table(preimages([row[g] for row in S.table]))
 
 
 def _trace_large(S, tau, tb, cfg):
@@ -114,8 +124,8 @@ def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
     large, thick = tb.large, tb.thick
     count = 0
     for g in bits(tau.shiftable):
-        gA = union_table(S.row[g])
-        gqA = union_table(S.quot[g])
+        gA = union_table([1 << v for v in S.table[g]])
+        gqA = union_table(preimages(S.table[g]))
         for A in range(S.full_mask + 1):
             if large[A]:
                 count += 1
@@ -131,7 +141,8 @@ def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
 def _quotient_stable(family, S, tau, tb, cfg, **labels):
     members = getattr(tb, family)
     stays = [
-        (g, [members[gT] for gT in union_table(S.quot[g])]) for g in bits(tau.base)
+        (g, [members[gT] for gT in union_table(preimages(S.table[g]))])
+        for g in bits(tau.base)
     ]
     count = 0
     for T in range(S.full_mask + 1):

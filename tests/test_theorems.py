@@ -139,8 +139,9 @@ class TestVerify:
             verify("T9_9", small_catalog())
 
     def test_no_size_tables_outlive_the_run(self):
-        # an instance's filter holds its reach and the image lists over it,
-        # its SizeTables the tables: neither may be kept past the instance
+        # an instance's filter holds its reach and the subsets of it through
+        # each point, its SizeTables the tables: neither may be kept past the
+        # instance
         def live_tables():
             gc.collect()
             held = (SizeTables, PrincipalFilter)
