@@ -14,7 +14,8 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from . import catalog as catalog_mod
+# `catalog` and `theorems` are imported by the verbs that read them, so that
+# `search`, `classify` and `gen` start without them
 from .classify import PREDICATES, classify_all
 from .errors import (
     AssociativityError,
@@ -34,13 +35,6 @@ from .semigroups import (
     semigroup_from_spec,
     serialize_table,
     automorphisms,
-)
-from .theorems import (
-    HUNT_VARIANTS,
-    THEOREM_IDS,
-    VerifyConfig,
-    _drive,
-    hunt_counterexample,
 )
 
 EXIT_OK = 0
@@ -190,6 +184,8 @@ def _cmd_classify(args) -> int:
 
 
 def _build_catalog(args):
+    from .catalog import build_catalog
+
     override = None
     if getattr(args, "base", None):
         # one mask applied to every instance; entries it cannot fit are dropped
@@ -197,10 +193,12 @@ def _build_catalog(args):
         if not elems:
             raise EmptyBase("base spec names no elements")
         override = (mask_of(elems),)
-    return catalog_mod.build_catalog(args.catalog, base_override=override)
+    return build_catalog(args.catalog, base_override=override)
 
 
 def _cmd_verify(args) -> int:
+    from .theorems import THEOREM_IDS, VerifyConfig, _drive
+
     ids = list(THEOREM_IDS) if args.theorem == "all" else [args.theorem]
     entries = _build_catalog(args)
     cfg = VerifyConfig(cells=args.cells, workers=args.workers)
@@ -211,6 +209,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
+    from .theorems import hunt_counterexample
+
     entries = _build_catalog(args)
     report = hunt_counterexample(args.variant, entries, catalog_label=args.catalog)
     _write_lines(args.out, [_dump(report.to_json_dict())])
@@ -341,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("hunt", help="search for counterexamples to theorem variants")
-    p.add_argument(
-        "--variant", required=True, help=", ".join(sorted(HUNT_VARIANTS))
-    )
+    p.add_argument("--variant", required=True, help='e.g. "T2_6_large"')
     p.add_argument("--catalog", default="default")
     p.add_argument("--base", default=None)
     p.add_argument("--out", default=None)

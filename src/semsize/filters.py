@@ -122,15 +122,18 @@ class PrincipalFilter:
     def reach_slices(self, kind: str, g: int) -> Tuple[int, ...]:
         """The bit slices over R of the image of A under g: slice i is the
         set of subsets A of R, by positions, whose image holds the point x_i
-        at position i.  The image is g^-1 A (`quot`), the trace {x : x*g in
-        A} (`trace`) or g*A (`row`), restricted to R: x_i is in the first two
-        iff g*x_i or x_i*g is in A, and in g*A iff some y of A has g*y = x_i.
+        at position i.  The image is g^-1 A (`quotient`), the trace
+        {x : x*g in A} (`trace`) or g*A (`translate`), restricted to R: x_i
+        is in the first two iff g*x_i or x_i*g is in A, and in g*A iff some
+        y of A has g*y = x_i.  Any other kind raises ValueError.
         """
         table, through = self.semigroup.table, self.through
-        if kind == "quot":
+        if kind == "quotient":
             return tuple(through[table[g][x]] for x in self.reach_points)
         if kind == "trace":
             return tuple(through[table[x][g]] for x in self.reach_points)
+        if kind != "translate":
+            raise ValueError(f"unknown image kind {kind!r}")
         slices = dict.fromkeys(self.reach_points, 0)
         for y in self.reach_points:
             gy = table[g][y]

@@ -127,31 +127,72 @@ def _cover(S, tau, d, mode, V) -> Optional[int]:
 # partition enumeration
 
 
-def _rgs(m: int, n: int) -> Iterator[Tuple[int, ...]]:
-    """Restricted growth strings of length m using exactly n labels."""
-    if m < n or n < 1:
+def _labelings(
+    domain: int,
+    n: int,
+    symmetry: Optional[Sequence[Tuple[int, ...]]] = None,
+) -> Iterator[Tuple[List[int], List[int]]]:
+    """The restricted growth strings of length |domain| with exactly n
+    labels, in increasing lexicographic order, each with its n cells as
+    masks of domain positions.  Both lists are updated in place from one
+    string to the next, so a consumer that keeps one must copy it.
+
+    Each step raises the rightmost label that can still go up (below both
+    n - 1 and the count of labels before it) and refills the suffix with
+    its least completion: zeros, then the labels still missing (Knuth's
+    Algorithm H, TAOCP 7.2.1.5).  top[j] is the count of labels before j.
+    With `symmetry` (see `enumerate_partitions`) a string is skipped
+    unless it is the least of its orbit.
+    """
+    if n < 1:
+        raise InputError("need at least one cell")
+    m, last = popcount(domain), n - 1
+    moves: List[Tuple[int, ...]] = []
+    if symmetry:
+        if not all(_fixes(perm, domain) for perm in symmetry):
+            raise ValueError("symmetry permutation does not fix the domain")
+        domain_elems = elements(domain)
+        pos = {e: i for i, e in enumerate(domain_elems)}
+        # a move that fixes every position can drop no string
+        images = (tuple(pos[perm[e]] for e in domain_elems) for perm in symmetry)
+        moves = [mv for mv in dict.fromkeys(images) if mv != tuple(range(m))]
+    if m < n:
         return
-    labels = [0] * m
-
-    def rec(i: int, used: int):
-        if i == m:
-            if used == n:
-                yield tuple(labels)
+    # the first string keeps label 0 at position 0 and refills the rest
+    labels, top, cells = [0] * m, [0] * m, [0] * n
+    cells[0] = (1 << m) - 1
+    i, u = 0, 1
+    while True:
+        z = m - n + u
+        for j in range(i + 1, m):
+            top[j] = u
+            if j < z:
+                lab = 0
+            else:
+                lab = u
+                u += 1
+            old = labels[j]
+            if lab != old:
+                labels[j] = lab
+                cells[old] ^= 1 << j
+                cells[lab] |= 1 << j
+        # labels are already relabel-canonical; (pi . P)(x) = P(pi^-1 x),
+        # but sweeping the whole group makes the direction immaterial
+        if not moves or _is_orbit_min(labels, moves):
+            yield labels, cells
+        i = m - 1
+        while i and (labels[i] >= top[i] or labels[i] == last):
+            i -= 1
+        if not i:
             return
-        # cannot finish if remaining slots cannot introduce the missing labels
-        if used + (m - i) < n:
-            return
-        for lab in range(used):
-            labels[i] = lab
-            yield from rec(i + 1, used)
-        if used < n:
-            labels[i] = used
-            yield from rec(i + 1, used + 1)
-
-    yield from rec(0, 0)
+        old = labels[i]
+        labels[i] = lab = old + 1
+        cells[old] ^= 1 << i
+        cells[lab] |= 1 << i
+        u = max(top[i], lab + 1)
 
 
-def _is_orbit_min(labels: Tuple[int, ...], moves: Sequence[Tuple[int, ...]]) -> bool:
+def _is_orbit_min(labels: Sequence[int], moves: Sequence[Tuple[int, ...]]) -> bool:
     """Whether no image labels[move[i]] relabels to a smaller string than
     `labels`.  Each image is relabeled only up to its first difference from
     `labels`, and the test stops at the first smaller image."""
@@ -175,7 +216,8 @@ def enumerate_partitions(
     n: int,
     symmetry: Optional[Sequence[Tuple[int, ...]]] = None,
 ) -> Iterator[Partition]:
-    """Surjective n-cell labelings of the domain, one per relabeling class.
+    """Surjective n-cell labelings of the domain, one per relabeling class,
+    in increasing lexicographic order of their label strings.
 
     With `symmetry` only the lexicographically least label string of each
     orbit is produced.  It must be a group of permutations of the ambient
@@ -185,21 +227,8 @@ def enumerate_partitions(
     Each permutation becomes a tuple of domain positions once; a string is
     dropped at the first permutation whose image relabels to a smaller one.
     """
-    m = popcount(domain)
-    if n < 1:
-        raise InputError("need at least one cell")
-    moves: List[Tuple[int, ...]] = []
-    if symmetry:
-        if not all(_fixes(perm, domain) for perm in symmetry):
-            raise ValueError("symmetry permutation does not fix the domain")
-        domain_elems = elements(domain)
-        pos = {e: i for i, e in enumerate(domain_elems)}
-        moves = [tuple(pos[perm[e]] for e in domain_elems) for perm in symmetry]
-    for labels in _rgs(m, n):
-        # labels are already relabel-canonical; (pi . P)(x) = P(pi^-1 x),
-        # but sweeping the whole group makes the direction immaterial
-        if _is_orbit_min(labels, moves):
-            yield Partition(domain, labels, n)
+    for labels, _ in _labelings(domain, n, symmetry):
+        yield Partition(domain, tuple(labels), n)
 
 
 def stirling2(m: int, n: int) -> int:
@@ -230,10 +259,11 @@ def sweep_partitions(
 
     Each cell is covered as `min_cover` covers it in `mode`, and the mode
     and pool are checked as there, once, before any partition is
-    enumerated.  The sweep is one pass over `enumerate_partitions`: it
-    reads each cell as a mask of base positions from the labels, and its
-    difference set from the `delta_slices` over the base's subsets,
-    `masks.transpose`d once into a list indexed by cell.  Cells
+    enumerated.  The sweep is one pass over the enumerator behind
+    `enumerate_partitions`, which keeps each cell as a mask of base
+    positions; the sweep reads a cell's difference set from the
+    `delta_slices` over the base's subsets, `masks.transpose`d once into a
+    list indexed by cell, and builds a `Partition` only for a new argmax.  Cells
     with the same difference set have the same least cover, so the sweep
     searches each difference set once and keeps its size until it returns.
     Of the partitions with the worst cover, the argmax is the one whose
@@ -266,12 +296,8 @@ def sweep_partitions(
     # it has none), since a cell enters its cover only through it
     delta = transpose(delta_slices(S, tau, tau.base), 1 << popcount(tau.base))
     covers: dict = {}
-    worst, infeasible, argmax, argkey, checked = -1, 0, None, None, 0
-    parts = enumerate_partitions(tau.base, n, symmetry or None)
-    for checked, part in enumerate(parts, 1):
-        cells = [0] * n
-        for i, lab in enumerate(part.labels):
-            cells[lab] |= 1 << i
+    worst, infeasible, argmax, spread, checked = -1, 0, None, 0, 0
+    for checked, (labels, cells) in enumerate(_labelings(tau.base, n, symmetry), 1):
         best: Optional[int] = None
         for cell in cells:
             d = delta[cell]
@@ -287,9 +313,11 @@ def sweep_partitions(
             infeasible += 1
         elif best >= worst:
             sizes = [popcount(cell) for cell in cells]
-            key = (max(sizes) - min(sizes), part.labels)
-            if best > worst or key < argkey:
-                worst, argmax, argkey = best, part, key
+            gap = max(sizes) - min(sizes)
+            # the label strings increase, so a tie keeps the earlier argmax
+            if best > worst or gap < spread:
+                worst, spread = best, gap
+                argmax = Partition(tau.base, tuple(labels), n)
     bound = finite_cover_bound(popcount(tau.base), n) if proved else None
     if proved and (infeasible or worst > bound):
         raise BoundViolation(

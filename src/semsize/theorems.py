@@ -242,8 +242,10 @@ def _shift_scan(tau, tb):
     large_layers, thick_layers = minimal_layers(large, R), minimal_layers(thick, R)
     count = 0
     for g in bits(tau.shiftable):
-        large_failed = large & ~compose(large_layers, tau.reach_slices("row", g), R)
-        thick_failed = thick & ~compose(thick_layers, tau.reach_slices("quot", g), R)
+        translates = tau.reach_slices("translate", g)
+        large_failed = large & ~compose(large_layers, translates, R)
+        quotients = tau.reach_slices("quotient", g)
+        thick_failed = thick & ~compose(thick_layers, quotients, R)
         if large_failed | thick_failed:
             P = _lowest(large_failed | thick_failed)
             thick_only = not large_failed >> P & 1
@@ -283,7 +285,7 @@ def _quotient_stable(family, S, tau, tb, cfg, **labels):
     members, R = getattr(tb, family), tau.positions
     layers = minimal_layers(members, R)
     failed = [
-        (g, members & ~compose(layers, tau.reach_slices("quot", g), R))
+        (g, members & ~compose(layers, tau.reach_slices("quotient", g), R))
         for g in bits(tau.base)
     ]
     anywhere = 0

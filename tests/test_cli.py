@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import semsize
 from semsize import (
     automorphisms,
     hunt_counterexample,
@@ -750,7 +752,7 @@ def test_readme_commands_exit_0(tmp_path, capsys, monkeypatch):
 
 _SEARCH = """
 import runpy, sys
-sys.argv = ["semsize", "search", "--group", "cyclic:4", "--cells", "2"]
+sys.argv = ["semsize", "search", "--group", "{group}", "--cells", "{cells}"]
 try:
     runpy.run_module("semsize", run_name="__main__")
 except SystemExit as exc:
@@ -758,16 +760,10 @@ except SystemExit as exc:
 """
 
 
-@pytest.mark.parametrize(
-    "code", ["import semsize.cli", _SEARCH], ids=["import", "search"]
-)
-def test_startup_loads_no_dataclasses_inspect_or_csv(code):
-    # each search process pays for what the package imports; dataclasses
-    # pulls in inspect, and csv is needed only for --out-csv
-    probe = code + (
-        "\nimport sys"
-        "\nprint([m for m in ('csv', 'dataclasses', 'inspect') if m in sys.modules])"
-    )
+def _loaded(code, modules):
+    """The names among `modules` in sys.modules after `code` runs in a new
+    interpreter, as the probe prints them."""
+    probe = code + f"\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -777,4 +773,30 @@ def test_startup_loads_no_dataclasses_inspect_or_csv(code):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import semsize.cli", _SEARCH.format(group="cyclic:4", cells=2)],
+    ids=["import", "search"],
+)
+def test_startup_loads_no_dataclasses_inspect_or_csv(code):
+    # each search process pays for what the package imports; dataclasses
+    # pulls in inspect, and csv is needed only for --out-csv
+    assert _loaded(code, ("csv", "dataclasses", "inspect")) == "[]"
+
+
+def test_search_loads_no_theorems_catalog_or_literal():
+    # the package resolves its names on first use and the CLI imports the
+    # theorem checkers and the catalog only for verify and hunt
+    code = _SEARCH.format(group="cyclic:8", cells=3)
+    modules = ("semsize.theorems", "semsize.catalog", "semsize.literal")
+    assert _loaded(code, modules) == "[]"
+
+
+def test_import_semsize_loads_no_module():
+    names = tuple(
+        "semsize." + info.name for info in pkgutil.iter_modules(semsize.__path__)
+    )
+    assert _loaded("import semsize", names) == "[]"

@@ -310,9 +310,9 @@ def test_forced_full_base_builds_no_proper_filter(monkeypatch):
 
 
 _IMAGES = {
-    "quot": left_quotient,
+    "quotient": left_quotient,
     "trace": lambda S, g, A: trace_set(S, A, g),
-    "row": translate_set,
+    "translate": translate_set,
 }
 
 
@@ -333,3 +333,10 @@ def test_reach_slices_are_the_set_arithmetic_restricted_to_the_reach(kind):
                 assert got == want, (S.name, base, g)
                 checked += 1
     assert checked == 2422
+
+
+@pytest.mark.parametrize("kind", ["quot", "row", "", "Trace"])
+def test_reach_slices_refuse_an_unknown_kind(kind):
+    tau = trivial_filter(semigroup_from_spec("cyclic:3"))
+    with pytest.raises(ValueError, match="unknown image kind"):
+        tau.reach_slices(kind, 0)

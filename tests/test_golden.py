@@ -9,8 +9,10 @@ read whole-mask tables and T3_5 (iii) was counted from (i); the T3_5, T3_6
 and T3_7 lines of the four verify fixtures were rewritten when those
 statements moved to the hypothesis U0*U0 <= U0, and no other line changed
 then.  The search fixtures pin the JSON record and the appended CSV rows of
-the partition sweep; the classify fixture pins all five verdicts, with their
-witnesses, on every subset of two small instances.  The families fixture
+the partition sweep; their last six lines, every benchmark search the first
+seven lack and a base with infeasible partitions, were written by the sweep
+before it read its cells from the enumerator.  The classify fixture pins all
+five verdicts, with their witnesses, on every subset of two small instances.  The families fixture
 pins the Cayley table of every named family at several sizes, and of six
 products, as written before the families shared one table constructor.
 """
@@ -110,6 +112,12 @@ SEARCH_CASES = [
     ["--group", "cyclic:12", "--cells", "2", "--symmetry"],
     ["--group", "quaternion8", "--cells", "3", "--symmetry"],
     ["--group", "product:cyclic:2,cyclic:2,cyclic:2", "--cells", "3", "--symmetry"],
+    ["--group", "cyclic:12", "--cells", "2", "--mode", "translate"],
+    ["--group", "cyclic:12", "--cells", "2", "--mode", "quotient"],
+    ["--group", "cyclic:12", "--cells", "2", "--mode", "delta"],
+    ["--group", "cyclic:8", "--cells", "3"],
+    ["--group", "product:cyclic:2,cyclic:4", "--cells", "3"],
+    ["--group", "cyclic:6", "--base", "0,1,2", "--cells", "2", "--mode", "quotient"],
 ]
 
 

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -50,10 +50,34 @@ class TestEnumeratePartitions:
         domain = mask_of([0, 1, 2, 3])
         assert sum(1 for _ in enumerate_partitions(domain, 2)) == 7
         assert stirling2(4, 2) == 7
-        for m, n in [(3, 2), (5, 2), (5, 3), (6, 3), (6, 4)]:
-            domain = (1 << m) - 1
-            got = sum(1 for _ in enumerate_partitions(domain, n))
-            assert got == stirling2(m, n), (m, n)
+        for m in range(10):
+            for n in range(1, 6):
+                domain = (1 << m) - 1
+                got = sum(1 for _ in enumerate_partitions(domain, n))
+                assert got == stirling2(m, n), (m, n)
+
+    @pytest.mark.parametrize("m", range(10))
+    def test_labelings_are_every_canonical_string_in_order(self, m):
+        # reference: every string of m labels below n that starts with 0
+        # (for m = 0, the empty string), kept when it uses all n labels and
+        # is already relabel-canonical; product lists them in order
+        domain = (1 << m) - 1
+        for n in range(1, 6):
+            strings = product(*([range(1)] + [range(n)] * (m - 1))[:m])
+            want = [
+                s for s in strings
+                if len(set(s)) == n and _canonical_labels(s) == s
+            ]
+            swept = [
+                (tuple(labels), list(cells))
+                for labels, cells in semsize.partitions._labelings(domain, n)
+            ]
+            parts = list(enumerate_partitions(domain, n))
+            assert [p.labels for p in parts] == [s for s, _ in swept] == want
+            assert all(a < b for a, b in zip(want, want[1:]))
+            # on a domain of positions 0..m-1 the cells the sweep reads are
+            # the partition's cell masks
+            assert [p.cell_masks() for p in parts] == [c for _, c in swept]
 
     def test_stirling_equals_the_recursion(self):
         def recursion(m, n):
