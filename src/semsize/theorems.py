@@ -9,7 +9,10 @@ failure.
 Every theorem and hunt is one `Spec` in `THEOREMS` or `HUNTS`, and one driver
 serves `verify`, `hunt_counterexample` (one spec each) and `replay`.  One pass
 over the catalog runs every requested spec on each instance, whose
-`SizeTables` are built at most once and dropped before the next.  What the
+`SizeTables` are built at most once and dropped before the next.  A spec
+stops at its first counterexample, and a pass stops once every spec it
+runs has.  An instance is tested against the hypothesis and ``admit``
+before the table limit, so one they refuse never computes its reach.  What the
 base alone determines (the shiftable g, the right translates, the union of
 the minimal left ideals, the reach and the subsets through its points) is
 read off the instance's one `PrincipalFilter`, which computes each at most
@@ -57,7 +60,6 @@ so a hunt reports none, whatever its hypothesis.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, partial
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -507,13 +509,13 @@ def _check(
     spec: Spec, S: FinSemigroup, tau: PrincipalFilter, tables: Callable, cfg
 ) -> Optional[Tuple[int, Optional[dict]]]:
     """(assertions, detail) for an admitted instance, else None; `tables()`
-    returns the instance's SizeTables."""
-    if spec.tables and len(tau.reach_points) > TABLE_ORDER_LIMIT:
-        return None
+    returns the instance's SizeTables.  The limit, read off the reach, is last."""
     kind = spec.hypothesis
     if kind is not None and not check_hypothesis(tau, kind):
         return None
     if spec.admit is not None and not spec.admit(S, tau, cfg):
+        return None
+    if spec.tables and len(tau.reach_points) > TABLE_ORDER_LIMIT:
         return None
     assertions, detail = spec.claim(S, tau, tables() if spec.tables else None, cfg)
     if detail is not None and spec.finding is not None:
@@ -523,13 +525,17 @@ def _check(
 
 def _run(
     kind: str, ids: Sequence[str], pairs: Sequence[Tuple[FinSemigroup, int]], cfg
-) -> List[Tuple[Counter, Optional[dict]]]:
-    """Per id, from one pass: counts up to and including its first
-    counterexample, and that counterexample or None.
-    An instance's `SizeTables` are built for the first spec that reads them."""
+) -> List[Tuple[List[int], Optional[dict]]]:
+    """Per id, from one pass: its counts up to and including its first
+    counterexample, in `TheoremReport` field order (checked, degenerate,
+    effective, skipped, forced, assertions), and that counterexample or None.
+    Each instance runs only the ids still without a counterexample, and the
+    pass ends once none is left.  An instance's `SizeTables` are built for
+    the first spec that reads them."""
     specs = [_SPECS[kind][tid] for tid in ids]
-    counts = [Counter() for _ in ids]
+    counts = [[0] * 6 for _ in ids]
     found: List[Optional[dict]] = [None] * len(ids)
+    running = list(range(len(ids)))
     for S, base in pairs:
         tau = PrincipalFilter(S, base)
         built: List[SizeTables] = []
@@ -539,12 +545,11 @@ def _run(
                 built.append(SizeTables(S, tau))
             return built[0]
 
-        for i, spec in enumerate(specs):
-            if found[i] is not None:
-                continue  # this id stopped at its counterexample
+        for i in running:
+            spec, c = specs[i], counts[i]
             result = _check(spec, S, tau, tables, cfg)
             if result is None:
-                counts[i]["skipped"] += 1
+                c[3] += 1
                 continue
             assertions, detail = result
             forced = (
@@ -553,13 +558,10 @@ def _run(
                 and tau.is_trivial
                 and hypothesis_forces_full_base(S, spec.hypothesis)
             )
-            counts[i]["checked"] += 1
-            counts[i]["assertions"] += assertions
-            counts[i]["forced"] += forced
-            if assertions == 0 or forced:
-                counts[i]["degenerate"] += 1
-            else:
-                counts[i]["effective"] += 1
+            c[0] += 1
+            c[1 if assertions == 0 or forced else 2] += 1
+            c[4] += forced
+            c[5] += assertions
             if detail is not None:
                 found[i] = {
                     "semigroup": S.name,
@@ -569,6 +571,9 @@ def _run(
                     "detail": detail,
                     "theorem": ids[i],
                 }
+        running = [i for i in running if found[i] is None]
+        if not running:
+            break
     return list(zip(counts, found))
 
 
@@ -602,11 +607,11 @@ def _drive(
         parts = [_run(kind, ids, [p for task in tasks for p in task[2]], cfg)]
     reports = []
     for i, tid in enumerate(ids):
-        counts: Counter = Counter()
+        counts = [0] * 6
         counterexample = None
         for part in parts:
             part_counts, counterexample = part[i]
-            counts.update(part_counts)
+            counts = [a + b for a, b in zip(counts, part_counts)]
             if counterexample is not None:
                 break  # later tasks lie after this counterexample
         notes = specs[tid].notes
@@ -614,16 +619,11 @@ def _drive(
             notes += ("found" if counterexample else "exhausted the catalog",)
         reports.append(
             TheoremReport(
-                theorem_id=tid,
-                catalog_label=catalog_label,
-                instances_checked=counts["checked"],
-                degenerate_count=counts["degenerate"],
-                effective_count=counts["effective"],
-                skipped_count=counts["skipped"],
-                forced_absolute_count=counts["forced"],
-                assertions=counts["assertions"],
+                tid,
+                catalog_label,
+                *counts,
                 counterexample=counterexample,
-                vacuity_warning=counts["effective"] == 0,
+                vacuity_warning=counts[2] == 0,
                 notes=notes,
                 search=kind == "hunt",
                 found=counterexample is not None,

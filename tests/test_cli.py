@@ -384,6 +384,24 @@ class TestHunt:
         report = json.loads(out.read_text())
         assert report["search"] is True and report["found"] is True
 
+    @pytest.mark.parametrize(
+        "catalog, code, message",
+        [
+            ("null:2;nosuch:3", 2, "unknown family 'nosuch'"),
+            ("null:2;cyclic:300", 3, "order 300 is above the family limit 256"),
+        ],
+    )
+    def test_a_finding_never_hides_a_bad_catalog_spec(
+        self, capsys, catalog, code, message
+    ):
+        # the hunt stops at the finding on null:2, but the whole catalog is
+        # parsed and built before the hunt starts
+        hunt = ["hunt", "--variant", "T2_3_no_extrathick", "--catalog"]
+        got, out, _ = run(capsys, *hunt, "null:2")
+        assert got == 0 and json.loads(out)["found"] is True
+        got, out, err = run(capsys, *hunt, catalog)
+        assert (got, out) == (code, "") and message in err
+
 
 class TestFilterJson:
     def test_base_accepted_from_filter_json(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from conftest import filter_on, powerset
@@ -18,6 +20,7 @@ from semsize import (
     trivial_filter,
     ultrafilter_product,
 )
+from semsize.filters import PrincipalFilter
 from semsize.masks import elements, transpose
 
 
@@ -121,6 +124,53 @@ class TestPrincipalFilter:
         assert trivial_filter(z6).shiftable == z6.full_mask
         assert filter_on(z6, [0, 2, 4]).shiftable == mask_of([0, 2, 4])
         assert filter_on(z6, [5]).shiftable == mask_of([0])
+
+
+def _lazy_attributes():
+    """The PrincipalFilter attributes computed on first read, by name."""
+    lazy = type(PrincipalFilter.__dict__["reach"])
+    return {k: v for k, v in vars(PrincipalFilter).items() if isinstance(v, lazy)}
+
+
+def test_each_lazy_attribute_runs_once_per_filter(monkeypatch):
+    names = _lazy_attributes()
+    assert set(names) == {
+        "shiftable", "translates", "minimal_translates", "reach", "reach_points",
+        "_reach_place", "positions", "through", "minimal_ideal_union",
+    }
+    calls = []
+    for name, attr in names.items():
+        def counted(tau, func=attr.func, name=name):
+            calls.append((id(tau), name))
+            return func(tau)
+
+        monkeypatch.setattr(attr, "func", counted)
+    S = semigroup_from_spec("cyclic:6")
+    # two equal filters and one other on the same semigroup share nothing
+    filters = [filter_on(S, [0, 2, 4]), filter_on(S, [0, 2, 4]), filter_on(S, [0, 3])]
+    for _ in range(3):
+        for tau in filters:
+            for name in names:
+                getattr(tau, name)
+            tau.to_reach(tau.base), tau.reach_slices("translate", 1)
+    assert sorted(calls) == sorted((id(tau), n) for tau in filters for n in names)
+    closed, other = filters[0], filters[2]
+    assert (closed.reach, other.reach) == (mask_of([0, 2, 4]), mask_of([0, 3]))
+    assert (closed.positions, other.positions) == (0b111, 0b11)
+    for tau in filters:
+        assert set(vars(tau)) == {"semigroup", "base", *names}
+
+
+def test_lazy_attributes_are_their_own_class_attributes():
+    # read on the class, each attribute is the descriptor, with the
+    # function's name and docstring, so help() and inspect still read them
+    for name, attr in _lazy_attributes().items():
+        assert getattr(PrincipalFilter, name) is attr
+        assert attr.func.__name__ == attr.attrname == name
+        assert inspect.getdoc(attr) == inspect.getdoc(attr.func)
+        # a non-data descriptor: the instance's __dict__ takes over
+        assert not hasattr(attr, "__set__")
+    assert "R = U0 | U0*U0 | U0*U0*U0" in PrincipalFilter.reach.__doc__
 
 
 class TestUltrafilterProduct:

@@ -557,3 +557,86 @@ def test_c2_5_scans_for_itself_once_t2_4_has_stopped(monkeypatch):
     }
     assert c2_5.to_json_dict() == alone.to_json_dict()
     assert calls == [1, 0b1111, 0b111111]
+
+
+def _recording_filters(monkeypatch):
+    """Every PrincipalFilter the driver builds, in build order."""
+    built = []
+
+    class Recorded(PrincipalFilter):
+        def __init__(self, semigroup, base):
+            super().__init__(semigroup, base)
+            built.append(self)
+
+    monkeypatch.setattr(theorems, "PrincipalFilter", Recorded)
+    return built
+
+
+def _pairs(catalog):
+    return [(e.semigroup, b) for e in catalog for b in e.bases]
+
+
+def test_a_hunt_stops_at_its_finding(monkeypatch):
+    built = _recording_filters(monkeypatch)
+    catalog = default_catalog()
+    report = hunt_counterexample("T2_6_large", catalog)
+    assert report.found and report.instances_checked == 9
+    ce, last = report.counterexample, built[-1]
+    assert (last.semigroup.name, elements(last.base)) == (ce["semigroup"], ce["base"])
+    # the catalog repeats some tables, so the instance is found by identity
+    pairs = _pairs(catalog)
+    (at,) = [
+        k for k, (S, b) in enumerate(pairs) if S is last.semigroup and b == last.base
+    ]
+    assert len(built) == at + 1 < len(pairs)
+
+
+def _failing_at(S0, base0):
+    def claim(S, tau, tb, cfg):
+        return 1, ({"claim": "injected"} if (S, tau.base) == (S0, base0) else None)
+
+    return claim
+
+
+def test_verify_stops_after_the_last_failing_id(monkeypatch):
+    # T2_1 fails at the 5th instance and T2_2 at the 20th: the pass builds
+    # no filter past the 20th
+    catalog = order_le_catalog(3)
+    pairs = _pairs(catalog)
+    for tid, at in (("T2_1", 4), ("T2_2", 19)):
+        spec = theorems.THEOREMS[tid]._replace(claim=_failing_at(*pairs[at]))
+        monkeypatch.setitem(theorems.THEOREMS, tid, spec)
+    built = _recording_filters(monkeypatch)
+    t2_1, t2_2 = theorems._drive("verify", ["T2_1", "T2_2"], catalog, "custom", None)
+    assert (t2_1.instances_checked, t2_2.instances_checked) == (5, 20)
+    assert t2_1.counterexample["base"] == elements(pairs[4][1])
+    assert t2_2.counterexample["base"] == elements(pairs[19][1])
+    assert len(built) == 20 < len(pairs)
+
+
+def test_one_failing_id_leaves_the_others_running(monkeypatch):
+    catalog = order_le_catalog(3)
+    pairs = _pairs(catalog)
+    alone = verify("T2_2", catalog)
+    spec = theorems.THEOREMS["T2_1"]._replace(claim=_failing_at(*pairs[0]))
+    monkeypatch.setitem(theorems.THEOREMS, "T2_1", spec)
+    built = _recording_filters(monkeypatch)
+    t2_1, t2_2 = theorems._drive("verify", ["T2_1", "T2_2"], catalog, "custom", None)
+    assert t2_1.instances_checked == 1 and t2_1.counterexample is not None
+    assert t2_2.to_json_dict() == alone.to_json_dict()
+    assert len(built) == len(pairs)
+
+
+def test_only_admitted_instances_compute_the_reach(monkeypatch):
+    # the hypothesis and spec.admit run before the table limit, which reads
+    # the reach: the T3_6_semigroup hunt computes it on the instances it
+    # checks, a spec with neither on every instance
+    built = _recording_filters(monkeypatch)
+    catalog = default_catalog()
+    report = hunt_counterexample("T3_6_semigroup", catalog)
+    assert not report.found and report.instances_checked == 261
+    assert len(built) == len(_pairs(catalog)) == 1392
+    assert sum("reach" in vars(tau) for tau in built) == 261
+    built.clear()
+    assert verify("T2_1", catalog).instances_checked == 1392
+    assert sum("reach" in vars(tau) for tau in built) == 1392
