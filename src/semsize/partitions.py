@@ -1,4 +1,4 @@
-"""Exact least-cover witnesses and partition sweeps against covering bounds.
+"""Exact least-cover witnesses, partition sweeps, and the cover decision.
 
 The sweep asks, for an n-cell partition of the filter base U0, how small a
 pool F must be before some cell A covers U0 with translates or quotients
@@ -19,16 +19,46 @@ When U0*U0 <= U0, U0 is prethick and every finite partition of U0 has a
 cell A whose delta(A) is large (T3_5 (iii) with T3_7, which hold for such
 bases): some F <= U0 has F^-1 delta(A) >= U0.  A quotient sweep whose pool
 holds U0 asserts that every partition has such a cell.
+
+`cover_exceeds` decides whether some n-cell partition has no cell that w
+members of the pool cover, without listing partitions.  Over the subsets P
+of the base's positions, with D[x] the slice of delta at x, a pool point f
+hits u in U0 at the cells of hit[f][u]: D[f*u] in quotient mode, and the OR
+of D[x] over the x with f*x = u in translate and delta mode.  F covers the
+cells of cov_F, the AND over u of the OR over f in F of hit[f][u], and C_w,
+the OR of cov_F over |F| = w (w or fewer, since cov_F grows with F), holds
+the cells that need at most w.  delta is monotone and so are both steps,
+so G_w, the cells outside C_w (those needing more than w, or without any
+cover), is down-closed.  Some n-partition has all its cells in G_w iff the
+base is a union of at most n members of G_w: such a union minus what each
+member shares with the ones before it is at most n disjoint members, which
+a base of at least n points splits into exactly n non-empty ones, all in
+G_w as it is down-closed.  The base is B | (R - B) for some union B of at
+most n - 1 members, and B may be taken as a union of maximal members, since
+growing B only shrinks R - B.  So for n = 2 the test is whether G_w meets
+its own table read at R ^ P, and for larger n the same test of the unions
+of n - 1 maximal members against G_w read there.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classify import delta_slices, delta_tau
 from .errors import BoundViolation, InputError, SizeLimitExceeded
 from .filters import PrincipalFilter, check_hypothesis
-from .masks import bits, elements, is_subset, least_cover, mask_of, popcount, transpose
+from .masks import (
+    all_subsets,
+    bits,
+    coordinates,
+    elements,
+    is_subset,
+    least_cover,
+    mask_of,
+    popcount,
+    transpose,
+)
 from .semigroups import FinSemigroup, is_subgroup, left_quotient, translate_set
 
 SWEEP_ORDER_LIMIT = {1: 12, 2: 12, 3: 8}
@@ -350,6 +380,76 @@ def sweep_partitions(
     )
 
 
+
+# ---------------------------------------------------------------------------
+# the cover decision
+
+
+def cover_exceeds(
+    S: FinSemigroup,
+    tau: PrincipalFilter,
+    n: int,
+    w: int,
+    mode: str,
+    V: Optional[int] = None,
+) -> bool:
+    """Whether some n-cell partition of the base has no cell that at most w
+    members of the pool V (default: the base) cover as `min_cover` covers
+    it in `mode`: the sweep in that mode and pool has an infeasible
+    partition or a worst cover above w.
+
+    Decided from bit tables over the base's subsets, without listing
+    partitions (see the module docstring).  The mode and pool are checked
+    as in `min_cover`, and a base of fewer than n points raises InputError.
+    """
+    V = tau.base if V is None else V
+    _check_mode(S, mode, V)
+    m = popcount(tau.base)
+    if m < n:
+        raise InputError(f"no {n}-cell partitions of the base (base too small)")
+    R = (1 << m) - 1
+    U0, D, full = elements(tau.base), delta_slices(S, tau, tau.base), all_subsets(R)
+    hits = []
+    for f in bits(V):
+        row = S.table[f]
+        if mode == "quotient":
+            hits.append([D[row[u]] for u in U0])
+        else:
+            image = [0] * S.order
+            for x, fx in enumerate(row):
+                image[fx] |= D[x]
+            hits.append([image[u] for u in U0])
+    covered = 0
+    for F in combinations(hits, min(w, len(hits))):
+        cov = full
+        for j in range(len(U0)):
+            hit = 0
+            for h in F:
+                hit |= h[j]
+            cov &= hit
+        covered |= cov
+    spare, through = full ^ covered, coordinates(R)
+    # the unions of at most n - 1 members, grown one maximal member at a
+    # time; each table is down-closed
+    unions = 1 if n == 1 else spare
+    if n > 2:
+        above = 0
+        for i, through_i in enumerate(through):
+            above |= (spare & through_i) >> (1 << i)
+        maximal = list(bits(spare & ~above))
+        for _ in range(n - 2):
+            grown = 0
+            for M in maximal:
+                table = unions
+                for i in bits(M):
+                    table |= table << (1 << i) & through[i]
+                grown |= table
+            unions = grown
+    # bit P of the reversed table is the bit R ^ P of spare
+    mirrored = int(format(spare, f"0{1 << m}b")[::-1], 2)
+    return bool(unions & mirrored)
+
+
 __all__ = [
     "Partition",
     "BoundRecord",
@@ -359,4 +459,5 @@ __all__ = [
     "enumerate_partitions",
     "stirling2",
     "sweep_partitions",
+    "cover_exceeds",
 ]

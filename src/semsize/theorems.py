@@ -62,12 +62,12 @@ from __future__ import annotations
 
 from functools import cache, partial
 from math import comb
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from .catalog import CatalogEntry
 from .classify import TABLE_ORDER_LIMIT, SizeTables, delta_slices
-from .errors import BoundViolation, InputError
+from .errors import InputError
 from .filters import PrincipalFilter, check_hypothesis, hypothesis_forces_full_base
 from .masks import (
     all_subsets,
@@ -82,7 +82,7 @@ from .masks import (
     size_counts,
     window_count,
 )
-from .partitions import stirling2, sweep_order_limit, sweep_partitions
+from .partitions import cover_exceeds, finite_cover_bound, stirling2
 from .semigroups import FinSemigroup, is_subgroup
 
 
@@ -101,7 +101,7 @@ class VerifyConfig:
             raise InputError("need at least one cell")
         if workers < 0:
             raise InputError(f"worker count {workers} is negative")
-        self.cells = cells            # partition sweep width for T3_2
+        self.cells = cells            # partition width for T3_2
         self.workers = workers        # 0 and 1 both run serially
 
 
@@ -329,23 +329,31 @@ def _meets_minimal_is_prethick(S, tau, tb, cfg):
     return _implies(tau, meets_M, tb.prethick, claim)
 
 
-def _cover_sweep_fits(S, tau, cfg) -> bool:
+def _cover_tables_fit(S, tau, cfg) -> bool:
+    """A subgroup base with at least cells points, and no more than the
+    cover decision's tables over its subsets allow."""
     return (
         is_subgroup(S, tau.base)
-        and S.order <= sweep_order_limit(cfg.cells)
-        and popcount(tau.base) >= cfg.cells
+        and cfg.cells <= popcount(tau.base) <= TABLE_ORDER_LIMIT
     )
 
 
 def _cover_bound(S, tau, tb, cfg):
     """T3_2: every cells-partition of a subgroup base of order m has a cell
-    covered by at most m // ceil(m/cells) translates of its difference set;
-    the sweep raises BoundViolation where none is."""
-    try:
-        record = sweep_partitions(S, tau, cfg.cells, "translate", V=tau.base)
-    except BoundViolation as exc:
-        return 0, {"cells": cfg.cells, "violation": str(exc)}
-    return record.partitions_checked, None
+    covered by at most m // ceil(m/cells) translates of its difference set.
+
+    `partitions.cover_exceeds` decides it from bit tables over the base's
+    subsets, with no partition listed, and the claim counts one assertion
+    per partition, stirling2(m, cells): the count a sweep checks."""
+    m, n = popcount(tau.base), cfg.cells
+    bound = finite_cover_bound(m, n)
+    if cover_exceeds(S, tau, n, bound, "translate"):
+        violation = (
+            f"{S.name}: some {n}-cell partition has no cell within the proved "
+            f"bound {bound}; implementation bug"
+        )
+        return 0, {"cells": n, "violation": violation}
+    return stirling2(m, n), None
 
 
 @cache
@@ -444,7 +452,7 @@ THEOREMS: Dict[str, Spec] = {
     ),
     "T3_1": Spec(_minimal_ideal_traces, hypothesis="semigroup_filter"),
     "C3_1": Spec(_meets_minimal_is_prethick, hypothesis="semigroup_filter"),
-    "T3_2": Spec(_cover_bound, admit=_cover_sweep_fits, tables=False),
+    "T3_2": Spec(_cover_bound, admit=_cover_tables_fit, tables=False),
     "T3_5": Spec(
         _prethick_regularity,
         hypothesis="semigroup_filter",
@@ -468,7 +476,7 @@ THEOREMS: Dict[str, Spec] = {
     ),
 }
 THEOREM_IDS = tuple(THEOREMS)  # what "verify --theorem all" runs, in order
-THEOREMS["C3_2"] = THEOREMS["T3_2"]  # corollary alias for the same sweep
+THEOREMS["C3_2"] = THEOREMS["T3_2"]  # corollary alias for the same decision
 
 # hypothesis dropped or negated, or conclusion strengthened
 HUNTS: Dict[str, Spec] = {
@@ -524,7 +532,7 @@ def _check(
 
 
 def _run(
-    kind: str, ids: Sequence[str], pairs: Sequence[Tuple[FinSemigroup, int]], cfg
+    kind: str, ids: Sequence[str], pairs: Iterable[Tuple[FinSemigroup, int]], cfg
 ) -> List[Tuple[List[int], Optional[dict]]]:
     """Per id, from one pass: its counts up to and including its first
     counterexample, in `TheoremReport` field order (checked, degenerate,
@@ -577,43 +585,57 @@ def _run(
     return list(zip(counts, found))
 
 
+def _merge(parts, width: int) -> List[Tuple[List[int], Optional[dict]]]:
+    """Per id, the counts of the parts (`_run` results, in catalog order) up
+    to and including the one with its first counterexample, and that
+    counterexample or None.  No part is read once every id has one."""
+    counts = [[0] * 6 for _ in range(width)]
+    found: List[Optional[dict]] = [None] * width
+    for part in parts:
+        for i, (part_counts, counterexample) in enumerate(part):
+            if found[i] is None:
+                counts[i] = [a + b for a, b in zip(counts[i], part_counts)]
+                found[i] = counterexample
+        if all(f is not None for f in found):
+            break  # later parts lie after every counterexample
+    return list(zip(counts, found))
+
+
 def _drive(
     kind: str,
     ids: Sequence[str],
-    catalog: Sequence[CatalogEntry],
+    catalog: Iterable[CatalogEntry],
     catalog_label: str,
     cfg: Optional[VerifyConfig],
 ) -> List[TheoremReport]:
-    """One report per id from one pass over the catalog.  With workers, one
-    pool runs every id on each catalog semigroup as a task of its own, and
-    tasks are merged per id in catalog order up to that id's first
-    counterexample."""
+    """One report per id from one pass over the catalog, which a serial
+    pass reads as it goes.  With workers, one pool runs every id on each
+    catalog semigroup as a task of its own, and the tasks' results are
+    merged in catalog order until every id has a counterexample."""
     cfg = cfg or VerifyConfig()
     specs = _SPECS[kind]
     unknown = [tid for tid in ids if tid not in specs]
     if unknown:
         known = ", ".join(sorted(specs))
         raise InputError(f"unknown {kind} id {unknown[0]!r}; known: {known}")
-    tasks = [(kind, ids, [(e.semigroup, b) for b in e.bases], cfg) for e in catalog]
-    if cfg.workers > 1 and len(tasks) > 1:
+    if cfg.workers > 1:
+        catalog = list(catalog)
+    if cfg.workers > 1 and len(catalog) > 1:
         import multiprocessing
 
         # specs hold closures, which do not pickle: workers look theirs up by
         # id; the cost of a semigroup varies widely, so each task is handed
-        # out on its own as a worker frees up
+        # out on its own as a worker frees up, and leaving the pool stops
+        # the tasks still running
+        tasks = [[(e.semigroup, b) for b in e.bases] for e in catalog]
         with multiprocessing.Pool(min(cfg.workers, len(tasks))) as pool:
-            parts = pool.starmap(_run, tasks, chunksize=1)
+            parts = pool.imap(partial(_run, kind, ids, cfg=cfg), tasks, chunksize=1)
+            merged = _merge(parts, len(ids))
     else:
-        parts = [_run(kind, ids, [p for task in tasks for p in task[2]], cfg)]
+        pairs = ((e.semigroup, b) for e in catalog for b in e.bases)
+        merged = _merge([_run(kind, ids, pairs, cfg)], len(ids))
     reports = []
-    for i, tid in enumerate(ids):
-        counts = [0] * 6
-        counterexample = None
-        for part in parts:
-            part_counts, counterexample = part[i]
-            counts = [a + b for a, b in zip(counts, part_counts)]
-            if counterexample is not None:
-                break  # later tasks lie after this counterexample
+    for tid, (counts, counterexample) in zip(ids, merged):
         notes = specs[tid].notes
         if kind == "hunt":
             notes += ("found" if counterexample else "exhausted the catalog",)
@@ -634,7 +656,7 @@ def _drive(
 
 def verify(
     theorem_id: str,
-    catalog: Sequence[CatalogEntry],
+    catalog: Iterable[CatalogEntry],
     catalog_label: str = "custom",
     cfg: Optional[VerifyConfig] = None,
 ) -> TheoremReport:
@@ -643,7 +665,7 @@ def verify(
 
 def hunt_counterexample(
     variant: str,
-    catalog: Sequence[CatalogEntry],
+    catalog: Iterable[CatalogEntry],
     catalog_label: str = "custom",
     cfg: Optional[VerifyConfig] = None,
 ) -> TheoremReport:

@@ -118,6 +118,40 @@ class SetOracle:
         )
 
 
+def brute_cover_exceeds(S, base, n, w, mode):
+    """Whether some n-cell partition of the base has no cell A that at most
+    w points f of the base cover, by listing every partition and pool.
+
+    delta(A) holds the x with x*a in A for some a in A (a cell lies in
+    U0); in quotient
+    mode f covers the u in U0 with f*u in delta(A), in translate mode the
+    u = f*x for x in delta(A)."""
+    mul = S.table
+    U0 = sorted(base)
+
+    def delta(A):
+        return {x for x in range(S.order) if any(mul[x][a] in A for a in A)}
+
+    def covers(F, d):
+        if mode == "quotient":
+            return all(any(mul[f][u] in d for f in F) for u in U0)
+        return all(any(mul[f][x] == u for f in F for x in d) for u in U0)
+
+    def needs_more(A):
+        d = delta(A)
+        pools = (F for k in range(w + 1) for F in combinations(U0, k))
+        return not any(covers(F, d) for F in pools)
+
+    partitions = {
+        frozenset(
+            frozenset(x for x, c in zip(U0, labels) if c == cell) for cell in range(n)
+        )
+        for labels in product(range(n), repeat=len(U0))
+        if len(set(labels)) == n
+    }
+    return any(all(needs_more(A) for A in cells) for cells in partitions)
+
+
 @pytest.fixture(scope="session")
 def z4():
     return semigroup_from_spec("cyclic:4")
@@ -136,6 +170,35 @@ def rz3():
 @pytest.fixture(scope="session")
 def null3():
     return semigroup_from_spec("null:3")
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces multiprocessing.Pool with one that starts no process: it
+    runs each task here when its result is read, and counts the tasks run.
+    Returns the pools made, each with the size asked for."""
+    import multiprocessing
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, processes):
+            self.processes, self.tasks = processes, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            for task in tasks:
+                self.tasks += 1
+                yield fn(task)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return pools
 
 
 def filter_on(S, elems):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import pkgutil
@@ -29,31 +28,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Replaces multiprocessing.Pool with one that starts no process: it
-    records the size asked for and runs the tasks here.  Returns the sizes."""
-    import multiprocessing
-
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, tasks, chunksize=1):
-            return list(itertools.starmap(fn, tasks))
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    return sizes
 
 
 class TestGen:
@@ -190,9 +164,13 @@ class TestVerify:
             assert report["effective_count"] == 36
             assert report["counterexample"] is None
         # left inverse invariance admits only the full base of a group, and
-        # T3_2 and T3_6 admit no order above 12 and 8
-        for tid in ("C2_5", "T3_2", "T3_6"):
+        # T3_6 no order above 8
+        for tid in ("C2_5", "T3_6"):
             assert reports[tid]["instances_checked"] == 0
+        # T3_2 admits the subgroup bases of 2 to 12 points, whose subsets its
+        # tables span: 6 of Z24 and 28 of S4
+        assert reports["T3_2"]["instances_checked"] == 34
+        assert reports["T3_2"]["counterexample"] is None
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -389,13 +367,15 @@ class TestHunt:
         [
             ("null:2;nosuch:3", 2, "unknown family 'nosuch'"),
             ("null:2;cyclic:300", 3, "order 300 is above the family limit 256"),
+            ("order<=4", 3, "exhaustive enumeration supports order <= 3 only"),
         ],
     )
     def test_a_finding_never_hides_a_bad_catalog_spec(
         self, capsys, catalog, code, message
     ):
-        # the hunt stops at the finding on null:2, but the whole catalog is
-        # parsed and built before the hunt starts
+        # null:2 holds a finding, and so does the order-2 head of order<=4,
+        # but every spec is checked and every family built before the hunt
+        # starts
         hunt = ["hunt", "--variant", "T2_3_no_extrathick", "--catalog"]
         got, out, _ = run(capsys, *hunt, "null:2")
         assert got == 0 and json.loads(out)["found"] is True
@@ -600,7 +580,7 @@ class TestExitCodes:
             "--workers", "64",
         )
         assert code == 0
-        assert fake_pool == [2]
+        assert [pool.processes for pool in fake_pool] == [2]
 
     @pytest.mark.parametrize(
         "theorem, catalog", [("T2_1", "cyclic:4"), ("T3_2", "rightzero:3")]

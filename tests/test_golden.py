@@ -8,7 +8,10 @@ pinned too.  The default-catalog fixtures were written before the checkers
 read whole-mask tables and T3_5 (iii) was counted from (i); the T3_5, T3_6
 and T3_7 lines of the four verify fixtures were rewritten when those
 statements moved to the hypothesis U0*U0 <= U0, and no other line changed
-then.  The search fixtures pin the JSON record and the appended CSV rows of
+then.  The verify and T3_6_semigroup hunt fixtures of `default` were
+rewritten when that catalog dropped the 8 family entries that repeat a
+labeled table, from a run of the earlier code over the catalog without
+them.  The search fixtures pin the JSON record and the appended CSV rows of
 the partition sweep; their last six lines, every benchmark search the first
 seven lack and a base with infeasible partitions, were written by the sweep
 before it read its cells from the enumerator.  The classify fixture pins all

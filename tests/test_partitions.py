@@ -2,6 +2,8 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import brute_cover_exceeds
+
 import semsize.partitions
 from semsize import (
     BoundViolation,
@@ -25,7 +27,7 @@ from semsize.catalog import default_catalog, family_catalog, order_le_catalog
 from semsize.classify import prethick_value
 from semsize.errors import InputError
 from semsize.masks import bits, elements, is_subset, least_cover, popcount
-from semsize.partitions import MODES, Partition
+from semsize.partitions import MODES, Partition, cover_exceeds
 from semsize.semigroups import left_quotient, product_set, translate_set
 
 
@@ -263,7 +265,7 @@ class TestMinCover:
                     assert (F is None) == (not verdict.value)
                     triples += 1
                     large += verdict.value
-        assert (triples, large) == (6742, 4075)
+        assert (triples, large) == (6510, 3923)
 
     def test_quotient_mode_off_groups(self):
         # reference: f^-1 delta(A) = {x : f*x in delta(A)} from the raw table
@@ -355,7 +357,7 @@ class TestSweeps:
                                rec.infeasible_partitions)
                         assert got == (worst, argmax, infeasible), case
                         swept += 1
-        assert swept == 980
+        assert swept == 952
 
     def test_one_cell_sweep_is_min_cover_of_the_base(self):
         # the sweep's single cell is the base itself: the two definitions of
@@ -445,7 +447,7 @@ class TestSweeps:
                     rec = sweep_partitions(S, tau, n, "quotient")
                     assert rec.infeasible_partitions == 0
                     swept += 1
-        assert swept == 936
+        assert swept == 916
 
     def test_an_infeasible_admitted_quotient_sweep_is_a_violation(self, monkeypatch):
         # the full base of rightzero:3 is closed under the product; off
@@ -629,3 +631,69 @@ class TestSweeps:
         rec = sweep_partitions(z4, tau, 2, "translate", pool)
         assert rec.infeasible_partitions == 3
         assert rec.proved_bound is None
+
+
+class TestCoverDecision:
+    def test_the_decision_is_the_sweep_at_every_width(self):
+        # the decision holds exactly when the sweep of the same cells, mode
+        # and pool has an infeasible partition or a worst cover above w
+        cases = 0
+        for entry in default_catalog():
+            S = entry.semigroup
+            if S.order > 6:
+                continue
+            for base in entry.bases:
+                tau = make_principal(S, base)
+                m = popcount(base)
+                for n, mode in product((2, 3), ("quotient", "translate")):
+                    if n > m:
+                        continue
+                    try:
+                        rec = sweep_partitions(S, tau, n, mode)
+                        worst, infeasible = rec.worst_min_F, rec.infeasible_partitions
+                    except SizeLimitExceeded:  # no partition is feasible
+                        worst, infeasible = None, 1
+                    for w in range(1, m + 1):
+                        want = bool(infeasible) or worst > w
+                        assert cover_exceeds(S, tau, n, w, mode) == want, (
+                            S.name, elements(base), n, mode, w,
+                        )
+                        cases += 1
+        assert cases == 7556
+
+    def test_the_decision_matches_the_frozenset_oracle(self):
+        cases = 0
+        for entry in order_le_catalog(3):
+            S = entry.semigroup
+            for base in entry.bases:
+                if popcount(base) < 2:
+                    continue
+                tau = make_principal(S, base)
+                widths = range(1, popcount(base) + 1)
+                for mode, w in product(("quotient", "translate"), widths):
+                    want = brute_cover_exceeds(S, elements(base), 2, w, mode)
+                    assert cover_exceeds(S, tau, 2, w, mode) == want, (
+                        S.name, elements(base), mode, w,
+                    )
+                    cases += 1
+        assert cases == 2066
+
+    def test_z11_at_six_cells_needs_four(self):
+        # below the proved bound finite_cover_bound(11, 6) = 5, and past the
+        # sweep's order limit for 6 cells
+        z11 = semigroup_from_spec("cyclic:11")
+        tau = trivial_filter(z11)
+        exceeds = [cover_exceeds(z11, tau, 6, w, "translate") for w in range(1, 12)]
+        assert exceeds == [True] * 3 + [False] * 8
+
+    def test_a_pool_without_the_cover_and_a_small_base(self):
+        # no single translate of a difference set in Z4 covers Z4 but that
+        # of {0} is {0}: with the pool {0} every 2-partition is infeasible
+        z4 = semigroup_from_spec("cyclic:4")
+        tau = trivial_filter(z4)
+        assert cover_exceeds(z4, tau, 2, 4, "translate", mask_of([0]))
+        assert not cover_exceeds(z4, tau, 2, 4, "translate")
+        with pytest.raises(InputError, match="base too small"):
+            cover_exceeds(z4, tau, 5, 1, "translate")
+        with pytest.raises(ValueError, match="unknown cover mode"):
+            cover_exceeds(z4, tau, 2, 1, "sideways")

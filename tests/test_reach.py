@@ -246,8 +246,8 @@ def test_every_claim_over_the_reach_matches_the_full_tables():
                 want = theorems._check(reference, S, tau, lambda: full, cfg)
                 assert got == want, (S.name, base, spec)
                 checks += got is not None
-    assert (entries, full_entries) == (23838, 71466)
-    assert checks == 13055
+    assert (entries, full_entries) == (23666, 71194)
+    assert checks == 12653
 
 
 _FLIP_CASES = [

@@ -333,7 +333,7 @@ class TestAutomorphisms:
         semigroups = [
             e.semigroup for e in build_catalog("default") if e.semigroup.order <= 6
         ]
-        assert len(semigroups) == 143
+        assert len(semigroups) == 135
         for S in semigroups:
             n, t = S.order, S.table
             reference = [

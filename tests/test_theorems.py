@@ -498,7 +498,7 @@ def test_minimal_left_ideals_run_once_per_admitted_instance(monkeypatch):
     )
     by_id = {r.theorem_id: r for r in reports}
     assert all(r.counterexample is None for r in reports)
-    assert len(calls) == by_id["T3_1"].instances_checked == 955
+    assert len(calls) == by_id["T3_1"].instances_checked == 925
 
 
 def test_shift_scan_runs_once_per_admitted_instance(monkeypatch):
@@ -516,8 +516,8 @@ def test_shift_scan_runs_once_per_admitted_instance(monkeypatch):
     )
     by_id = {r.theorem_id: r for r in reports}
     assert all(r.counterexample is None for r in reports)
-    assert by_id["C2_5"].instances_checked == 556
-    assert len(calls) == by_id["T2_4"].instances_checked == 1392
+    assert by_id["C2_5"].instances_checked == 536
+    assert len(calls) == by_id["T2_4"].instances_checked == 1352
 
 
 def test_each_table_is_decomposed_once_per_instance():
@@ -532,7 +532,7 @@ def test_each_table_is_decomposed_once_per_instance():
     )
     assert all(r.counterexample is None for r in reports)
     info = minimal_layers.cache_info()
-    assert (info.misses, info.hits + info.misses) == (1507, 6604)
+    assert (info.misses, info.hits + info.misses) == (1471, 6404)
 
 
 def test_c2_5_scans_for_itself_once_t2_4_has_stopped(monkeypatch):
@@ -583,11 +583,8 @@ def test_a_hunt_stops_at_its_finding(monkeypatch):
     assert report.found and report.instances_checked == 9
     ce, last = report.counterexample, built[-1]
     assert (last.semigroup.name, elements(last.base)) == (ce["semigroup"], ce["base"])
-    # the catalog repeats some tables, so the instance is found by identity
     pairs = _pairs(catalog)
-    (at,) = [
-        k for k, (S, b) in enumerate(pairs) if S is last.semigroup and b == last.base
-    ]
+    at = pairs.index((last.semigroup, last.base))
     assert len(built) == at + 1 < len(pairs)
 
 
@@ -634,9 +631,81 @@ def test_only_admitted_instances_compute_the_reach(monkeypatch):
     built = _recording_filters(monkeypatch)
     catalog = default_catalog()
     report = hunt_counterexample("T3_6_semigroup", catalog)
-    assert not report.found and report.instances_checked == 261
-    assert len(built) == len(_pairs(catalog)) == 1392
-    assert sum("reach" in vars(tau) for tau in built) == 261
+    assert not report.found and report.instances_checked == 249
+    assert len(built) == len(_pairs(catalog)) == 1352
+    assert sum("reach" in vars(tau) for tau in built) == 249
     built.clear()
-    assert verify("T2_1", catalog).instances_checked == 1392
-    assert sum("reach" in vars(tau) for tau in built) == 1392
+    assert verify("T2_1", catalog).instances_checked == 1352
+    assert sum("reach" in vars(tau) for tau in built) == 1352
+
+
+def test_a_parallel_hunt_stops_at_its_finding(fake_pool):
+    # the tasks are read in catalog order, and no task after the one with
+    # the finding runs: n2-2 is the 4th of the 143 semigroups
+    catalog = default_catalog()
+    serial = hunt_counterexample("T2_6_large", catalog, cfg=VerifyConfig(workers=1))
+    parallel = hunt_counterexample("T2_6_large", catalog, cfg=VerifyConfig(workers=2))
+    assert parallel.to_json_dict() == serial.to_json_dict()
+    assert serial.counterexample["semigroup"] == "n2-2"
+    (pool,) = fake_pool
+    assert pool.tasks == 4 < len(catalog) == 143
+
+
+def test_a_serial_pass_reads_the_labeled_catalog_as_it_goes(monkeypatch):
+    # the hunt stops at order 2, so no order-3 semigroup is enumerated,
+    # while the family entries are built before the pass
+    import semsize.catalog as catalog
+
+    made, real = [], catalog.entry_for
+    monkeypatch.setattr(
+        catalog, "entry_for", lambda S, bases=None: made.append(S) or real(S, bases)
+    )
+    entries = catalog.catalog_stream("default")
+    assert len(made) == len(catalog.DEFAULT_FAMILY_SPECS)
+    report = hunt_counterexample("T2_6_large", entries)
+    assert report.found
+    labeled = made[len(catalog.DEFAULT_FAMILY_SPECS):]
+    assert [S.name for S in labeled] == ["n1-0", "n2-0", "n2-1", "n2-2"]
+    assert report.to_json_dict() == hunt_counterexample(
+        "T2_6_large", default_catalog()
+    ).to_json_dict()
+
+
+def test_default_holds_each_table_once():
+    # a family entry whose table a labeled entry already has is dropped
+    from semsize.catalog import DEFAULT_FAMILY_SPECS
+
+    entries = default_catalog()
+    assert len({e.semigroup for e in entries}) == len(entries) == 143
+    names = {e.semigroup.name for e in entries}
+    assert [spec for spec in DEFAULT_FAMILY_SPECS if spec not in names] == [
+        "cyclic:2", "cyclic:3", "rightzero:2", "rightzero:3",
+        "leftzero:2", "leftzero:3", "null:2", "null:3",
+    ]
+
+
+def test_t3_2_admits_every_subgroup_base_its_tables_fit(monkeypatch):
+    # at 3 cells the subgroup bases of 3 to 12 points: the 20 of the groups
+    # up to order 8 and the 9 of Z9 to Z12, none decided by a sweep
+    import semsize.partitions as partitions
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("T3_2 swept the partitions")
+
+    monkeypatch.setattr(partitions, "sweep_partitions", no_sweep)
+    report = verify("T3_2", default_catalog(), cfg=VerifyConfig(cells=3))
+    assert report.counterexample is None
+    assert (report.instances_checked, report.skipped_count) == (29, 1323)
+    assert report.assertions == 130962
+
+
+def test_t3_2_reports_a_broken_bound(monkeypatch):
+    # the 2-partitions of Z6 reach a worst cover of 2; held to 1, the first
+    # subgroup base with a partition that needs 2 is the counterexample
+    monkeypatch.setattr(theorems, "finite_cover_bound", lambda m, n: 1)
+    report = verify("T3_2", family_catalog(["cyclic:6"]))
+    ce = report.counterexample
+    assert (ce["base"], report.instances_checked) == ([0, 3], 1)
+    assert ce["detail"]["cells"] == 2
+    assert "no cell within the proved bound 1" in ce["detail"]["violation"]
+    assert replay(ce)
