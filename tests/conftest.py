@@ -123,9 +123,8 @@ def brute_cover_exceeds(S, base, n, w, mode):
     w points f of the base cover, by listing every partition and pool.
 
     delta(A) holds the x with x*a in A for some a in A (a cell lies in
-    U0); in quotient
-    mode f covers the u in U0 with f*u in delta(A), in translate mode the
-    u = f*x for x in delta(A)."""
+    U0); in quotient mode f covers the u in U0 with f*u in delta(A), in
+    translate mode the u = f*x for x in delta(A)."""
     mul = S.table
     U0 = sorted(base)
 

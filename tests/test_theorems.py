@@ -65,8 +65,8 @@ class TestVerify:
         assert report.instances_checked >= 2
 
     def test_t3_2_delta_tables_span_only_the_base(self, monkeypatch):
-        # each sweep reads delta slices with one bit per subset of its base:
-        # 4 for the subgroup {0, 6} of Z12, not one per subset of Z12
+        # each decision reads delta slices with one bit per subset of its
+        # base: 4 for the subgroup {0, 6} of Z12, not one per subset of Z12
         import semsize.partitions as partitions
 
         sizes = {}
