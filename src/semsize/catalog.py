@@ -1,22 +1,16 @@
 """Instance catalogs the theorem suite and searches run over.
 
 The default catalog keeps full sweeps under a minute: every labeled
-semigroup of order <= 3, the named groups Z2..Z12 / S3 / D4 / Q8, and the
-right-zero / left-zero / null families up to order 6, less the family
-entries whose table a labeled one already has.  Bases are exhaustive for
-order <= 6 and restricted to subgroups for larger groups.
-
-`catalog_stream` yields the entries of a spec as a pass reads them: the
-labeled semigroups are enumerated only as far as the pass goes, while
-family specs are parsed and built before the first entry, so a bad spec
-raises even where an earlier entry ends the pass.  The other catalog
-functions return lists.
+semigroup of order <= 3, the named groups Z4..Z12 / S3 / D4 / Q8, and the
+right-zero / left-zero / null families of orders 4 to 6; Z2, Z3 and those
+families' tables of orders 2 and 3 are labeled ones, so each Cayley table
+occurs once.  Bases are exhaustive for order <= 6 and restricted to
+subgroups for larger groups.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import UnknownFamily
 from .semigroups import (
@@ -47,38 +41,21 @@ def entry_for(S: FinSemigroup, bases: Optional[Tuple[int, ...]] = None) -> Catal
 
 
 DEFAULT_FAMILY_SPECS = (
-    ["cyclic:%d" % n for n in range(2, 13)]
+    ["cyclic:%d" % n for n in range(4, 13)]
     + ["symmetric:3", "dihedral:4", "quaternion8"]
-    + ["rightzero:%d" % n for n in range(2, 7)]
-    + ["leftzero:%d" % n for n in range(2, 7)]
-    + ["null:%d" % n for n in range(2, 7)]
+    + ["rightzero:%d" % n for n in range(4, 7)]
+    + ["leftzero:%d" % n for n in range(4, 7)]
+    + ["null:%d" % n for n in range(4, 7)]
 )
-
-
-def _labeled(max_order: int) -> Iterator[CatalogEntry]:
-    """Every labeled semigroup of order <= max_order (max 3), all bases,
-    built as it is read; an order above 3 raises at the call."""
-    semigroups = [enumerate_semigroups(order) for order in range(1, max_order + 1)]
-    return (entry_for(S) for S in chain.from_iterable(semigroups))
-
-
-def _distinct(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:
-    """The entries whose Cayley table no earlier entry has."""
-    seen = set()
-    for entry in entries:
-        if entry.semigroup not in seen:
-            seen.add(entry.semigroup)
-            yield entry
-
-
-def _default_stream() -> Iterator[CatalogEntry]:
-    families = family_catalog(DEFAULT_FAMILY_SPECS)
-    return _distinct(chain(_labeled(3), families))
 
 
 def order_le_catalog(max_order: int) -> List[CatalogEntry]:
     """Every labeled semigroup of order <= max_order (max 3), all bases."""
-    return list(_labeled(max_order))
+    entries: List[CatalogEntry] = []
+    for order in range(1, max_order + 1):
+        for S in enumerate_semigroups(order):
+            entries.append(entry_for(S))
+    return entries
 
 
 def family_catalog(specs) -> List[CatalogEntry]:
@@ -86,24 +63,23 @@ def family_catalog(specs) -> List[CatalogEntry]:
 
 
 def default_catalog() -> List[CatalogEntry]:
-    return list(_default_stream())
+    return order_le_catalog(3) + family_catalog(DEFAULT_FAMILY_SPECS)
 
 
-def catalog_stream(
+def build_catalog(
     spec: str, base_override: Optional[Tuple[int, ...]] = None
-) -> Iterator[CatalogEntry]:
-    """The entries of a catalog spec, in order, as a pass reads them.
+) -> List[CatalogEntry]:
+    """Parse a catalog spec string.
 
     Forms: "default", "order<=N" (1 <= N <= 3), or a ';'-separated list of family
     specs such as "cyclic:6;rightzero:3".  base_override, when given,
-    replaces every entry's base list, and entries it leaves no base are
-    dropped.  A bad spec raises here, before the first entry.
+    replaces every entry's base list.
     """
     text = spec.strip()
     if not text:
         raise UnknownFamily("empty catalog spec")
     if text == "default":
-        entries = _default_stream()
+        entries = default_catalog()
     elif text.startswith("order<="):
         try:
             n = int(text[len("order<=") :])
@@ -111,27 +87,20 @@ def catalog_stream(
             n = 0
         if n < 1:
             raise UnknownFamily(f"bad catalog spec {spec!r}")
-        entries = _labeled(n)
+        entries = order_le_catalog(n)
     else:
         specs = [p for p in text.split(";") if p]
         if not specs:
             raise UnknownFamily(f"bad catalog spec {spec!r}")
-        entries = iter(family_catalog(specs))
-    if base_override is None:
-        return entries
-    overridden = (
-        CatalogEntry(e.semigroup, tuple(b for b in base_override
-                                        if 0 < b <= e.semigroup.full_mask))
-        for e in entries
-    )
-    return (e for e in overridden if e.bases)
-
-
-def build_catalog(
-    spec: str, base_override: Optional[Tuple[int, ...]] = None
-) -> List[CatalogEntry]:
-    """The entries of a catalog spec (`catalog_stream`) as a list."""
-    return list(catalog_stream(spec, base_override))
+        entries = family_catalog(specs)
+    if base_override is not None:
+        entries = [
+            CatalogEntry(e.semigroup, tuple(b for b in base_override
+                                            if 0 < b <= e.semigroup.full_mask))
+            for e in entries
+        ]
+        entries = [e for e in entries if e.bases]
+    return entries
 
 
 __all__ = [
@@ -141,7 +110,6 @@ __all__ = [
     "family_catalog",
     "default_catalog",
     "build_catalog",
-    "catalog_stream",
     "DEFAULT_FAMILY_SPECS",
     "ALL_BASES_ORDER_LIMIT",
 ]

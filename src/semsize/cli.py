@@ -184,7 +184,7 @@ def _cmd_classify(args) -> int:
 
 
 def _build_catalog(args):
-    from .catalog import catalog_stream
+    from .catalog import build_catalog
 
     override = None
     if getattr(args, "base", None):
@@ -193,7 +193,7 @@ def _build_catalog(args):
         if not elems:
             raise EmptyBase("base spec names no elements")
         override = (mask_of(elems),)
-    return catalog_stream(args.catalog, base_override=override)
+    return build_catalog(args.catalog, base_override=override)
 
 
 def _cmd_verify(args) -> int:

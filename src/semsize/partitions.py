@@ -401,6 +401,9 @@ def cover_exceeds(
     Decided from bit tables over the base's subsets, without listing
     partitions (see the module docstring).  The mode and pool are checked
     as in `min_cover`, and a base of fewer than n points raises InputError.
+    T3_2 calls it in translate mode with the default pool only; the other
+    modes and pools stay so that the tests can hold it against the sweep
+    in every form the sweep runs.
     """
     V = tau.base if V is None else V
     _check_mode(S, mode, V)

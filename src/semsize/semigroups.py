@@ -269,8 +269,7 @@ def enumerate_semigroups(order: int) -> Iterator[FinSemigroup]:
     as soon as a triple whose four products are all assigned fails
     associativity.  That triple reads the cell (a, b) just assigned, so it
     is some (a, y, z) or (x, y, b); every triple is checked when its last
-    product is assigned, and a complete table is associative.  The tables
-    are built as they are read; an order above 3 raises at the call.
+    product is assigned, and a complete table is associative.
     """
     if order not in (1, 2, 3):
         raise SizeLimitExceeded("exhaustive enumeration supports order <= 3 only")
@@ -300,10 +299,8 @@ def enumerate_semigroups(order: int) -> Iterator[FinSemigroup]:
                 yield from extend(k + 1)
         t[k] = None
 
-    return (
-        FinSemigroup(table, name=f"n{order}-{count}")
-        for count, table in enumerate(extend(0))
-    )
+    for count, table in enumerate(extend(0)):
+        yield FinSemigroup(table, name=f"n{order}-{count}")
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from functools import cache, partial
 from math import comb
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from .catalog import CatalogEntry
@@ -532,7 +532,7 @@ def _check(
 
 
 def _run(
-    kind: str, ids: Sequence[str], pairs: Iterable[Tuple[FinSemigroup, int]], cfg
+    kind: str, ids: Sequence[str], pairs: Sequence[Tuple[FinSemigroup, int]], cfg
 ) -> List[Tuple[List[int], Optional[dict]]]:
     """Per id, from one pass: its counts up to and including its first
     counterexample, in `TheoremReport` field order (checked, degenerate,
@@ -604,22 +604,20 @@ def _merge(parts, width: int) -> List[Tuple[List[int], Optional[dict]]]:
 def _drive(
     kind: str,
     ids: Sequence[str],
-    catalog: Iterable[CatalogEntry],
+    catalog: Sequence[CatalogEntry],
     catalog_label: str,
     cfg: Optional[VerifyConfig],
 ) -> List[TheoremReport]:
-    """One report per id from one pass over the catalog, which a serial
-    pass reads as it goes.  With workers, one pool runs every id on each
-    catalog semigroup as a task of its own, and the tasks' results are
-    merged in catalog order until every id has a counterexample."""
+    """One report per id from one pass over the catalog.  With workers, one
+    pool runs every id on each catalog semigroup as a task of its own, and
+    the tasks' results are merged in catalog order until every id has a
+    counterexample."""
     cfg = cfg or VerifyConfig()
     specs = _SPECS[kind]
     unknown = [tid for tid in ids if tid not in specs]
     if unknown:
         known = ", ".join(sorted(specs))
         raise InputError(f"unknown {kind} id {unknown[0]!r}; known: {known}")
-    if cfg.workers > 1:
-        catalog = list(catalog)
     if cfg.workers > 1 and len(catalog) > 1:
         import multiprocessing
 
@@ -632,7 +630,7 @@ def _drive(
             parts = pool.imap(partial(_run, kind, ids, cfg=cfg), tasks, chunksize=1)
             merged = _merge(parts, len(ids))
     else:
-        pairs = ((e.semigroup, b) for e in catalog for b in e.bases)
+        pairs = [(e.semigroup, b) for e in catalog for b in e.bases]
         merged = _merge([_run(kind, ids, pairs, cfg)], len(ids))
     reports = []
     for tid, (counts, counterexample) in zip(ids, merged):
@@ -656,7 +654,7 @@ def _drive(
 
 def verify(
     theorem_id: str,
-    catalog: Iterable[CatalogEntry],
+    catalog: Sequence[CatalogEntry],
     catalog_label: str = "custom",
     cfg: Optional[VerifyConfig] = None,
 ) -> TheoremReport:
@@ -665,7 +663,7 @@ def verify(
 
 def hunt_counterexample(
     variant: str,
-    catalog: Iterable[CatalogEntry],
+    catalog: Sequence[CatalogEntry],
     catalog_label: str = "custom",
     cfg: Optional[VerifyConfig] = None,
 ) -> TheoremReport:

@@ -651,37 +651,18 @@ def test_a_parallel_hunt_stops_at_its_finding(fake_pool):
     assert pool.tasks == 4 < len(catalog) == 143
 
 
-def test_a_serial_pass_reads_the_labeled_catalog_as_it_goes(monkeypatch):
-    # the hunt stops at order 2, so no order-3 semigroup is enumerated,
-    # while the family entries are built before the pass
-    import semsize.catalog as catalog
-
-    made, real = [], catalog.entry_for
-    monkeypatch.setattr(
-        catalog, "entry_for", lambda S, bases=None: made.append(S) or real(S, bases)
-    )
-    entries = catalog.catalog_stream("default")
-    assert len(made) == len(catalog.DEFAULT_FAMILY_SPECS)
-    report = hunt_counterexample("T2_6_large", entries)
-    assert report.found
-    labeled = made[len(catalog.DEFAULT_FAMILY_SPECS):]
-    assert [S.name for S in labeled] == ["n1-0", "n2-0", "n2-1", "n2-2"]
-    assert report.to_json_dict() == hunt_counterexample(
-        "T2_6_large", default_catalog()
-    ).to_json_dict()
-
-
 def test_default_holds_each_table_once():
-    # a family entry whose table a labeled entry already has is dropped
-    from semsize.catalog import DEFAULT_FAMILY_SPECS
-
+    # the families start at order 4: their tables of orders 2 and 3 are
+    # labeled ones
     entries = default_catalog()
     assert len({e.semigroup for e in entries}) == len(entries) == 143
-    names = {e.semigroup.name for e in entries}
-    assert [spec for spec in DEFAULT_FAMILY_SPECS if spec not in names] == [
-        "cyclic:2", "cyclic:3", "rightzero:2", "rightzero:3",
-        "leftzero:2", "leftzero:3", "null:2", "null:3",
+    labeled = {e.semigroup for e in order_le_catalog(3)}
+    small = [
+        f"{family}:{n}"
+        for family in ("cyclic", "rightzero", "leftzero", "null")
+        for n in (2, 3)
     ]
+    assert all(e.semigroup in labeled for e in family_catalog(small))
 
 
 def test_t3_2_admits_every_subgroup_base_its_tables_fit(monkeypatch):
