@@ -21,10 +21,9 @@ bases): some F <= U0 has F^-1 delta(A) >= U0.  A quotient sweep whose pool
 holds U0 asserts that every partition has such a cell.
 
 `cover_exceeds` decides whether some n-cell partition has no cell that w
-members of the pool cover, without listing partitions.  Over the subsets P
-of the base's positions, with D[x] the slice of delta at x, a pool point f
-hits u in U0 at the cells of hit[f][u]: D[f*u] in quotient mode, and the OR
-of D[x] over the x with f*x = u in translate and delta mode.  F covers the
+members of the base cover by quotients, without listing partitions.  Over
+the subsets P of the base's positions, with D[x] the slice of delta at x, a
+point f of U0 hits u in U0 at the cells of hit[f][u] = D[f*u].  F covers the
 cells of cov_F, the AND over u of the OR over f in F of hit[f][u], and C_w,
 the OR of cov_F over |F| = w (w or fewer, since cov_F grows with F), holds
 the cells that need at most w.  delta is monotone and so are both steps,
@@ -385,43 +384,27 @@ def sweep_partitions(
 # the cover decision
 
 
-def cover_exceeds(
-    S: FinSemigroup,
-    tau: PrincipalFilter,
-    n: int,
-    w: int,
-    mode: str,
-    V: Optional[int] = None,
-) -> bool:
+def cover_exceeds(S: FinSemigroup, tau: PrincipalFilter, n: int, w: int) -> bool:
     """Whether some n-cell partition of the base has no cell that at most w
-    members of the pool V (default: the base) cover as `min_cover` covers
-    it in `mode`: the sweep in that mode and pool has an infeasible
-    partition or a worst cover above w.
+    members of the base cover as `min_cover` covers it in quotient mode: the
+    quotient sweep with the default pool has an infeasible partition or a
+    worst cover above w.
 
     Decided from bit tables over the base's subsets, without listing
-    partitions (see the module docstring).  The mode and pool are checked
-    as in `min_cover`, and a base of fewer than n points raises InputError.
-    T3_2 calls it in translate mode with the default pool only; the other
-    modes and pools stay so that the tests can hold it against the sweep
-    in every form the sweep runs.
+    partitions (see the module docstring).  Fewer than one cell, a negative
+    w, or a base of fewer than n points raises InputError, and a base past
+    TABLE_ORDER_LIMIT points raises SizeLimitExceeded (`delta_slices`).
     """
-    V = tau.base if V is None else V
-    _check_mode(S, mode, V)
+    if n < 1:
+        raise InputError("need at least one cell")
+    if w < 0:
+        raise InputError(f"cover width must be non-negative, got {w}")
     m = popcount(tau.base)
     if m < n:
         raise InputError(f"no {n}-cell partitions of the base (base too small)")
     R = (1 << m) - 1
     U0, D, full = elements(tau.base), delta_slices(S, tau, tau.base), all_subsets(R)
-    hits = []
-    for f in bits(V):
-        row = S.table[f]
-        if mode == "quotient":
-            hits.append([D[row[u]] for u in U0])
-        else:
-            image = [0] * S.order
-            for x, fx in enumerate(row):
-                image[fx] |= D[x]
-            hits.append([image[u] for u in U0])
+    hits = [[D[S.table[f][u]] for u in U0] for f in U0]
     covered = 0
     for F in combinations(hits, min(w, len(hits))):
         cov = full

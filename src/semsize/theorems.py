@@ -342,12 +342,15 @@ def _cover_bound(S, tau, tb, cfg):
     """T3_2: every cells-partition of a subgroup base of order m has a cell
     covered by at most m // ceil(m/cells) translates of its difference set.
 
-    `partitions.cover_exceeds` decides it from bit tables over the base's
-    subsets, with no partition listed, and the claim counts one assertion
-    per partition, stirling2(m, cells): the count a sweep checks."""
+    `partitions.cover_exceeds` decides it for quotients from bit tables over
+    the base's subsets, with no partition listed, and the claim counts one
+    assertion per partition, stirling2(m, cells): the count a sweep checks.
+    Inside a subgroup H, f^-1 delta(A) = f^-1 * delta(A), so F -> F^-1 maps
+    each quotient cover to a translate cover of the same size: the least
+    covers, and so the decision, agree."""
     m, n = popcount(tau.base), cfg.cells
     bound = finite_cover_bound(m, n)
-    if cover_exceeds(S, tau, n, bound, "translate"):
+    if cover_exceeds(S, tau, n, bound):
         violation = (
             f"{S.name}: some {n}-cell partition has no cell within the proved "
             f"bound {bound}; implementation bug"
@@ -631,7 +634,7 @@ def _drive(
             merged = _merge(parts, len(ids))
     else:
         pairs = [(e.semigroup, b) for e in catalog for b in e.bases]
-        merged = _merge([_run(kind, ids, pairs, cfg)], len(ids))
+        merged = _run(kind, ids, pairs, cfg)
     reports = []
     for tid, (counts, counterexample) in zip(ids, merged):
         notes = specs[tid].notes

@@ -118,13 +118,12 @@ class SetOracle:
         )
 
 
-def brute_cover_exceeds(S, base, n, w, mode):
+def brute_cover_exceeds(S, base, n, w):
     """Whether some n-cell partition of the base has no cell A that at most
     w points f of the base cover, by listing every partition and pool.
 
     delta(A) holds the x with x*a in A for some a in A (a cell lies in
-    U0); in quotient mode f covers the u in U0 with f*u in delta(A), in
-    translate mode the u = f*x for x in delta(A)."""
+    U0), and f covers the u in U0 with f*u in delta(A)."""
     mul = S.table
     U0 = sorted(base)
 
@@ -132,9 +131,7 @@ def brute_cover_exceeds(S, base, n, w, mode):
         return {x for x in range(S.order) if any(mul[x][a] in A for a in A)}
 
     def covers(F, d):
-        if mode == "quotient":
-            return all(any(mul[f][u] in d for f in F) for u in U0)
-        return all(any(mul[f][x] == u for f in F for x in d) for u in U0)
+        return all(any(mul[f][u] in d for f in F) for u in U0)
 
     def needs_more(A):
         d = delta(A)

@@ -27,8 +27,8 @@ from semsize.catalog import default_catalog, family_catalog, order_le_catalog
 from semsize.classify import prethick_value
 from semsize.errors import InputError
 from semsize.masks import bits, elements, is_subset, least_cover, popcount
-from semsize.partitions import MODES, Partition, cover_exceeds
-from semsize.semigroups import left_quotient, product_set, translate_set
+from semsize.partitions import MODES, Partition, cover_exceeds, sweep_order_limit
+from semsize.semigroups import is_subgroup, left_quotient, product_set, translate_set
 
 
 def _balanced_first(parts):
@@ -635,8 +635,9 @@ class TestSweeps:
 
 class TestCoverDecision:
     def test_the_decision_is_the_sweep_at_every_width(self):
-        # the decision holds exactly when the sweep of the same cells, mode
-        # and pool has an infeasible partition or a worst cover above w
+        # the decision holds exactly when the quotient sweep of the same
+        # cells, with the base as its pool, has an infeasible partition or a
+        # worst cover above w
         cases = 0
         for entry in default_catalog():
             S = entry.semigroup
@@ -645,21 +646,43 @@ class TestCoverDecision:
             for base in entry.bases:
                 tau = make_principal(S, base)
                 m = popcount(base)
-                for n, mode in product((2, 3), ("quotient", "translate")):
+                for n in (2, 3):
                     if n > m:
                         continue
                     try:
-                        rec = sweep_partitions(S, tau, n, mode)
+                        rec = sweep_partitions(S, tau, n, "quotient")
                         worst, infeasible = rec.worst_min_F, rec.infeasible_partitions
                     except SizeLimitExceeded:  # no partition is feasible
                         worst, infeasible = None, 1
                     for w in range(1, m + 1):
                         want = bool(infeasible) or worst > w
-                        assert cover_exceeds(S, tau, n, w, mode) == want, (
-                            S.name, elements(base), n, mode, w,
+                        assert cover_exceeds(S, tau, n, w) == want, (
+                            S.name, elements(base), n, w,
                         )
                         cases += 1
-        assert cases == 7556
+        assert cases == 3778
+
+    def test_the_decision_is_the_translate_sweep_on_subgroup_bases(self):
+        # T3_2 states its bound for translates; on a subgroup base the least
+        # quotient and translate covers have the same size
+        cases = 0
+        for entry in default_catalog():
+            S = entry.semigroup
+            for base in entry.bases:
+                if not is_subgroup(S, base):
+                    continue
+                tau, m = make_principal(S, base), popcount(base)
+                for n in (2, 3):
+                    if n > m or S.order > sweep_order_limit(n):
+                        continue
+                    rec = sweep_partitions(S, tau, n, "translate")
+                    for w in range(1, m + 1):
+                        want = bool(rec.infeasible_partitions) or rec.worst_min_F > w
+                        assert cover_exceeds(S, tau, n, w) == want, (
+                            S.name, elements(base), n, w,
+                        )
+                        cases += 1
+        assert cases == 285
 
     def test_the_decision_matches_the_frozenset_oracle(self):
         cases = 0
@@ -669,31 +692,37 @@ class TestCoverDecision:
                 if popcount(base) < 2:
                     continue
                 tau = make_principal(S, base)
-                widths = range(1, popcount(base) + 1)
-                for mode, w in product(("quotient", "translate"), widths):
-                    want = brute_cover_exceeds(S, elements(base), 2, w, mode)
-                    assert cover_exceeds(S, tau, 2, w, mode) == want, (
-                        S.name, elements(base), mode, w,
+                for w in range(1, popcount(base) + 1):
+                    want = brute_cover_exceeds(S, elements(base), 2, w)
+                    assert cover_exceeds(S, tau, 2, w) == want, (
+                        S.name, elements(base), w,
                     )
                     cases += 1
-        assert cases == 2066
+        assert cases == 1033
 
     def test_z11_at_six_cells_needs_four(self):
         # below the proved bound finite_cover_bound(11, 6) = 5, and past the
         # sweep's order limit for 6 cells
         z11 = semigroup_from_spec("cyclic:11")
         tau = trivial_filter(z11)
-        exceeds = [cover_exceeds(z11, tau, 6, w, "translate") for w in range(1, 12)]
+        exceeds = [cover_exceeds(z11, tau, 6, w) for w in range(1, 12)]
         assert exceeds == [True] * 3 + [False] * 8
 
-    def test_a_pool_without_the_cover_and_a_small_base(self):
-        # no single translate of a difference set in Z4 covers Z4 but that
-        # of {0} is {0}: with the pool {0} every 2-partition is infeasible
-        z4 = semigroup_from_spec("cyclic:4")
+    def test_a_pool_without_the_cover_and_a_small_base(self, null3, z4):
+        # in null:3 every product is 0, outside the base {1, 2}: no cell has
+        # a difference set, so every 2-partition exceeds every width
+        tau = make_principal(null3, mask_of([1, 2]))
+        assert all(cover_exceeds(null3, tau, 2, w) for w in range(3))
         tau = trivial_filter(z4)
-        assert cover_exceeds(z4, tau, 2, 4, "translate", mask_of([0]))
-        assert not cover_exceeds(z4, tau, 2, 4, "translate")
+        assert not cover_exceeds(z4, tau, 2, 4)
         with pytest.raises(InputError, match="base too small"):
-            cover_exceeds(z4, tau, 5, 1, "translate")
-        with pytest.raises(ValueError, match="unknown cover mode"):
-            cover_exceeds(z4, tau, 2, 1, "sideways")
+            cover_exceeds(z4, tau, 5, 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_cell_is_an_input_error(self, z4, n):
+        with pytest.raises(InputError, match="need at least one cell"):
+            cover_exceeds(z4, trivial_filter(z4), n, 1)
+
+    def test_a_negative_width_is_an_input_error(self, z4):
+        with pytest.raises(InputError, match="non-negative"):
+            cover_exceeds(z4, trivial_filter(z4), 2, -1)

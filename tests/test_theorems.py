@@ -665,19 +665,31 @@ def test_default_holds_each_table_once():
     assert all(e.semigroup in labeled for e in family_catalog(small))
 
 
-def test_t3_2_admits_every_subgroup_base_its_tables_fit(monkeypatch):
-    # at 3 cells the subgroup bases of 3 to 12 points: the 20 of the groups
-    # up to order 8 and the 9 of Z9 to Z12, none decided by a sweep
+@pytest.mark.parametrize(
+    "cells, checked, skipped, assertions",
+    [
+        (3, 29, 1323, 130962),
+        (4, 22, 1330, 804803),
+        (5, 13, 1339, 1678943),
+        (6, 11, 1341, 1529434),
+    ],
+)
+def test_t3_2_admits_every_subgroup_base_its_tables_fit(
+    monkeypatch, cells, checked, skipped, assertions
+):
+    # the subgroup bases of cells to 12 points, none decided by a sweep; at
+    # 3 cells the 20 of the groups up to order 8 and the 9 of Z9 to Z12, and
+    # past 3 cells the decision takes cells - 2 rounds of unions
     import semsize.partitions as partitions
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("T3_2 swept the partitions")
 
     monkeypatch.setattr(partitions, "sweep_partitions", no_sweep)
-    report = verify("T3_2", default_catalog(), cfg=VerifyConfig(cells=3))
+    report = verify("T3_2", default_catalog(), cfg=VerifyConfig(cells=cells))
     assert report.counterexample is None
-    assert (report.instances_checked, report.skipped_count) == (29, 1323)
-    assert report.assertions == 130962
+    assert (report.instances_checked, report.skipped_count) == (checked, skipped)
+    assert report.assertions == assertions
 
 
 def test_t3_2_reports_a_broken_bound(monkeypatch):
