@@ -28,7 +28,7 @@ from .errors import (
 )
 from .filters import make_principal
 from .masks import elements, mask_of
-from .partitions import MODES, BoundRecord, sweep_order_limit, sweep_partitions
+from .partitions import MODES, BoundRecord, sweep_fits, sweep_partitions
 from .semigroups import (
     FinSemigroup,
     build_from_table,
@@ -218,24 +218,13 @@ def _cmd_hunt(args) -> int:
 
 
 def _record_json(rec: BoundRecord) -> dict:
-    return {
-        "group": rec.group,
-        "order": rec.order,
-        "base": elements(rec.base),
-        "cells": rec.cells,
-        "mode": rec.mode,
-        "pool": elements(rec.pool),
-        "worst_min_F": rec.worst_min_F,
-        "proved_bound": rec.proved_bound,
-        "alt_bound": rec.alt_bound,
-        "partitions_checked": rec.partitions_checked,
-        "infeasible_partitions": rec.infeasible_partitions,
-        "argmax_partition": {
-            "domain": elements(rec.argmax_partition.domain),
-            "labels": list(rec.argmax_partition.labels),
-            "cells": rec.argmax_partition.cells,
-        },
-    }
+    part = rec.argmax_partition
+    return dict(
+        rec._asdict(), base=elements(rec.base), pool=elements(rec.pool),
+        argmax_partition=dict(
+            part._asdict(), domain=elements(part.domain), labels=list(part.labels)
+        ),
+    )
 
 
 def _record_row(rec: BoundRecord) -> dict:
@@ -261,10 +250,9 @@ def _cmd_search(args) -> int:
     if args.witness_pool is not None:
         pool = _parse_subset(args.witness_pool, S, "witness pool")
 
-    # the sweep keeps the automorphisms that fix its base and pool; past its
-    # order limit it refuses before reading them, so none are computed then
+    # computed only for a sweep that runs; it keeps those that fix base and pool
     symmetry = None
-    if args.symmetry and S.order <= sweep_order_limit(args.cells):
+    if args.symmetry and sweep_fits(base, args.cells):
         symmetry = automorphisms(S)
     record = sweep_partitions(S, tau, args.cells, args.mode, V=pool, symmetry=symmetry)
 

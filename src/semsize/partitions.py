@@ -44,7 +44,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .classify import delta_slices, delta_tau
+from .classify import TABLE_ORDER_LIMIT, delta_slices, delta_tau
 from .errors import BoundViolation, InputError, SizeLimitExceeded
 from .filters import PrincipalFilter, check_hypothesis
 from .masks import (
@@ -60,7 +60,6 @@ from .masks import (
 )
 from .semigroups import FinSemigroup, is_subgroup, left_quotient, translate_set
 
-SWEEP_ORDER_LIMIT = {1: 12, 2: 12, 3: 8}
 MODES = ("quotient", "translate", "delta")
 
 
@@ -104,11 +103,6 @@ def finite_cover_bound(m: int, n: int) -> int:
     """The most translates some cell of an n-cell partition of a subgroup of
     order m needs: m // ceil(m/n), at most n (see the module docstring)."""
     return m // -(-m // n)
-
-
-def sweep_order_limit(n: int) -> int:
-    """The largest order whose n-cell partitions `sweep_partitions` accepts."""
-    return SWEEP_ORDER_LIMIT.get(n, 8)
 
 
 def _check_mode(S: FinSemigroup, mode: str, V: int) -> None:
@@ -268,6 +262,16 @@ def stirling2(m: int, n: int) -> int:
     return row[n] if n >= 0 else 0
 
 
+SWEEP_PARTITION_LIMIT = stirling2(TABLE_ORDER_LIMIT, 2)  # 2 cells at the table limit
+
+
+def sweep_fits(base: int, n: int) -> bool:
+    """Whether `sweep_partitions` lists the n-cell partitions of the base: at
+    most TABLE_ORDER_LIMIT points and 1 to SWEEP_PARTITION_LIMIT partitions."""
+    m = popcount(base)
+    return m <= TABLE_ORDER_LIMIT and 0 < stirling2(m, n) <= SWEEP_PARTITION_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -286,9 +290,10 @@ def sweep_partitions(
     of S, typically `automorphisms(S)`: the sweep keeps those that fix the
     base and the pool, and checks one partition per orbit of the rest.
 
-    Each cell is covered as `min_cover` covers it in `mode`, and the mode
-    and pool are checked as there, once, before any partition is
-    enumerated.  The sweep is one pass over the enumerator behind
+    Fewer than one cell or than n base points, then the mode and pool as
+    `min_cover` checks them, raise InputError; a base that `sweep_fits`
+    refuses then raises SizeLimitExceeded.  Each cell is covered as
+    `min_cover` covers it in `mode`, in one pass over the enumerator behind
     `enumerate_partitions`, which keeps each cell as a mask of base
     positions; the sweep reads a cell's difference set from the
     `delta_slices` over the base's subsets, `masks.transpose`d once into a
@@ -306,24 +311,27 @@ def sweep_partitions(
     the module docstring).
     Any other sweep without a feasible partition raises SizeLimitExceeded.
     """
-    limit = sweep_order_limit(n)
-    if S.order > limit:
-        raise SizeLimitExceeded(
-            f"sweep limited to order <= {limit} for {n} cells"
-        )
+    m = popcount(tau.base)
+    if n < 1:
+        raise InputError("need at least one cell")
+    if m < n:
+        raise InputError(f"no {n}-cell partitions of the base (base too small)")
     V = tau.base if V is None else V
     _check_mode(S, mode, V)
+    if not sweep_fits(tau.base, n):
+        raise SizeLimitExceeded(
+            f"sweep limited to {TABLE_ORDER_LIMIT} points and {SWEEP_PARTITION_LIMIT} "
+            f"partitions; the base has {m} and {stirling2(m, n)} with {n} cells"
+        )
     pooled = is_subset(tau.base, V)
     proved = pooled and is_subgroup(S, tau.base)
     if symmetry:
         symmetry = [p for p in symmetry if _fixes(p, tau.base) and _fixes(p, V)]
-    if popcount(tau.base) < n:
-        raise InputError(f"no {n}-cell partitions of the base (base too small)")
 
     # delta[P] is the difference set of the cell at base positions P, and
     # covers keeps the size of each difference set's least cover (None when
     # it has none), since a cell enters its cover only through it
-    delta = transpose(delta_slices(S, tau, tau.base), 1 << popcount(tau.base))
+    delta = transpose(delta_slices(S, tau, tau.base), 1 << m)
     covers: dict = {}
     worst, infeasible, argmax, spread, checked = -1, 0, None, 0, 0
     for checked, (labels, cells) in enumerate(_labelings(tau.base, n, symmetry), 1):
@@ -347,7 +355,7 @@ def sweep_partitions(
             if best > worst or gap < spread:
                 worst, spread = best, gap
                 argmax = Partition(tau.base, tuple(labels), n)
-    bound = finite_cover_bound(popcount(tau.base), n) if proved else None
+    bound = finite_cover_bound(m, n) if proved else None
     if proved and (infeasible or worst > bound):
         raise BoundViolation(
             f"{S.name}: worst_min_F {worst} (infeasible={infeasible}) breaks the "
@@ -444,6 +452,7 @@ __all__ = [
     "min_cover",
     "enumerate_partitions",
     "stirling2",
+    "sweep_fits",
     "sweep_partitions",
     "cover_exceeds",
 ]

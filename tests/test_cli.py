@@ -12,6 +12,7 @@ import pytest
 
 import semsize
 from semsize import (
+    SchemaError,
     automorphisms,
     hunt_counterexample,
     mask_of,
@@ -126,6 +127,22 @@ class TestClassify:
             "prethick": (True, [0]),
             "small": (False, [0]),
         }
+
+    def test_base_naming_no_element_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "classify", "--instance", "cyclic:4", "--base", ",",
+            "--subset", "1",
+        )
+        assert (code, out, err) == (2, "", "semsize: base spec names no elements\n")
+
+    @pytest.mark.parametrize("subset", ["full", "all"])
+    def test_subset_full_and_all_name_every_element(self, capsys, subset):
+        code, out, _ = run(
+            capsys, "classify", "--instance", "cyclic:4", "--subset", subset,
+            "--predicate", "large",
+        )
+        assert code == 0
+        assert json.loads(out)["subset"] == [0, 1, 2, 3]
 
 
 class TestVerify:
@@ -344,6 +361,18 @@ class TestSearch:
         assert record["infeasible_partitions"] == rec.infeasible_partitions == 3
         assert record["worst_min_F"] == rec.worst_min_F
 
+    def test_a_subgroup_base_of_a_larger_group_sweeps(self, capsys):
+        # the even residues of Z24: 12 points, so 2047 partitions at 2 cells,
+        # or 623 orbits under the automorphisms that fix them
+        argv = ["search", "--group", "cyclic:24", "--cells", "2",
+                "--base", ",".join(str(e) for e in range(0, 24, 2))]
+        for flags, checked in (([], 2047), (["--symmetry"], 623)):
+            code, out, err = run(capsys, *argv, *flags)
+            assert (code, err) == (0, "")
+            record = json.loads(out)
+            assert (record["worst_min_F"], record["proved_bound"]) == (2, 2)
+            assert record["partitions_checked"] == checked
+
 
 class TestHunt:
     def test_found_finding_still_exits_zero(self, tmp_path, capsys):
@@ -421,6 +450,30 @@ class TestFilterJson:
             "--base", str(filt), "--subset", "1",
         )
         assert code == 2 and "base[0] = True" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "not valid JSON"),
+            ("[0]", "filter JSON needs a 'base' field"),
+            ('{"bases": [0]}', "filter JSON needs a 'base' field"),
+            ('{"base": []}', "'base' must be a non-empty list"),
+            ('{"base": 0}', "'base' must be a non-empty list"),
+        ],
+        ids=[
+            "invalid-json", "not-an-object", "no-base", "empty-base",
+            "base-not-a-list",
+        ],
+    )
+    def test_bad_filter_json_is_input_error(self, tmp_path, capsys, text, message):
+        filt = tmp_path / "tau.json"
+        filt.write_text(text)
+        code, out, err = run(
+            capsys, "classify", "--instance", "cyclic:6",
+            "--base", str(filt), "--subset", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"semsize: {filt}: {message}")
 
 
 class TestExitCodes:
@@ -626,7 +679,10 @@ class TestExitCodes:
             capsys, "search", "--group", "cyclic:13", "--cells", "2", "--symmetry",
         )
         assert (code, out) == (3, "")
-        assert err == "semsize: sweep limited to order <= 12 for 2 cells\n"
+        assert err == (
+            "semsize: sweep limited to 12 points and 2047 partitions; "
+            "the base has 13 and 4095 with 2 cells\n"
+        )
 
     def test_too_many_automorphisms_is_a_limit_error(self, capsys):
         # leftzero:9 has 9! automorphisms; the search stops past 720
@@ -637,6 +693,54 @@ class TestExitCodes:
         )
         assert code == 3
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "not valid JSON"),
+            ("[]", "top level must be an object"),
+            ('{"name": "x", "order": 1}', "missing field 'table'"),
+            ('{"name": 1, "order": 1, "table": [[0]]}',
+             "field 'name' must be a string"),
+        ],
+        ids=["invalid-json", "not-an-object", "missing-field", "name-not-a-string"],
+    )
+    def test_bad_instance_json_is_input_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+            parse_instance(str(path))
+        code, out, err = run(
+            capsys, "classify", "--instance", str(path), "--subset", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"semsize: {path}: {message}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cyclic:12", "--cells", "0"], "need at least one cell"),
+            (["cyclic:12", "--cells", "-1"], "need at least one cell"),
+            (["cyclic:12", "--cells", "13"],
+             "no 13-cell partitions of the base (base too small)"),
+            (["cyclic:13", "--base", "0", "--cells", "2"],
+             "no 2-cell partitions of the base (base too small)"),
+        ],
+        ids=["zero-cells", "negative-cells", "cells-past-the-base", "one-point-base"],
+    )
+    def test_bad_cells_are_input_errors_at_any_order(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # checked before the sweep limit, and before any automorphism search
+        import semsize.cli as cli
+
+        def fail(S):
+            raise AssertionError("automorphisms computed")
+
+        monkeypatch.setattr(cli, "automorphisms", fail)
+        for flags in ([], ["--symmetry"]):
+            code, out, err = run(capsys, "search", "--group", *argv, *flags)
+            assert (code, out, err) == (2, "", f"semsize: {message}\n")
 
     def test_zero_cells_is_input_error(self, capsys):
         code, out, err = run(capsys, "search", "--group", "cyclic:4", "--cells", "0")

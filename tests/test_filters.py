@@ -118,6 +118,10 @@ class TestPrincipalFilter:
         with pytest.raises(EmptyBase):
             make_principal(z6, 0)
 
+    def test_base_past_the_order_rejected(self, z6):
+        with pytest.raises(EmptyBase, match="base 0b1000001 has bits outside order 6"):
+            make_principal(z6, mask_of([0, 6]))
+
     def test_shiftable_on_z6(self, z6):
         # g + U0 <= U0: every g on the full base, the subgroup's own points
         # on {0, 2, 4}, and only 0 on {5}

@@ -27,7 +27,13 @@ from semsize.catalog import default_catalog, family_catalog, order_le_catalog
 from semsize.classify import prethick_value
 from semsize.errors import InputError
 from semsize.masks import bits, elements, is_subset, least_cover, popcount
-from semsize.partitions import MODES, Partition, cover_exceeds, sweep_order_limit
+from semsize.partitions import (
+    MODES,
+    SWEEP_PARTITION_LIMIT,
+    Partition,
+    cover_exceeds,
+    sweep_fits,
+)
 from semsize.semigroups import is_subgroup, left_quotient, product_set, translate_set
 
 
@@ -199,6 +205,15 @@ class TestMinCover:
         assert popcount(F) == 2
         F = min_cover(z4, trivial_filter(z4), z4.full_mask, "translate", z4.full_mask)
         assert F == mask_of([z4.identity])
+
+    def test_unknown_mode_and_empty_pool_are_refused(self, z4):
+        tau = trivial_filter(z4)
+        with pytest.raises(ValueError, match="unknown cover mode 'bogus'") as exc:
+            min_cover(z4, tau, 1, "bogus", z4.full_mask)
+        # a mode no caller can pass is a bug, not the caller's input
+        assert not isinstance(exc.value, InputError)
+        with pytest.raises(InputError, match="witness pool must be non-empty"):
+            min_cover(z4, tau, 1, "translate", 0)
 
     def test_witness_covers_the_base(self, z4):
         tau = trivial_filter(z4)
@@ -565,6 +580,22 @@ class TestSweeps:
         with pytest.raises(SizeLimitExceeded):
             sweep_partitions(s4, trivial_filter(s4), 2, "translate")
 
+    def test_sweep_fits_at_its_boundaries(self):
+        # the limit is S(12, 2) = 2047: S(8, 3..6) fit, and S(9, 3) = 3025
+        # and S(13, 2) = 4095 do not; nor does a 13-point base at 1 cell
+        def full(m):
+            return (1 << m) - 1
+
+        assert SWEEP_PARTITION_LIMIT == stirling2(12, 2) == 2047
+        assert sweep_fits(full(12), 2)
+        assert all(sweep_fits(full(8), n) for n in range(3, 7))
+        assert (stirling2(9, 3), stirling2(13, 2)) == (3025, 4095)
+        assert not sweep_fits(full(9), 3)
+        assert not sweep_fits(full(13), 2)
+        assert not sweep_fits(full(13), 1)
+        # no partition to list: fewer than one cell or than n points
+        assert not any(sweep_fits(full(4), n) for n in (-1, 0, 5))
+
     def test_sweep_is_deterministic(self, z6):
         tau = make_principal(z6, mask_of([0, 2, 4]))
         a = sweep_partitions(z6, tau, 2, "translate")
@@ -673,7 +704,7 @@ class TestCoverDecision:
                     continue
                 tau, m = make_principal(S, base), popcount(base)
                 for n in (2, 3):
-                    if n > m or S.order > sweep_order_limit(n):
+                    if not sweep_fits(base, n):
                         continue
                     rec = sweep_partitions(S, tau, n, "translate")
                     for w in range(1, m + 1):
@@ -682,7 +713,7 @@ class TestCoverDecision:
                             S.name, elements(base), n, w,
                         )
                         cases += 1
-        assert cases == 285
+        assert cases == 306
 
     def test_the_decision_matches_the_frozenset_oracle(self):
         cases = 0
@@ -702,7 +733,7 @@ class TestCoverDecision:
 
     def test_z11_at_six_cells_needs_four(self):
         # below the proved bound finite_cover_bound(11, 6) = 5, and past the
-        # sweep's order limit for 6 cells
+        # sweep's partition limit for 6 cells
         z11 = semigroup_from_spec("cyclic:11")
         tau = trivial_filter(z11)
         exceeds = [cover_exceeds(z11, tau, 6, w) for w in range(1, 12)]

@@ -261,6 +261,13 @@ _FLIP_CASES = [
     ("T2_6", "null:4", [0, 2, 3], ("thick",)),  # _quotient_stable
     ("C2_5", "null:4", [0, 2, 3], ("large", "thick")),
     ("T3_7", "null:4", [0, 2, 3], ("prethick", "large")),  # _implies
+    ("T3_1", "cyclic:6", [0, 2, 4], ("large",)),  # _minimal_ideal_traces
+    ("T3_1", "null:4", [0, 2, 3], ("large",)),
+    ("T2_2", "cyclic:6", [0, 2, 4], ("thick",)),  # _agree
+    ("T2_3", "null:4", [0, 2, 3], ("thick", "large")),
+    ("T3_5", "null:4", [0, 2, 3], ("prethick",)),
+    ("T3_5", "cyclic:6", [0, 2, 4], ("prethick",)),
+    ("T3_6", "null:4", [0, 2, 3], ("prethick", "small")),
 ]
 
 
@@ -296,5 +303,18 @@ def test_a_flipped_reach_entry_counts_as_in_the_full_tables(
             )
             failures += ce is not None
     # a flip that clears a premise or sets a conclusion breaks no claim
-    assert failures == {"T2_1": 8, "C3_1": 7, "T2_4": 12, "T2_6": 4,
-                        "C2_5": 5, "T3_7": 5}[tid]
+    assert failures == {
+        ("T2_1", "cyclic:6"): 8,
+        ("C3_1", "cyclic:6"): 7,
+        ("T2_4", "cyclic:6"): 12,
+        ("T2_6", "null:4"): 4,
+        ("C2_5", "null:4"): 5,
+        ("T3_7", "null:4"): 5,
+        ("T3_1", "cyclic:6"): 4,
+        ("T3_1", "null:4"): 2,
+        ("T2_2", "cyclic:6"): 8,
+        ("T2_3", "null:4"): 16,
+        ("T3_5", "null:4"): 8,
+        ("T3_5", "cyclic:6"): 8,
+        ("T3_6", "null:4"): 16,
+    }[tid, family]

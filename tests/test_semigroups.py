@@ -4,6 +4,7 @@ import inspect
 import itertools
 import pickle
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from semsize import (
     AssociativityError,
     DimensionError,
     FinSemigroup,
+    NotAGroup,
     NotASubsemigroup,
     PrincipalFilter,
     SizeLimitExceeded,
@@ -25,6 +27,7 @@ from semsize import (
     build_family,
     build_from_table,
     delta_tau,
+    direct_product,
     enumerate_semigroups,
     is_subgroup,
     left_quotient,
@@ -39,7 +42,7 @@ from semsize import (
     translate_set,
     trivial_filter,
 )
-from semsize.catalog import build_catalog, default_catalog
+from semsize.catalog import build_catalog, default_catalog, entry_for
 from semsize.masks import elements
 from semsize.semigroups import (
     FAMILY_NAMES,
@@ -177,6 +180,23 @@ class TestFamilies:
         with pytest.raises(SizeLimitExceeded):
             build_family("full_transformation", 5)
         assert "cyclic" in FAMILY_NAMES
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("", "empty family spec"),
+            ("product:", "product spec needs factors: 'product:'"),
+            ("cyclic:a", "bad family parameters in 'cyclic:a'"),
+            ("cyclic:0", "family parameter must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_family_specs(self, spec, message):
+        with pytest.raises(UnknownFamily, match=re.escape(message)):
+            semigroup_from_spec(spec)
+
+    def test_direct_product_needs_a_factor(self):
+        with pytest.raises(UnknownFamily, match="needs at least one factor"):
+            direct_product([])
 
     def test_every_family_builds_up_to_the_order_limit_and_no_further(self):
         # FAMILY_ORDER_LIMIT is the one size limit: the largest parameter of
@@ -437,6 +457,26 @@ def test_one_closure_per_coset_finds_every_subgroup():
     groups.add(semigroup_from_spec("symmetric:4"))
     for S in groups:
         assert subgroups(S) == _closure_per_point_subgroups(S), S.name
+
+
+def test_subgroups_of_a_non_group_are_refused(null3):
+    with pytest.raises(NotAGroup, match="subgroup enumeration needs a group"):
+        subgroups(null3)
+
+
+@pytest.mark.parametrize(
+    "spec, message", [("", "empty catalog spec"), ("order<=x", "bad catalog spec")]
+)
+def test_bad_catalog_specs(spec, message):
+    with pytest.raises(UnknownFamily, match=message):
+        build_catalog(spec)
+
+
+@pytest.mark.parametrize("spec", ["null:7", "rightzero:7", "leftzero:8"])
+def test_a_non_group_above_order_6_has_only_the_full_base(spec):
+    S = semigroup_from_spec(spec)
+    assert not S.is_group
+    assert entry_for(S).bases == (S.full_mask,)
 
 
 def test_symmetric_5_has_156_subgroups():
