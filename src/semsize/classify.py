@@ -264,7 +264,7 @@ class SizeTables:
     TABLE_ORDER_LIMIT points is refused.
     """
 
-    __slots__ = ("large", "thick", "prethick", "small", "__weakref__")
+    __slots__ = ("large", "thick", "prethick", "small")
 
     def __init__(self, S: FinSemigroup, tau: PrincipalFilter):
         _check_table(len(tau.reach_points))

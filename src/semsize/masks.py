@@ -106,14 +106,6 @@ def window_count(table: int, start: int, size: int) -> int:
     return (table >> start & ((1 << size) - 1)).bit_count()
 
 
-def size_counts(table: int, R: int) -> List[int]:
-    """c[j]: the number of entries P of the table with j points."""
-    layers = [1]  # the subsets of each size of the positions done so far
-    for i in bits(R):
-        layers = [a | b << (1 << i) for a, b in zip(layers + [0], [0] + layers)]
-    return [(table & layer).bit_count() for layer in layers]
-
-
 @cache
 def coordinates(R: int) -> Tuple[int, ...]:
     """The subsets of R through each of its positions, `supersets_of({i})`:

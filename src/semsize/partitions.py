@@ -150,6 +150,15 @@ def _cover(S, tau, d, mode, V) -> Optional[int]:
 # partition enumeration
 
 
+def _points(base: int, n: int) -> int:
+    """|base|; fewer than one cell, or than n points, raises InputError."""
+    if n < 1:
+        raise InputError("need at least one cell")
+    if popcount(base) < n:
+        raise InputError(f"no {n}-cell partitions of the base (base too small)")
+    return popcount(base)
+
+
 def _labelings(
     domain: int,
     n: int,
@@ -167,9 +176,6 @@ def _labelings(
     With `symmetry` (see `enumerate_partitions`) a string is skipped
     unless it is the least of its orbit.
     """
-    if n < 1:
-        raise InputError("need at least one cell")
-    m, last = popcount(domain), n - 1
     moves: List[Tuple[int, ...]] = []
     if symmetry:
         if not all(_fixes(perm, domain) for perm in symmetry):
@@ -178,9 +184,10 @@ def _labelings(
         pos = {e: i for i, e in enumerate(domain_elems)}
         # a move that fixes every position can drop no string
         images = (tuple(pos[perm[e]] for e in domain_elems) for perm in symmetry)
-        moves = [mv for mv in dict.fromkeys(images) if mv != tuple(range(m))]
-    if m < n:
+        moves = [mv for mv in dict.fromkeys(images) if mv != tuple(range(len(pos)))]
+    if popcount(domain) < n:
         return
+    m, last = _points(domain, n), n - 1
     # the first string keeps label 0 at position 0 and refills the rest
     labels, top, cells = [0] * m, [0] * m, [0] * n
     cells[0] = (1 << m) - 1
@@ -311,11 +318,7 @@ def sweep_partitions(
     the module docstring).
     Any other sweep without a feasible partition raises SizeLimitExceeded.
     """
-    m = popcount(tau.base)
-    if n < 1:
-        raise InputError("need at least one cell")
-    if m < n:
-        raise InputError(f"no {n}-cell partitions of the base (base too small)")
+    m = _points(tau.base, n)
     V = tau.base if V is None else V
     _check_mode(S, mode, V)
     if not sweep_fits(tau.base, n):
@@ -403,13 +406,9 @@ def cover_exceeds(S: FinSemigroup, tau: PrincipalFilter, n: int, w: int) -> bool
     w, or a base of fewer than n points raises InputError, and a base past
     TABLE_ORDER_LIMIT points raises SizeLimitExceeded (`delta_slices`).
     """
-    if n < 1:
-        raise InputError("need at least one cell")
+    m = _points(tau.base, n)
     if w < 0:
         raise InputError(f"cover width must be non-negative, got {w}")
-    m = popcount(tau.base)
-    if m < n:
-        raise InputError(f"no {n}-cell partitions of the base (base too small)")
     R = (1 << m) - 1
     U0, D, full = elements(tau.base), delta_slices(S, tau, tau.base), all_subsets(R)
     hits = [[D[S.table[f][u]] for u in U0] for f in U0]

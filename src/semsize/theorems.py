@@ -40,7 +40,7 @@ straight off the Cayley table.  No claim lists the subsets of R or moves a
 subset through a set-arithmetic call.  An equivalence over every subset is
 one `_agree` of two tables, an implication one `_implies`.  A statement
 that follows from one already checked, like T3_5 (iii) from (i), is
-counted, not swept, and T2_4 and C2_5, one claim under two texts, share
+proved, not counted, and T2_4 and C2_5, one claim under two texts, share
 one scan of an instance.
 
 The reports stay those of a sweep over all 2^order subsets A of S.  Every
@@ -60,10 +60,8 @@ so a hunt reports none, whatever its hypothesis.
 
 from __future__ import annotations
 
-from functools import cache, partial
-from math import comb
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from .catalog import CatalogEntry
 from .classify import TABLE_ORDER_LIMIT, SizeTables, delta_slices
@@ -79,16 +77,10 @@ from .masks import (
     meets,
     minimal_layers,
     popcount,
-    size_counts,
     window_count,
 )
 from .partitions import cover_exceeds, finite_cover_bound, stirling2
 from .semigroups import FinSemigroup, is_subgroup
-
-
-# T3_5 (iii) holds by (i) at every order; its partitions are counted as
-# assertions only up to this order, which the reports are defined by
-REGULARITY_ORDER_LIMIT = 6
 
 
 class VerifyConfig:
@@ -258,20 +250,21 @@ def _shift_scan(tau, tb):
     return count, None
 
 
-# the `_shift_scan` of each live SizeTables, dropped with them
-_SHIFT_SCANS: WeakKeyDictionary[SizeTables, tuple] = WeakKeyDictionary()
+@lru_cache(maxsize=1)
+def _last_shift_scan(tau, tb):
+    """The `_shift_scan` of the last instance asked for; `_run` clears it."""
+    return _shift_scan(tau, tb)
 
 
 def _shift_invariance(large_claim, thick_claim, S, tau, tb, cfg):
     """T2_4 / C2_5, the `_shift_scan` under the claim texts.
 
     Under left inverse invariance (C2_5) every g is shiftable, so the two
-    statements differ only in their hypothesis and claim texts, and the
-    second to run on an instance reads the first one's scan.
+    statements differ only in their hypothesis and claim texts.  They run
+    one after the other on an instance, so the second reads the first one's
+    scan (`_last_shift_scan`).
     """
-    if tb not in _SHIFT_SCANS:
-        _SHIFT_SCANS[tb] = _shift_scan(tau, tb)
-    count, failure = _SHIFT_SCANS[tb]
+    count, failure = _last_shift_scan(tau, tb)
     if failure is None:
         return count, None
     g, A, thick_failed = failure
@@ -359,18 +352,6 @@ def _cover_bound(S, tau, tb, cfg):
     return stirling2(m, n), None
 
 
-@cache
-def _partition_weights(order: int, r: int) -> Tuple[int, ...]:
-    """w[j]: the 2- and 3-cell partitions, S(k, 2) + S(k, 3), summed over
-    the subsets of S with j given points of a reach of r points and any k
-    of the order - r others."""
-    parts = [stirling2(k, 2) + stirling2(k, 3) for k in range(order + 1)]
-    off = order - r
-    return tuple(
-        sum(comb(off, k) * parts[j + k] for k in range(off + 1)) for j in range(r + 1)
-    )
-
-
 def _prethick_regularity(S, tau, tb, cfg):
     """T3_5: (i) A is prethick iff it meets a minimal left ideal; (iii) every
     finite partition of a prethick set has a prethick cell.
@@ -383,20 +364,12 @@ def _prethick_regularity(S, tau, tb, cfg):
 
     (iii) follows from (i): a prethick A meets the union M of the minimal
     left ideals, the cell holding a point of A & M meets M, and (i), checked
-    on every subset first, makes that cell prethick.  So (iii) is not swept;
-    up to REGULARITY_ORDER_LIMIT it counts one assertion per 2- and 3-cell
-    partition of each prethick set, weighted by the size of its points in R
-    (`_partition_weights`).
+    on every subset first, makes that cell prethick.  So (iii) is neither
+    swept nor counted: the assertions are those of (i), one per subset.
     """
     meets_M = meets(tau.to_reach(tau.minimal_ideal_union), tau.positions)
     count, detail = _agree(tau, tb.prethick, meets_M, "prethick", "meets_minimal")
-    if detail is not None:
-        return count, {"part": "i", **detail}
-    if S.order <= REGULARITY_ORDER_LIMIT:
-        weights = _partition_weights(S.order, len(tau.reach_points))
-        sizes = size_counts(tb.prethick, tau.positions)
-        count += sum(w * n for w, n in zip(weights, sizes))
-    return count, None
+    return count, None if detail is None else {"part": "i", **detail}
 
 
 def _prethick_not_small(S, tau, tb, cfg):
@@ -585,6 +558,7 @@ def _run(
         running = [i for i in running if found[i] is None]
         if not running:
             break
+    _last_shift_scan.cache_clear()  # no instance's tables outlive the pass
     return list(zip(counts, found))
 
 

@@ -11,7 +11,11 @@ statements moved to the hypothesis U0*U0 <= U0, and no other line changed
 then.  The verify and T3_6_semigroup hunt fixtures of `default` were
 rewritten when that catalog dropped the 8 family entries that repeat a
 labeled table, from a run of the earlier code over the catalog without
-them.  The search fixtures pin the JSON record and the appended CSV rows of
+them.  The T3_5 lines of the four verify fixtures were rewritten when T3_5
+stopped counting the 2- and 3-cell partitions of its prethick sets up to
+order 6, as (iii) is proved from (i) and never swept: its assertions became
+2^order per admitted instance, and no other field or line changed.  The
+search fixtures pin the JSON record and the appended CSV rows of
 the partition sweep; their last six lines, every benchmark search the first
 seven lack and a base with infeasible partitions, were written by the sweep
 before it read its cells from the enumerator.  The classify fixture pins all

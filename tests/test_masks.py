@@ -18,7 +18,6 @@ from semsize.masks import (
     minimal_layers,
     point_slices,
     popcount,
-    size_counts,
     submasks,
     subsets_of,
     supersets,
@@ -139,16 +138,12 @@ def test_subset_tables_match_the_listed_subsets(R, data):
 
 
 @given(_positions(), st.data())
-def test_window_and_size_counts_match_the_listed_entries(R, data):
+def test_window_count_matches_the_listed_entries(R, data):
     table = data.draw(st.integers(min_value=0, max_value=all_subsets(R)))
     start = data.draw(st.integers(min_value=0, max_value=R + 1))
     size = data.draw(st.integers(min_value=0, max_value=R + 1 - start))
     entries = [table >> P & 1 for P in range(R + 1)]
     assert window_count(table, start, size) == sum(entries[start : start + size])
-    want = [0] * (R.bit_length() + 1)
-    for P, entry in enumerate(entries):
-        want[P.bit_count()] += entry
-    assert size_counts(table, R) == want
 
 
 @given(st.integers(min_value=0, max_value=(1 << 10) - 1), st.integers(0, 3))

@@ -18,7 +18,6 @@ from semsize.catalog import default_catalog, entry_for
 from semsize.classify import SizeTables
 from semsize.filters import PrincipalFilter
 from semsize.masks import bits
-from semsize.partitions import stirling2
 from semsize.semigroups import set_quotient
 from semsize.theorems import HUNTS, THEOREMS, VerifyConfig
 
@@ -183,12 +182,7 @@ def _prethick_regularity(S, tau, tb, cfg):
     M = tau.minimal_ideal_union
     meets = [bool(A & M) for A in range(S.full_mask + 1)]
     count, detail = _agree(tb.prethick, meets, "prethick", "meets_minimal")
-    if detail is not None:
-        return count, {"part": "i", **detail}
-    if S.order <= theorems.REGULARITY_ORDER_LIMIT:
-        parts = [stirling2(k, 2) + stirling2(k, 3) for k in range(S.order + 1)]
-        count += sum(parts[A.bit_count()] for A, p in enumerate(tb.prethick) if p)
-    return count, None
+    return count, None if detail is None else {"part": "i", **detail}
 
 
 def _prethick_not_small(S, tau, tb, cfg):

@@ -290,10 +290,10 @@ def test_prethick_meets_minimal_and_not_small_agree_under_a_closed_base():
 
 
 def test_every_partition_of_a_prethick_set_has_a_prethick_cell():
-    # T3_5 (iii) is counted from (i), not swept; the sweep runs here on the
-    # order<=3 catalog and the order <= 6 golden mixed catalog: each 2- and
-    # 3-cell partition of a prethick set has a prethick cell, and the 2^n
-    # subsets of (i) plus those partitions are the instance's assertions
+    # T3_5 (iii) is proved from (i), neither swept nor counted; the sweep
+    # runs here on the order<=3 catalog and the order <= 6 golden mixed
+    # catalog: each 2- and 3-cell partition of a prethick set has a prethick
+    # cell, and the 2^n subsets of (i) are the instance's assertions
     mixed = build_catalog(
         "fulltransformation:2;symmetric:3;cyclic:6;rightzero:4;null:4"
     )
@@ -308,22 +308,33 @@ def test_every_partition_of_a_prethick_set_has_a_prethick_cell():
                 continue
             tau = PrincipalFilter(S, base)
             prethick = _full(tau, SizeTables(S, tau).prethick)
-            partitions = 0
             for A in range(S.full_mask + 1):
                 if not prethick[A]:
                     continue
                 for cells in (2, 3):
                     for part in enumerate_partitions(A, cells):
-                        partitions += 1
                         assert any(prethick[c] for c in part.cell_masks()), (
                             S.name, base, part.label_string(),
                         )
-            assert report.assertions == S.full_mask + 1 + partitions
+            assert report.assertions == S.full_mask + 1
             admitted += 1
             assertions += report.assertions
     whole = verify("T3_5", catalog, cfg=cfg)
     assert (whole.instances_checked, whole.assertions) == (admitted, assertions)
     assert admitted == 599 + 42  # order<=3, then the mixed catalog
+
+
+def test_t3_5_counts_one_assertion_per_subset_of_each_admitted_instance():
+    # the (i) equivalence over all 2^order subsets of S is all T3_5 counts;
+    # its admission is U0*U0 <= U0, and no order limit cuts the count
+    want = sum(
+        1 << entry.semigroup.order
+        for entry in default_catalog()
+        for base in entry.bases
+        if check_hypothesis(PrincipalFilter(entry.semigroup, base), "semigroup_filter")
+    )
+    report = verify("T3_5", default_catalog(), cfg=VerifyConfig(workers=1))
+    assert report.assertions == want == 58354
 
 
 _M = 0b101101  # {0, 2, 3, 5} in cyclic:6
