@@ -159,11 +159,7 @@ def _points(base: int, n: int) -> int:
     return popcount(base)
 
 
-def _labelings(
-    domain: int,
-    n: int,
-    symmetry: Optional[Sequence[Tuple[int, ...]]] = None,
-) -> Iterator[Tuple[List[int], List[int]]]:
+def _labelings(domain: int, n: int) -> Iterator[Tuple[List[int], List[int]]]:
     """The restricted growth strings of length |domain| with exactly n
     labels, in increasing lexicographic order, each with its n cells as
     masks of domain positions.  Both lists are updated in place from one
@@ -173,18 +169,7 @@ def _labelings(
     n - 1 and the count of labels before it) and refills the suffix with
     its least completion: zeros, then the labels still missing (Knuth's
     Algorithm H, TAOCP 7.2.1.5).  top[j] is the count of labels before j.
-    With `symmetry` (see `enumerate_partitions`) a string is skipped
-    unless it is the least of its orbit.
     """
-    moves: List[Tuple[int, ...]] = []
-    if symmetry:
-        if not all(_fixes(perm, domain) for perm in symmetry):
-            raise ValueError("symmetry permutation does not fix the domain")
-        domain_elems = elements(domain)
-        pos = {e: i for i, e in enumerate(domain_elems)}
-        # a move that fixes every position can drop no string
-        images = (tuple(pos[perm[e]] for e in domain_elems) for perm in symmetry)
-        moves = [mv for mv in dict.fromkeys(images) if mv != tuple(range(len(pos)))]
     if popcount(domain) < n:
         return
     m, last = _points(domain, n), n - 1
@@ -206,10 +191,7 @@ def _labelings(
                 labels[j] = lab
                 cells[old] ^= 1 << j
                 cells[lab] |= 1 << j
-        # labels are already relabel-canonical; (pi . P)(x) = P(pi^-1 x),
-        # but sweeping the whole group makes the direction immaterial
-        if not moves or _is_orbit_min(labels, moves):
-            yield labels, cells
+        yield labels, cells
         i = m - 1
         while i and (labels[i] >= top[i] or labels[i] == last):
             i -= 1
@@ -222,42 +204,10 @@ def _labelings(
         u = max(top[i], lab + 1)
 
 
-def _is_orbit_min(labels: Sequence[int], moves: Sequence[Tuple[int, ...]]) -> bool:
-    """Whether no image labels[move[i]] relabels to a smaller string than
-    `labels`.  Each image is relabeled only up to its first difference from
-    `labels`, and the test stops at the first smaller image."""
-    for move in moves:
-        remap: dict = {}
-        for i, p in enumerate(move):
-            lab = remap.setdefault(labels[p], len(remap))
-            if lab != labels[i]:
-                if lab < labels[i]:
-                    return False
-                break
-    return True
-
-
-def _fixes(perm: Sequence[int], mask: int) -> bool:
-    return mask_of(perm[e] for e in bits(mask)) == mask
-
-
-def enumerate_partitions(
-    domain: int,
-    n: int,
-    symmetry: Optional[Sequence[Tuple[int, ...]]] = None,
-) -> Iterator[Partition]:
+def enumerate_partitions(domain: int, n: int) -> Iterator[Partition]:
     """Surjective n-cell labelings of the domain, one per relabeling class,
-    in increasing lexicographic order of their label strings.
-
-    With `symmetry` only the lexicographically least label string of each
-    orbit is produced.  It must be a group of permutations of the ambient
-    elements that fix the domain setwise (ValueError otherwise), closed
-    under composition: `sweep_partitions` passes the automorphisms of S that
-    fix its base (the domain) and its pool, a subgroup of `automorphisms(S)`.
-    Each permutation becomes a tuple of domain positions once; a string is
-    dropped at the first permutation whose image relabels to a smaller one.
-    """
-    for labels, _ in _labelings(domain, n, symmetry):
+    in increasing lexicographic order of their label strings."""
+    for labels, _ in _labelings(domain, n):
         yield Partition(domain, tuple(labels), n)
 
 
@@ -283,6 +233,25 @@ def sweep_fits(base: int, n: int) -> bool:
 # sweeps
 
 
+def _is_orbit_min(labels: Sequence[int], moves: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether no image labels[move[i]] relabels to a smaller string than
+    `labels`.  Each image is relabeled only up to its first difference from
+    `labels`, and the test stops at the first smaller image."""
+    for move in moves:
+        remap: dict = {}
+        for i, p in enumerate(move):
+            lab = remap.setdefault(labels[p], len(remap))
+            if lab != labels[i]:
+                if lab < labels[i]:
+                    return False
+                break
+    return True
+
+
+def _fixes(perm: Sequence[int], mask: int) -> bool:
+    return mask_of(perm[e] for e in bits(mask)) == mask
+
+
 def sweep_partitions(
     S: FinSemigroup,
     tau: PrincipalFilter,
@@ -295,7 +264,11 @@ def sweep_partitions(
 
     The pool V defaults to the base.  `symmetry` is a group of automorphisms
     of S, typically `automorphisms(S)`: the sweep keeps those that fix the
-    base and the pool, and checks one partition per orbit of the rest.
+    base and the pool, and checks only the least label string of each orbit
+    under the rest, so only `partitions_checked` differs from the full
+    sweep.  It is no faster than the full sweep, as finding a string's orbit
+    costs about what covering its cells does, and it stays only while the
+    benchmark runs `search --symmetry`.
 
     Fewer than one cell or than n base points, then the mode and pool as
     `min_cover` checks them, raise InputError; a base that `sweep_fits`
@@ -328,8 +301,12 @@ def sweep_partitions(
         )
     pooled = is_subset(tau.base, V)
     proved = pooled and is_subgroup(S, tau.base)
-    if symmetry:
-        symmetry = [p for p in symmetry if _fixes(p, tau.base) and _fixes(p, V)]
+    # each automorphism that fixes the base and the pool as a permutation of
+    # base positions; the identity can drop no string
+    points = elements(tau.base)
+    images = (tuple(points.index(p[e]) for e in points) for p in symmetry or ()
+              if _fixes(p, tau.base) and _fixes(p, V))
+    moves = [mv for mv in dict.fromkeys(images) if mv != tuple(range(m))]
 
     # delta[P] is the difference set of the cell at base positions P, and
     # covers keeps the size of each difference set's least cover (None when
@@ -337,7 +314,12 @@ def sweep_partitions(
     delta = transpose(delta_slices(S, tau, tau.base), 1 << m)
     covers: dict = {}
     worst, infeasible, argmax, spread, checked = -1, 0, None, 0, 0
-    for checked, (labels, cells) in enumerate(_labelings(tau.base, n, symmetry), 1):
+    for labels, cells in _labelings(tau.base, n):
+        # labels are already relabel-canonical; (pi . P)(x) = P(pi^-1 x),
+        # but the moves are closed under inverses, so either direction does
+        if moves and not _is_orbit_min(labels, moves):
+            continue
+        checked += 1
         best: Optional[int] = None
         for cell in cells:
             d = delta[cell]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pkgutil
@@ -21,7 +22,7 @@ from semsize import (
     sweep_partitions,
     trivial_filter,
 )
-from semsize.cli import main, parse_instance
+from semsize.cli import build_parser, main, parse_instance
 from semsize.theorems import VerifyConfig
 
 
@@ -372,6 +373,32 @@ class TestSearch:
             record = json.loads(out)
             assert (record["worst_min_F"], record["proved_bound"]) == (2, 2)
             assert record["partitions_checked"] == checked
+
+    def test_search_has_exactly_its_options(self):
+        verbs = next(a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        options = [s for a in verbs.choices["search"]._actions
+                   for s in a.option_strings]
+        assert options == [
+            "-h", "--help", "--group", "--base", "--cells", "--mode",
+            "--witness-pool", "--symmetry", "--out-json", "--out-csv",
+        ]
+
+    def test_only_symmetry_reaches_the_automorphisms(self, capsys, monkeypatch):
+        # a two-point base of Z256 sweeps one partition without listing
+        # the automorphisms of the whole group
+        import semsize.cli as cli
+
+        def fail(S):
+            raise AssertionError("automorphisms computed")
+
+        monkeypatch.setattr(cli, "automorphisms", fail)
+        code, out, err = run(
+            capsys, "search", "--group", "cyclic:256", "--base", "0,128",
+            "--cells", "2",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["partitions_checked"] == 1
 
 
 class TestHunt:

@@ -120,8 +120,7 @@ class TestEnumeratePartitions:
         autos = automorphisms(z4)
         assert len(autos) == 2
         full = list(enumerate_partitions(z4.full_mask, 2))
-        reduced = list(enumerate_partitions(z4.full_mask, 2, symmetry=autos))
-        assert len(reduced) <= len(full) == 7
+        assert len(full) == 7
         # every orbit has exactly one representative
         pos = {e: i for i, e in enumerate(range(4))}
         seen = set()
@@ -132,7 +131,10 @@ class TestEnumeratePartitions:
                 orbit.add(_canonical_labels(moved))
             rep = min(orbit)
             seen.add(rep)
-        assert {p.labels for p in reduced} == seen
+        reduced = sweep_partitions(
+            z4, trivial_filter(z4), 2, "translate", symmetry=autos
+        )
+        assert reduced.partitions_checked == len(seen) < len(full)
 
     @pytest.mark.parametrize(
         "spec, cells, orbits",
@@ -159,17 +161,11 @@ class TestEnumeratePartitions:
             }
             seen |= orbit
             least.add(min(orbit))
-        reduced = [p.labels for p in enumerate_partitions(S.full_mask, cells, autos)]
-        assert reduced == sorted(least)
-        assert len(reduced) == orbits
-
-    def test_symmetry_must_fix_domain(self, z4):
-        with pytest.raises(ValueError):
-            list(
-                enumerate_partitions(
-                    mask_of([0, 1]), 2, symmetry=[(0, 3, 2, 1)]
-                )
-            )
+        reduced = sweep_partitions(
+            S, trivial_filter(S), cells, "translate", symmetry=autos
+        )
+        assert reduced.partitions_checked == len(least) == orbits
+        assert reduced.argmax_partition.labels in least
 
 
 def _pairs(S, A):
@@ -574,6 +570,29 @@ class TestSweeps:
             z4, tau, 2, "translate", symmetry=automorphisms(z4)
         )
         assert full.worst_min_F == sym.worst_min_F
+
+    @pytest.mark.parametrize(
+        "spec, cells, mode",
+        [("cyclic:12", 2, mode) for mode in MODES]
+        + [
+            (spec, 3, "translate")
+            for spec in (
+                "dihedral:4",
+                "quaternion8",
+                "cyclic:8",
+                "product:cyclic:2,cyclic:4",
+                "product:cyclic:2,cyclic:2,cyclic:2",
+            )
+        ]
+        + [("product:leftzero:6,cyclic:2", 2, "delta")],
+    )
+    def test_symmetric_sweep_is_the_full_sweep_but_the_count(self, spec, cells, mode):
+        S = semigroup_from_spec(spec)
+        tau = trivial_filter(S)
+        full = sweep_partitions(S, tau, cells, mode)
+        sym = sweep_partitions(S, tau, cells, mode, symmetry=automorphisms(S))
+        assert sym.partitions_checked < full.partitions_checked
+        assert sym._replace(partitions_checked=0) == full._replace(partitions_checked=0)
 
     def test_sweep_order_limit(self):
         s4 = semigroup_from_spec("symmetric:4")

@@ -1,7 +1,8 @@
 """The benchmark harness still runs against the package.
 
 `perfbench/child.py` calls the public API by name; these runs fail here when
-a name or signature it uses goes away.
+a name or signature it uses goes away.  The timed run of `perfbench/run.py`
+starts the CLI instead, so its command lines must still parse.
 """
 
 import importlib.util
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from semsize.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,3 +117,13 @@ def test_hunt_op_passes_the_benchmark_check(variant, found):
     wl = _workloads()
     op = next(op for op in wl.HUNTS if op["variant"] == variant)
     assert _checked_op(wl, op)[0]["found"] is found
+
+
+def test_every_timed_op_is_a_command_line_the_cli_accepts():
+    # the timed run starts `python -m semsize` with these arguments, so an
+    # option it passes, such as `search --symmetry`, must stay
+    wl = _workloads()
+    parser = build_parser()
+    for ops in wl.CLI_OPS.values():
+        for op in ops:
+            assert parser.parse_args(wl.argv(op)).verb == op["verb"]
