@@ -1,11 +1,11 @@
 """Instance catalogs the theorem suite and searches run over.
 
 The default catalog keeps full sweeps under a minute: every labeled
-semigroup of order <= 3, the named groups Z4..Z12 / S3 / D4 / Q8, and the
-right-zero / left-zero / null families of orders 4 to 6; Z2, Z3 and those
-families' tables of orders 2 and 3 are labeled ones, so each Cayley table
-occurs once.  Bases are exhaustive for order <= 6 and restricted to
-subgroups for larger groups.
+semigroup of order <= LABELED_ORDER_LIMIT (3), the named groups Z4..Z12 /
+S3 / D4 / Q8, and the right-zero / left-zero / null families of orders 4
+to 6; Z2, Z3 and those families' tables of orders 2 and 3 are labeled
+ones, so each Cayley table occurs once.  Bases are exhaustive for order
+<= 6 and restricted to subgroups for larger groups.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import UnknownFamily
 from .semigroups import (
+    LABELED_ORDER_LIMIT,
     FinSemigroup,
     enumerate_semigroups,
     semigroup_from_spec,
@@ -50,7 +51,8 @@ DEFAULT_FAMILY_SPECS = (
 
 
 def order_le_catalog(max_order: int) -> List[CatalogEntry]:
-    """Every labeled semigroup of order <= max_order (max 3), all bases."""
+    """Every labeled semigroup of order <= max_order, all bases; past
+    LABELED_ORDER_LIMIT `enumerate_semigroups` raises SizeLimitExceeded."""
     entries: List[CatalogEntry] = []
     for order in range(1, max_order + 1):
         for S in enumerate_semigroups(order):
@@ -63,7 +65,8 @@ def family_catalog(specs) -> List[CatalogEntry]:
 
 
 def default_catalog() -> List[CatalogEntry]:
-    return order_le_catalog(3) + family_catalog(DEFAULT_FAMILY_SPECS)
+    labeled = order_le_catalog(LABELED_ORDER_LIMIT)
+    return labeled + family_catalog(DEFAULT_FAMILY_SPECS)
 
 
 def build_catalog(
@@ -71,9 +74,9 @@ def build_catalog(
 ) -> List[CatalogEntry]:
     """Parse a catalog spec string.
 
-    Forms: "default", "order<=N" (1 <= N <= 3), or a ';'-separated list of family
-    specs such as "cyclic:6;rightzero:3".  base_override, when given,
-    replaces every entry's base list.
+    Forms: "default", "order<=N" (1 <= N <= LABELED_ORDER_LIMIT), or a
+    ';'-separated list of family specs such as "cyclic:6;rightzero:3".
+    base_override, when given, replaces every entry's base list.
     """
     text = spec.strip()
     if not text:

@@ -33,6 +33,10 @@ FAMILY_ORDER_LIMIT = 256
 # more (n! for leftzero:n) would hold its whole list in memory
 AUTOMORPHISM_COUNT_LIMIT = 720
 
+# The largest order `enumerate_semigroups` lists every labeled table of: there
+# are 1, 8 and 113 at orders 1 to 3, but 3492 at order 4 (OEIS A023814)
+LABELED_ORDER_LIMIT = 3
+
 
 def associativity_witness(order: int, table: Sequence[Sequence[int]]):
     """First triple (a, b, c) with (a*b)*c != a*(b*c), or None."""
@@ -256,13 +260,36 @@ def automorphisms(S: FinSemigroup) -> List[Tuple[int, ...]]:
     return found
 
 
+def canonical_form(S: FinSemigroup) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
+    """The least row-major flattened table of a relabeling of S, and every
+    relabeling that gives it, in lexicographic order.
+
+    A relabeling s renames x as s[x], so its table has s[x*y] at (s[x],
+    s[y]).  Two semigroups are isomorphic iff their least tables agree, and
+    the relabelings that reach it are one of them composed with each
+    automorphism of S.  All order! relabelings are tried.
+    """
+    n, t = S.order, S.table
+    best: Optional[Tuple[int, ...]] = None
+    reaching: List[Tuple[int, ...]] = []
+    for s in itertools.permutations(range(n)):
+        inverse = sorted(range(n), key=s.__getitem__)
+        flat = tuple(s[t[x][y]] for x in inverse for y in inverse)
+        if best is None or flat < best:
+            best, reaching = flat, [s]
+        elif flat == best:
+            reaching.append(s)
+    return best, reaching
+
+
 # ---------------------------------------------------------------------------
 # exhaustive instance catalog
 
 
 def enumerate_semigroups(order: int) -> Iterator[FinSemigroup]:
-    """Every labeled associative table on {0..order-1}, order <= 3, in the
-    lexicographic order of the row-major flattened tables.
+    """Every labeled associative table on {0..order-1}, order <=
+    LABELED_ORDER_LIMIT, in the lexicographic order of the row-major
+    flattened tables.
 
     The cells are assigned in row-major order and each takes its values in
     increasing order, so the tables come out in that order.  A branch is cut
@@ -271,8 +298,10 @@ def enumerate_semigroups(order: int) -> Iterator[FinSemigroup]:
     is some (a, y, z) or (x, y, b); every triple is checked when its last
     product is assigned, and a complete table is associative.
     """
-    if order not in (1, 2, 3):
-        raise SizeLimitExceeded("exhaustive enumeration supports order <= 3 only")
+    if not 1 <= order <= LABELED_ORDER_LIMIT:
+        raise SizeLimitExceeded(
+            f"exhaustive enumeration supports order <= {LABELED_ORDER_LIMIT} only"
+        )
     n = order
     cells = n * n
     t: List[Optional[int]] = [None] * cells
@@ -535,9 +564,11 @@ __all__ = [
     "product_set",
     "minimal_left_ideals",
     "automorphisms",
+    "canonical_form",
     "is_subgroup",
     "subgroups",
     "subset_is_closed",
     "FAMILY_NAMES",
     "FAMILY_ORDER_LIMIT",
+    "LABELED_ORDER_LIMIT",
 ]

@@ -8,15 +8,16 @@ failure.
 
 Every theorem and hunt is one `Spec` in `THEOREMS` or `HUNTS`, and one driver
 serves `verify`, `hunt_counterexample` (one spec each) and `replay`.  One pass
-over the catalog runs every requested spec on each instance, whose
-`SizeTables` are built at most once and dropped before the next.  A spec
-stops at its first counterexample, and a pass stops once every spec it
-runs has.  An instance is tested against the hypothesis and ``admit``
-before the table limit, so one they refuse never computes its reach.  What the
-base alone determines (the shiftable g, the right translates, the union of
-the minimal left ideals, the reach and the subsets through its points) is
-read off the instance's one `PrincipalFilter`, which computes each at most
-once and is dropped with the tables.  The fields of a spec:
+over the catalog decides every requested spec once per instance class (see
+below), and builds each class's `SizeTables` at most once, dropping them
+before the next instance.  A spec stops at its first counterexample, and a
+pass stops once every spec it runs has.  An instance is tested against the
+hypothesis and ``admit`` before the table limit, so one they refuse never
+computes its reach.  What the base alone determines (the shiftable g, the
+right translates, the union of the minimal left ideals, the reach and the
+subsets through its points) is read off the instance's one
+`PrincipalFilter`, which computes each at most once and is dropped with the
+tables.  The fields of a spec:
 
 * ``claim(S, tau, tb, cfg)``: the claim over every subset, read off the
   instance's `SizeTables` ``tb``; returns the number of assertions made and
@@ -51,6 +52,17 @@ of the lowest failing bit, and a count of subsets is a weighted popcount:
 2^(order - |R|) per entry in all (`_all`), and window popcounts in
 `_below` for those up to a failure.
 
+Instances are decided once per isomorphism class of (table, base).  No
+statement names a label: a relabeling s of S, with s(U0) for U0, maps each
+set a claim reads and each subset it counts to its image.  So the admission,
+the assertions and whether a claim fails are the same on isomorphic
+instances, and a pass reads each spec's result on an instance off the first
+instance of its class (`_run`).  A failure is never read that way: its spec
+stops at the first instance of the class, which gives the counterexample.
+Only the labeled tables of order <= `LABELED_ORDER_LIMIT` are keyed.  A
+family spec builds one table, which no other catalog entry repeats up to
+relabeling, and the key tries order! relabelings.
+
 Degeneracy accounting: an admissible instance is degenerate when it asserted
 nothing (empty inner domain) or when its hypothesis admits no base other
 than the full set, so the run only exercised the absolute theory
@@ -80,7 +92,7 @@ from .masks import (
     window_count,
 )
 from .partitions import cover_exceeds, finite_cover_bound, stirling2
-from .semigroups import FinSemigroup, is_subgroup
+from .semigroups import LABELED_ORDER_LIMIT, FinSemigroup, canonical_form, is_subgroup
 
 
 class VerifyConfig:
@@ -507,6 +519,17 @@ def _check(
     return assertions, detail
 
 
+def _class_key(S: FinSemigroup, base: int, forms: dict) -> tuple:
+    """The canonical form of (S, base) up to relabeling: the least table of
+    a relabeling of S, and the least image of the base under the
+    relabelings that reach it, which is the same for each base in an orbit
+    of Aut(S).  `forms` keeps each semigroup's `canonical_form`."""
+    if S not in forms:
+        forms[S] = canonical_form(S)
+    table, relabelings = forms[S]
+    return table, min(sum(1 << s[u] for u in bits(base)) for s in relabelings)
+
+
 def _run(
     kind: str, ids: Sequence[str], pairs: Sequence[Tuple[FinSemigroup, int]], cfg
 ) -> List[Tuple[List[int], Optional[dict]]]:
@@ -515,11 +538,19 @@ def _run(
     effective, skipped, forced, assertions), and that counterexample or None.
     Each instance runs only the ids still without a counterexample, and the
     pass ends once none is left.  An instance's `SizeTables` are built for
-    the first spec that reads them."""
+    the first spec that reads them.
+
+    A labeled instance of order <= LABELED_ORDER_LIMIT reads the result of
+    each id, a skip (None) or (assertions, detail), off the first instance
+    of its class in this pass (`_class_key`), and runs neither `_check` nor
+    the tables; an id still running then was running there too.  Whether a
+    hypothesis forces the full base is asked of each instance."""
     specs = [_SPECS[kind][tid] for tid in ids]
     counts = [[0] * 6 for _ in ids]
     found: List[Optional[dict]] = [None] * len(ids)
     running = list(range(len(ids)))
+    forms: Dict[FinSemigroup, tuple] = {}
+    memo: Dict[tuple, dict] = {}
     for S, base in pairs:
         tau = PrincipalFilter(S, base)
         built: List[SizeTables] = []
@@ -529,9 +560,14 @@ def _run(
                 built.append(SizeTables(S, tau))
             return built[0]
 
+        results: dict = {}
+        if S.order <= LABELED_ORDER_LIMIT:
+            results = memo.setdefault(_class_key(S, base, forms), results)
         for i in running:
             spec, c = specs[i], counts[i]
-            result = _check(spec, S, tau, tables, cfg)
+            if i not in results:
+                results[i] = _check(spec, S, tau, tables, cfg)
+            result = results[i]
             if result is None:
                 c[3] += 1
                 continue

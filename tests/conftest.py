@@ -5,7 +5,7 @@ they share no representation or helper code with the package's bitmask fast
 paths, so agreement between the two is evidence, not tautology.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -39,6 +39,21 @@ def brute_minimal_left_ideals(S, within=None):
             ideals.append(L)
     minimal = [L for L in ideals if not any(M < L for M in ideals)]
     return sorted(minimal, key=lambda L: sorted(L))
+
+
+def isomorphism_class(S, base):
+    """Every relabeling of the instance (S, base), each as its products and
+    base under new names: two instances are isomorphic iff their classes
+    are equal.  It lists order! relabelings, so it is for small orders."""
+    points = [x for x in range(S.order) if base >> x & 1]
+    rng = range(S.order)
+    return frozenset(
+        (
+            frozenset((s[a], s[b], s[S.table[a][b]]) for a in rng for b in rng),
+            frozenset(s[x] for x in points),
+        )
+        for s in permutations(rng)
+    )
 
 
 class SetOracle:

@@ -29,6 +29,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import isomorphism_class
+
 import semsize.theorems as theorems
 from semsize import FAMILY_NAMES, order_le_catalog, semigroup_from_spec, serialize_table
 from semsize.cli import main
@@ -82,18 +84,20 @@ def test_parallel_verify_matches_golden(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_failing_theorem_stops_only_itself(workers, tmp_path, capsys, monkeypatch):
-    # T2_1 is made to fail on the first base of the catalog's last semigroup,
-    # the last task of a two-worker run; the pool forks, so its workers see
-    # the patched table
+    # T2_1 is made to fail on every instance isomorphic to the first base of
+    # the catalog's last semigroup, {0} in n3-112: a fault a theorem could
+    # have, as it names no label.  The first of its six instances is {1} in
+    # n3-0, the 27th instance; the pool forks, so its workers see the
+    # patched table
     last = order_le_catalog(3)[-1]
-    target = [list(row) for row in last.semigroup.table]
+    target = isomorphism_class(last.semigroup, last.bases[0])
 
-    def fails_on_last(S, tau, tb, cfg):
-        if [list(row) for row in S.table] == target:
+    def fails_on_class(S, tau, tb, cfg):
+        if isomorphism_class(S, tau.base) == target:
             return 1, {"claim": "injected"}
         return 1, None
 
-    spec = theorems.THEOREMS["T2_1"]._replace(claim=fails_on_last)
+    spec = theorems.THEOREMS["T2_1"]._replace(claim=fails_on_class)
     monkeypatch.setitem(theorems.THEOREMS, "T2_1", spec)
     name = "verify_all_order3.jsonl"
     out = tmp_path / name
@@ -103,12 +107,11 @@ def test_a_failing_theorem_stops_only_itself(workers, tmp_path, capsys, monkeypa
     want = (GOLDEN / name).read_text().splitlines()
     assert got[1:] == want[1:]
     report, golden = json.loads(got[0]), json.loads(want[0])
+    ce = report["counterexample"]
     assert report["theorem"] == "T2_1"
-    assert report["counterexample"]["base"] == elements(last.bases[0])
-    assert report["counterexample"]["detail"] == {"claim": "injected"}
-    assert report["instances_checked"] == (
-        golden["instances_checked"] - len(last.bases) + 1
-    )
+    assert (ce["semigroup"], ce["base"]) == ("n3-0", [1])
+    assert ce["detail"] == {"claim": "injected"}
+    assert (report["instances_checked"], golden["instances_checked"]) == (27, 816)
 
 
 SEARCH_CASES = [

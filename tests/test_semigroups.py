@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_minimal_left_ideals, independent_assoc_ok
+from conftest import brute_minimal_left_ideals, independent_assoc_ok, isomorphism_class
 
 import semsize.literal
 import semsize.theorems
@@ -42,11 +42,13 @@ from semsize import (
     translate_set,
     trivial_filter,
 )
-from semsize.catalog import build_catalog, default_catalog, entry_for
+from semsize.catalog import build_catalog, default_catalog, entry_for, order_le_catalog
 from semsize.masks import elements
 from semsize.semigroups import (
     FAMILY_NAMES,
+    LABELED_ORDER_LIMIT,
     associativity_witness,
+    canonical_form,
     subset_is_closed,
 )
 
@@ -369,6 +371,64 @@ class TestAutomorphisms:
         assert automorphisms(semigroup_from_spec("cyclic:12")) == [
             tuple(u * x % 12 for x in range(12)) for u in (1, 5, 7, 11)
         ]
+
+
+def _relabeled(S, s):
+    """S with each x renamed s[x]."""
+    table = [[0] * S.order for _ in range(S.order)]
+    for a, row in enumerate(S.table):
+        for b, c in enumerate(row):
+            table[s[a]][s[b]] = s[c]
+    return FinSemigroup(table)
+
+
+def _key(S, base):
+    return semsize.theorems._class_key(S, base, {})
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("order, classes", [(1, 1), (2, 5), (3, 24)])
+    def test_the_labeled_tables_fall_into_the_known_classes(self, order, classes):
+        # the semigroups of each order up to isomorphism (OEIS A027851)
+        forms = {canonical_form(S)[0] for S in enumerate_semigroups(order)}
+        assert len(forms) == classes
+
+    def test_the_form_is_reached_by_one_relabeling_per_automorphism(self):
+        for order in range(1, LABELED_ORDER_LIMIT + 1):
+            for S in enumerate_semigroups(order):
+                form, reaching = canonical_form(S)
+                assert len(reaching) == len(automorphisms(S)), S.name
+                for s in reaching:
+                    flat = sum(_relabeled(S, s).table, ())
+                    assert flat == form, (S.name, s)
+
+    def test_every_relabeling_of_an_instance_has_its_key(self):
+        # of every labeled table and base: the base goes with the table
+        for order in range(1, LABELED_ORDER_LIMIT + 1):
+            for S in enumerate_semigroups(order):
+                keys = {base: _key(S, base) for base in range(1, S.full_mask + 1)}
+                for s in itertools.permutations(range(order)):
+                    image = _relabeled(S, s)
+                    for base, key in keys.items():
+                        moved = mask_of(s[x] for x in elements(base))
+                        assert _key(image, moved) == key, (S.name, s, base)
+
+    def test_the_keys_are_the_isomorphism_classes(self):
+        # the 816 labeled instances fall into 160 classes, by either test
+        pairs = [(e.semigroup, b) for e in order_le_catalog(3) for b in e.bases]
+        keys = [(_key(S, b), isomorphism_class(S, b)) for S, b in pairs]
+        assert len(pairs) == 816
+        assert len({k for k, _ in keys}) == len({c for _, c in keys}) == len(set(keys))
+        assert len(set(keys)) == 160
+
+    def test_anti_isomorphic_tables_get_different_keys(self):
+        # x*y = x and x*y = y: each is the other's table transposed, and
+        # the definitions are one-sided, so they are told apart
+        left = semigroup_from_spec("leftzero:2")
+        right = semigroup_from_spec("rightzero:2")
+        assert canonical_form(left)[0] != canonical_form(right)[0]
+        bases = range(1, 4)
+        assert not {_key(left, b) for b in bases} & {_key(right, b) for b in bases}
 
 
 class TestEnumeration:

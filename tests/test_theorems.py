@@ -1,10 +1,11 @@
 import gc
 import inspect
 import pickle
+from functools import cache, partial
 
 import pytest
 
-from conftest import brute_minimal_left_ideals
+from conftest import brute_minimal_left_ideals, isomorphism_class
 
 from semsize import (
     build_catalog,
@@ -23,7 +24,12 @@ from semsize.filters import PrincipalFilter, check_hypothesis
 from semsize.literal import LiteralContext
 from semsize.masks import is_subset
 from semsize.partitions import enumerate_partitions
-from semsize.semigroups import left_quotient, minimal_left_ideals, translate_set
+from semsize.semigroups import (
+    LABELED_ORDER_LIMIT,
+    left_quotient,
+    minimal_left_ideals,
+    translate_set,
+)
 from semsize.theorems import HUNT_VARIANTS, THEOREM_IDS, VerifyConfig
 
 
@@ -490,13 +496,40 @@ def test_shift_checks_match_a_per_call_reference():
         assert verify(tid, catalog, cfg=cfg).assertions == total
 
 
+def _decided(catalog):
+    """The instances a pass runs the specs on: the first of each isomorphism
+    class of the labeled instances, those of order <= LABELED_ORDER_LIMIT,
+    and every other instance.  The rest read their class's results."""
+    seen, out = set(), []
+    for S, base in _pairs(catalog):
+        if S.order <= LABELED_ORDER_LIMIT:
+            key = isomorphism_class(S, base)
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append((S, base))
+    return out
+
+
+def _fits(S, base):
+    """A spec that reads tables may admit the instance: its reach has at
+    most TABLE_ORDER_LIMIT points."""
+    reach = PrincipalFilter(S, base).reach
+    return reach.bit_count() <= theorems.TABLE_ORDER_LIMIT
+
+
 def test_minimal_left_ideals_run_once_per_admitted_instance(monkeypatch):
     # T3_1, C3_1 and T3_5 all read the union of the base's minimal left
     # ideals; a serial verify of every theorem computes it once per
-    # instance, the first time T3_1 (whose hypothesis the other two imply)
-    # admits it
+    # instance it runs the specs on, the first time T3_1 (whose hypothesis
+    # the other two imply) admits it: 447 of the 925 admitted instances
     import semsize.filters as filters
 
+    admitted = sum(
+        check_hypothesis(PrincipalFilter(S, base), "semigroup_filter")
+        and _fits(S, base)
+        for S, base in _decided(default_catalog())
+    )
     calls = []
 
     def counted(S, within=None):
@@ -509,12 +542,16 @@ def test_minimal_left_ideals_run_once_per_admitted_instance(monkeypatch):
     )
     by_id = {r.theorem_id: r for r in reports}
     assert all(r.counterexample is None for r in reports)
-    assert len(calls) == by_id["T3_1"].instances_checked == 925
+    assert by_id["T3_1"].instances_checked == 925
+    assert len(calls) == admitted == 447
 
 
 def test_shift_scan_runs_once_per_admitted_instance(monkeypatch):
     # C2_5 is T2_4's claim under other texts: a serial verify of every
-    # theorem scans each instance T2_4 admits once, and C2_5 reads that scan
+    # theorem scans each instance it runs the specs on and T2_4 admits
+    # once, and C2_5 reads that scan: 160 classes of the 816 labeled
+    # instances and the 536 family instances
+    admitted = sum(_fits(S, base) for S, base in _decided(default_catalog()))
     scan, calls = theorems._shift_scan, []
 
     def counted(tau, tb):
@@ -528,22 +565,34 @@ def test_shift_scan_runs_once_per_admitted_instance(monkeypatch):
     by_id = {r.theorem_id: r for r in reports}
     assert all(r.counterexample is None for r in reports)
     assert by_id["C2_5"].instances_checked == 536
-    assert len(calls) == by_id["T2_4"].instances_checked == 1352
+    assert by_id["T2_4"].instances_checked == 1352
+    assert len(calls) == admitted == 696
 
 
 def test_each_table_is_decomposed_once_per_instance():
     # T2_3, T2_4, T2_6, T3_1 and T3_7 each read the minimal layers of the
     # large or the thick table of an instance; a serial verify of every
-    # theorem decomposes each of them once
+    # theorem decomposes each of them once per instance it runs the specs
+    # on, as every theorem run on those instances alone does
     from semsize.masks import minimal_layers
 
+    cfg = VerifyConfig()
+    minimal_layers.cache_clear()
+    for S, base in _decided(default_catalog()):
+        tau = PrincipalFilter(S, base)
+        tables = cache(partial(SizeTables, S, tau))
+        for tid in THEOREM_IDS:
+            theorems._check(theorems.THEOREMS[tid], S, tau, tables, cfg)
+    theorems._last_shift_scan.cache_clear()
+    info = minimal_layers.cache_info()
+    alone = (info.misses, info.hits + info.misses)
     minimal_layers.cache_clear()
     reports = theorems._drive(
         "verify", THEOREM_IDS, default_catalog(), "default", VerifyConfig()
     )
     assert all(r.counterexample is None for r in reports)
     info = minimal_layers.cache_info()
-    assert (info.misses, info.hits + info.misses) == (1471, 6404)
+    assert (info.misses, info.hits + info.misses) == alone == (845, 3180)
 
 
 def test_c2_5_scans_for_itself_once_t2_4_has_stopped(monkeypatch):
@@ -599,34 +648,62 @@ def test_a_hunt_stops_at_its_finding(monkeypatch):
     assert len(built) == at + 1 < len(pairs)
 
 
-def _failing_at(S0, base0):
+def _failing_on_class(S0, base0):
+    """A claim that fails on every instance isomorphic to (S0, base0) and
+    holds on the others: a fault a theorem could have, as it names no
+    label."""
+    target = isomorphism_class(S0, base0)
+
     def claim(S, tau, tb, cfg):
-        return 1, ({"claim": "injected"} if (S, tau.base) == (S0, base0) else None)
+        failed = isomorphism_class(S, tau.base) == target
+        return 1, ({"claim": "injected"} if failed else None)
 
     return claim
 
 
 def test_verify_stops_after_the_last_failing_id(monkeypatch):
-    # T2_1 fails at the 5th instance and T2_2 at the 20th: the pass builds
-    # no filter past the 20th
+    # T2_1 fails on the class of the 5th instance, first met there, and
+    # T2_2 on that of the 20th, first met at the 15th, {1} in n2-4: the
+    # pass builds no filter past the 15th
     catalog = order_le_catalog(3)
     pairs = _pairs(catalog)
     for tid, at in (("T2_1", 4), ("T2_2", 19)):
-        spec = theorems.THEOREMS[tid]._replace(claim=_failing_at(*pairs[at]))
+        spec = theorems.THEOREMS[tid]._replace(claim=_failing_on_class(*pairs[at]))
         monkeypatch.setitem(theorems.THEOREMS, tid, spec)
     built = _recording_filters(monkeypatch)
     t2_1, t2_2 = theorems._drive("verify", ["T2_1", "T2_2"], catalog, "custom", None)
-    assert (t2_1.instances_checked, t2_2.instances_checked) == (5, 20)
+    assert (t2_1.instances_checked, t2_2.instances_checked) == (5, 15)
     assert t2_1.counterexample["base"] == elements(pairs[4][1])
-    assert t2_2.counterexample["base"] == elements(pairs[19][1])
-    assert len(built) == 20 < len(pairs)
+    ce = t2_2.counterexample
+    assert (ce["semigroup"], ce["base"]) == (pairs[14][0].name, [1]) == ("n2-4", [1])
+    assert len(built) == 15 < len(pairs)
+
+
+def test_the_class_results_last_one_pass(monkeypatch):
+    # a pass keeps the results of its classes to itself: after a clean
+    # pass, T2_1 made to fail on the class of {0} in n3-112 fails at its
+    # first instance, {1} in n3-0 (the 27th), in the next pass
+    catalog = order_le_catalog(3)
+    (clean,) = theorems._drive("verify", ["T2_1"], catalog, "custom", None)
+    assert clean.counterexample is None and clean.instances_checked == 816
+    last = catalog[-1]
+    claim = _failing_on_class(last.semigroup, last.bases[0])
+    monkeypatch.setitem(
+        theorems.THEOREMS, "T2_1", theorems.THEOREMS["T2_1"]._replace(claim=claim)
+    )
+    (failed,) = theorems._drive("verify", ["T2_1"], catalog, "custom", None)
+    ce = failed.counterexample
+    assert (ce["semigroup"], ce["base"], ce["detail"]) == (
+        "n3-0", [1], {"claim": "injected"},
+    )
+    assert failed.instances_checked == 27
 
 
 def test_one_failing_id_leaves_the_others_running(monkeypatch):
     catalog = order_le_catalog(3)
     pairs = _pairs(catalog)
     alone = verify("T2_2", catalog)
-    spec = theorems.THEOREMS["T2_1"]._replace(claim=_failing_at(*pairs[0]))
+    spec = theorems.THEOREMS["T2_1"]._replace(claim=_failing_on_class(*pairs[0]))
     monkeypatch.setitem(theorems.THEOREMS, "T2_1", spec)
     built = _recording_filters(monkeypatch)
     t2_1, t2_2 = theorems._drive("verify", ["T2_1", "T2_2"], catalog, "custom", None)
@@ -638,16 +715,23 @@ def test_one_failing_id_leaves_the_others_running(monkeypatch):
 def test_only_admitted_instances_compute_the_reach(monkeypatch):
     # the hypothesis and spec.admit run before the table limit, which reads
     # the reach: the T3_6_semigroup hunt computes it on the instances it
-    # checks, a spec with neither on every instance
-    built = _recording_filters(monkeypatch)
+    # runs on and admits, a spec with neither on every instance it runs on
     catalog = default_catalog()
+    decided = _decided(catalog)
+    admitted = sum(
+        not S.is_group
+        and S.order <= VerifyConfig.small_order_limit
+        and check_hypothesis(PrincipalFilter(S, base), "left_invariant")
+        for S, base in decided
+    )
+    built = _recording_filters(monkeypatch)
     report = hunt_counterexample("T3_6_semigroup", catalog)
     assert not report.found and report.instances_checked == 249
     assert len(built) == len(_pairs(catalog)) == 1352
-    assert sum("reach" in vars(tau) for tau in built) == 249
+    assert sum("reach" in vars(tau) for tau in built) == admitted == 142
     built.clear()
     assert verify("T2_1", catalog).instances_checked == 1352
-    assert sum("reach" in vars(tau) for tau in built) == 1352
+    assert sum("reach" in vars(tau) for tau in built) == len(decided) == 696
 
 
 def test_a_parallel_hunt_stops_at_its_finding(fake_pool):
