@@ -8,16 +8,14 @@ failure.
 
 Every theorem and hunt is one `Spec` in `THEOREMS` or `HUNTS`, and one driver
 serves `verify`, `hunt_counterexample` (one spec each) and `replay`.  One pass
-over the catalog decides every requested spec once per instance class (see
-below), and builds each class's `SizeTables` at most once, dropping them
-before the next instance.  A spec stops at its first counterexample, and a
-pass stops once every spec it runs has.  An instance is tested against the
-hypothesis and ``admit`` before the table limit, so one they refuse never
-computes its reach.  What the base alone determines (the shiftable g, the
-right translates, the union of the minimal left ideals, the reach and the
-subsets through its points) is read off the instance's one
-`PrincipalFilter`, which computes each at most once and is dropped with the
-tables.  The fields of a spec:
+(`_run`) over the catalog decides every requested spec once per instance
+class (see below).  A spec stops at its first counterexample, and a pass
+stops once every spec it runs has.  What the base alone determines (the
+shiftable g, the right translates, the union of the minimal left ideals, the
+reach and the subsets through its points) is read off a decided instance's
+one `PrincipalFilter`, which computes each at most once; it and the
+instance's `SizeTables`, built at most once, are dropped before the next.
+The fields of a spec:
 
 * ``claim(S, tau, tb, cfg)``: the claim over every subset, read off the
   instance's `SizeTables` ``tb``; returns the number of assertions made and
@@ -56,12 +54,14 @@ Instances are decided once per isomorphism class of (table, base).  No
 statement names a label: a relabeling s of S, with s(U0) for U0, maps each
 set a claim reads and each subset it counts to its image.  So the admission,
 the assertions and whether a claim fails are the same on isomorphic
-instances, and a pass reads each spec's result on an instance off the first
-instance of its class (`_run`).  A failure is never read that way: its spec
-stops at the first instance of the class, which gives the counterexample.
-Only the labeled tables of order <= `LABELED_ORDER_LIMIT` are keyed.  A
-family spec builds one table, which no other catalog entry repeats up to
-relabeling, and the key tries order! relabelings.
+instances.  `_plan` marks the first instance of each class, the only one
+decided; the pass reads its results on the rest, but never a failure, which
+stops its spec there.  Only labeled tables, of order <= `LABELED_ORDER_LIMIT`,
+are keyed: a family's table repeats no other catalog entry's up to
+relabeling, and the key tries order! relabelings.  With workers, a pool only
+decides those first instances, a task per catalog semigroup; the pass
+discards what it decides past the last counterexample, and leaving the pool
+stops the tasks still running.
 
 Degeneracy accounting: an admissible instance is degenerate when it asserted
 nothing (empty inner domain) or when its hypothesis admits no base other
@@ -72,8 +72,10 @@ so a hunt reports none, whatever its hypothesis.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry
 from .classify import TABLE_ORDER_LIMIT, SizeTables, delta_slices
@@ -92,7 +94,8 @@ from .masks import (
     window_count,
 )
 from .partitions import cover_exceeds, finite_cover_bound, stirling2
-from .semigroups import LABELED_ORDER_LIMIT, FinSemigroup, canonical_form, is_subgroup
+from .semigroups import LABELED_ORDER_LIMIT, FinSemigroup, build_from_table
+from .semigroups import canonical_form, is_subgroup
 
 
 class VerifyConfig:
@@ -494,7 +497,7 @@ HUNTS: Dict[str, Spec] = {
 }
 
 HUNT_VARIANTS = {name: spec.notes[0] for name, spec in HUNTS.items()}
-_SPECS = {"verify": THEOREMS, "hunt": HUNTS}
+_SPECS = {"verify": THEOREMS, "hunt": HUNTS, "replay": ChainMap(THEOREMS, HUNTS)}
 
 
 # ---------------------------------------------------------------------------
@@ -520,54 +523,63 @@ def _check(
 
 
 def _class_key(S: FinSemigroup, base: int, forms: dict) -> tuple:
-    """The canonical form of (S, base) up to relabeling: the least table of
-    a relabeling of S, and the least image of the base under the
-    relabelings that reach it, which is the same for each base in an orbit
-    of Aut(S).  `forms` keeps each semigroup's `canonical_form`."""
+    """(S, base) up to relabeling: the least relabeled table of S, and the
+    least image of the base under the relabelings that reach it, the same on
+    an orbit of Aut(S).  `forms` keeps each semigroup's `canonical_form`."""
     if S not in forms:
         forms[S] = canonical_form(S)
     table, relabelings = forms[S]
     return table, min(sum(1 << s[u] for u in bits(base)) for s in relabelings)
 
 
-def _run(
-    kind: str, ids: Sequence[str], pairs: Sequence[Tuple[FinSemigroup, int]], cfg
-) -> List[Tuple[List[int], Optional[dict]]]:
-    """Per id, from one pass: its counts up to and including its first
-    counterexample, in `TheoremReport` field order (checked, degenerate,
-    effective, skipped, forced, assertions), and that counterexample or None.
-    Each instance runs only the ids still without a counterexample, and the
-    pass ends once none is left.  An instance's `SizeTables` are built for
-    the first spec that reads them.
+def _plan(pairs: Iterable[Tuple[FinSemigroup, int]]) -> Iterable[tuple]:
+    """Each (S, base, key, first): its `_class_key` (None past LABELED_ORDER_LIMIT)
+    and whether it is the first instance of its class, which a pass decides."""
+    forms, seen = {}, set()
+    for S, base in pairs:
+        key = _class_key(S, base, forms) if S.order <= LABELED_ORDER_LIMIT else None
+        yield S, base, key, key is None or key not in seen
+        seen.add(key)
 
-    A labeled instance of order <= LABELED_ORDER_LIMIT reads the result of
-    each id, a skip (None) or (assertions, detail), off the first instance
-    of its class in this pass (`_class_key`), and runs neither `_check` nor
-    the tables; an id still running then was running there too.  Whether a
-    hypothesis forces the full base is asked of each instance."""
+
+def _decide(kind: str, ids, cfg, S: FinSemigroup, base: int, running) -> dict:
+    """{i: `_check` of ids[i] on the instance (S, base)} for each i in running."""
+    tau, built = PrincipalFilter(S, base), []
+
+    def tables():  # a closure: `functools.cache` takes 20 times as long to set up
+        if not built:
+            built.append(SizeTables(S, tau))
+        return built[0]
+
+    return {i: _check(_SPECS[kind][ids[i]], S, tau, tables, cfg) for i in running}
+
+
+def _decide_every(kind: str, ids, cfg, pairs) -> List[dict]:
+    """`_decide` of every id on each pair: a pool task."""
+    return [_decide(kind, ids, cfg, S, base, range(len(ids))) for S, base in pairs]
+
+
+def _run(
+    kind: str, ids: Sequence[str], plan: Iterable[tuple], decide: Callable
+) -> List[Tuple[List[int], Optional[dict]]]:
+    """Per id, from one pass over the plan: its counts up to and including
+    its first counterexample, in `TheoremReport` field order (checked,
+    degenerate, effective, skipped, forced, assertions), and that
+    counterexample or None.  Each instance runs only the ids still without
+    one, and the pass ends once none is left.  Their results, skips (None)
+    or (assertions, detail), are `decide(S, base, running)` on the first
+    instance of a class and read off it on the rest."""
     specs = [_SPECS[kind][tid] for tid in ids]
     counts = [[0] * 6 for _ in ids]
     found: List[Optional[dict]] = [None] * len(ids)
     running = list(range(len(ids)))
-    forms: Dict[FinSemigroup, tuple] = {}
-    memo: Dict[tuple, dict] = {}
-    for S, base in pairs:
-        tau = PrincipalFilter(S, base)
-        built: List[SizeTables] = []
-
-        def tables():
-            if not built:
-                built.append(SizeTables(S, tau))
-            return built[0]
-
-        results: dict = {}
-        if S.order <= LABELED_ORDER_LIMIT:
-            results = memo.setdefault(_class_key(S, base, forms), results)
+    memo: Dict[Optional[tuple], dict] = {}  # None, the unkeyed, is never read
+    for S, base, key, first in plan:
+        if first:
+            memo[key] = decide(S, base, running)
+        results = memo[key]
         for i in running:
-            spec, c = specs[i], counts[i]
-            if i not in results:
-                results[i] = _check(spec, S, tau, tables, cfg)
-            result = results[i]
+            spec, c, result = specs[i], counts[i], results[i]
             if result is None:
                 c[3] += 1
                 continue
@@ -575,7 +587,7 @@ def _run(
             forced = (
                 kind == "verify"
                 and spec.hypothesis is not None
-                and tau.is_trivial
+                and base == S.full_mask
                 and hypothesis_forces_full_base(S, spec.hypothesis)
             )
             c[0] += 1
@@ -598,22 +610,6 @@ def _run(
     return list(zip(counts, found))
 
 
-def _merge(parts, width: int) -> List[Tuple[List[int], Optional[dict]]]:
-    """Per id, the counts of the parts (`_run` results, in catalog order) up
-    to and including the one with its first counterexample, and that
-    counterexample or None.  No part is read once every id has one."""
-    counts = [[0] * 6 for _ in range(width)]
-    found: List[Optional[dict]] = [None] * width
-    for part in parts:
-        for i, (part_counts, counterexample) in enumerate(part):
-            if found[i] is None:
-                counts[i] = [a + b for a, b in zip(counts[i], part_counts)]
-                found[i] = counterexample
-        if all(f is not None for f in found):
-            break  # later parts lie after every counterexample
-    return list(zip(counts, found))
-
-
 def _drive(
     kind: str,
     ids: Sequence[str],
@@ -621,30 +617,28 @@ def _drive(
     catalog_label: str,
     cfg: Optional[VerifyConfig],
 ) -> List[TheoremReport]:
-    """One report per id from one pass over the catalog.  With workers, one
-    pool runs every id on each catalog semigroup as a task of its own, and
-    the tasks' results are merged in catalog order until every id has a
-    counterexample."""
+    """One report per id from one `_run` over the catalog, which decides
+    each first instance as it reaches it or, with workers, reads the pool's."""
     cfg = cfg or VerifyConfig()
     specs = _SPECS[kind]
     unknown = [tid for tid in ids if tid not in specs]
     if unknown:
         known = ", ".join(sorted(specs))
         raise InputError(f"unknown {kind} id {unknown[0]!r}; known: {known}")
+    pairs = ((e.semigroup, b) for e in catalog for b in e.bases)
     if cfg.workers > 1 and len(catalog) > 1:
         import multiprocessing
 
-        # specs hold closures, which do not pickle: workers look theirs up by
-        # id; the cost of a semigroup varies widely, so each task is handed
-        # out on its own as a worker frees up, and leaving the pool stops
-        # the tasks still running
-        tasks = [[(e.semigroup, b) for b in e.bases] for e in catalog]
+        # specs hold closures, which do not pickle: workers look them up by id
+        plan = list(_plan(pairs))
+        firsts = [(S, base) for S, base, _, first in plan if first]
+        tasks = [list(task) for _, task in groupby(firsts, lambda pair: pair[0])]
         with multiprocessing.Pool(min(cfg.workers, len(tasks))) as pool:
-            parts = pool.imap(partial(_run, kind, ids, cfg=cfg), tasks, chunksize=1)
-            merged = _merge(parts, len(ids))
+            parts = pool.imap(partial(_decide_every, kind, ids, cfg), tasks)
+            decided = (results for part in parts for results in part)
+            merged = _run(kind, ids, plan, lambda *instance: next(decided))
     else:
-        pairs = [(e.semigroup, b) for e in catalog for b in e.bases]
-        merged = _run(kind, ids, pairs, cfg)
+        merged = _run(kind, ids, _plan(pairs), partial(_decide, kind, ids, cfg))
     reports = []
     for tid, (counts, counterexample) in zip(ids, merged):
         notes = specs[tid].notes
@@ -684,13 +678,16 @@ def hunt_counterexample(
 
 
 def replay(counterexample: dict, cfg: Optional[VerifyConfig] = None) -> bool:
-    """Re-run the named spec on the stored instance; True if it fails again."""
-    theorem_id = counterexample["theorem"]
-    spec = THEOREMS.get(theorem_id) or HUNTS[theorem_id]
-    S = FinSemigroup(counterexample["table"], name=counterexample["semigroup"])
-    tau = PrincipalFilter(S, mask_of(counterexample["base"]))
-    result = _check(spec, S, tau, lambda: SizeTables(S, tau), cfg or VerifyConfig())
-    return result is not None and result[1] is not None
+    """Re-run the named spec on the stored instance, validated as a table
+    file is, by default at the cells a T3_2 failure stores; True if it fails
+    again."""
+    ce = counterexample
+    cells = ce["detail"].get("cells")
+    cfg = cfg or (VerifyConfig() if cells is None else VerifyConfig(cells))
+    S = build_from_table(ce["order"], ce["table"], ce["semigroup"])
+    entry = CatalogEntry(S, (mask_of(ce["base"]),))
+    (report,) = _drive("replay", [ce["theorem"]], [entry], "replay", cfg)
+    return report.counterexample is not None
 
 
 __all__ = [

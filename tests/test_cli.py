@@ -654,7 +654,8 @@ class TestExitCodes:
         assert fake_pool == []
 
     def test_the_pool_is_sized_to_its_tasks(self, capsys, fake_pool):
-        # one task per catalog semigroup: two, however many workers are asked
+        # one task per catalog semigroup with an instance to decide: two,
+        # however many workers are asked
         code, _, _ = run(
             capsys, "verify", "--theorem", "all", "--catalog", "cyclic:2;cyclic:3",
             "--workers", "64",

@@ -72,10 +72,10 @@ def test_report_matches_golden(name, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_parallel_verify_matches_golden(tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("verify_")))
+def test_parallel_verify_matches_golden(name, tmp_path, capsys):
     # each task pickles its semigroups as (table, name), all that a worker
     # needs to rebuild them
-    name = "verify_all_order3.jsonl"
     out = tmp_path / name
     assert main(CASES[name] + ["--workers", "2", "--out", str(out)]) == 0
     capsys.readouterr()

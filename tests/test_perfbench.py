@@ -108,6 +108,13 @@ def test_verify_all_op_passes_the_benchmark_check():
     assert len(records) == len(wl.THEOREM_IDS) == 12
 
 
+def test_verify_parallel_op_passes_the_benchmark_check():
+    # the traced op that runs verify on a pool of two workers
+    wl = _workloads()
+    records = _checked_op(wl, wl.VERIFY_PARALLEL)
+    assert len(records) == len(wl.THEOREM_IDS) == 12
+
+
 @pytest.mark.parametrize(
     "variant, found",
     [("T2_6_large", True), ("T2_3_no_extrathick", True),

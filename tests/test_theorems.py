@@ -20,6 +20,7 @@ from semsize import (
 import semsize.theorems as theorems
 from semsize.catalog import default_catalog, entry_for, family_catalog
 from semsize.classify import SizeTables
+from semsize.errors import AssociativityError, DimensionError, InputError
 from semsize.filters import PrincipalFilter, check_hypothesis
 from semsize.literal import LiteralContext
 from semsize.masks import is_subset
@@ -208,7 +209,7 @@ class TestHunt:
     @pytest.mark.parametrize("variant", sorted(HUNT_VARIANTS))
     def test_worker_count_does_not_change_the_hunt(self, variant):
         # two of the three variants stop on a counterexample early in the
-        # catalog, so the merge must drop the later tasks' counts
+        # catalog, so the pass must read no decision of a later task
         catalog = order_le_catalog(3)
         serial = hunt_counterexample(variant, catalog, cfg=VerifyConfig(workers=1))
         parallel = hunt_counterexample(variant, catalog, cfg=VerifyConfig(workers=2))
@@ -637,6 +638,8 @@ def _pairs(catalog):
 
 
 def test_a_hunt_stops_at_its_finding(monkeypatch):
+    # the finding is the 10th instance, and one instance before it repeats
+    # the class of an earlier one, so it builds no filter
     built = _recording_filters(monkeypatch)
     catalog = default_catalog()
     report = hunt_counterexample("T2_6_large", catalog)
@@ -645,7 +648,7 @@ def test_a_hunt_stops_at_its_finding(monkeypatch):
     assert (last.semigroup.name, elements(last.base)) == (ce["semigroup"], ce["base"])
     pairs = _pairs(catalog)
     at = pairs.index((last.semigroup, last.base))
-    assert len(built) == at + 1 < len(pairs)
+    assert len(built) == at == 9 < len(pairs)
 
 
 def _failing_on_class(S0, base0):
@@ -664,7 +667,7 @@ def _failing_on_class(S0, base0):
 def test_verify_stops_after_the_last_failing_id(monkeypatch):
     # T2_1 fails on the class of the 5th instance, first met there, and
     # T2_2 on that of the 20th, first met at the 15th, {1} in n2-4: the
-    # pass builds no filter past the 15th
+    # pass builds no filter past the 15th, nor for the 2 copies before it
     catalog = order_le_catalog(3)
     pairs = _pairs(catalog)
     for tid, at in (("T2_1", 4), ("T2_2", 19)):
@@ -676,7 +679,7 @@ def test_verify_stops_after_the_last_failing_id(monkeypatch):
     assert t2_1.counterexample["base"] == elements(pairs[4][1])
     ce = t2_2.counterexample
     assert (ce["semigroup"], ce["base"]) == (pairs[14][0].name, [1]) == ("n2-4", [1])
-    assert len(built) == 15 < len(pairs)
+    assert len(built) == 13 < len(pairs)
 
 
 def test_the_class_results_last_one_pass(monkeypatch):
@@ -709,7 +712,7 @@ def test_one_failing_id_leaves_the_others_running(monkeypatch):
     t2_1, t2_2 = theorems._drive("verify", ["T2_1", "T2_2"], catalog, "custom", None)
     assert t2_1.instances_checked == 1 and t2_1.counterexample is not None
     assert t2_2.to_json_dict() == alone.to_json_dict()
-    assert len(built) == len(pairs)
+    assert len(built) == len(_decided(catalog)) == 160 < len(pairs)
 
 
 def test_only_admitted_instances_compute_the_reach(monkeypatch):
@@ -727,7 +730,7 @@ def test_only_admitted_instances_compute_the_reach(monkeypatch):
     built = _recording_filters(monkeypatch)
     report = hunt_counterexample("T3_6_semigroup", catalog)
     assert not report.found and report.instances_checked == 249
-    assert len(built) == len(_pairs(catalog)) == 1352
+    assert len(built) == len(decided) == 696 < len(_pairs(catalog))
     assert sum("reach" in vars(tau) for tau in built) == admitted == 142
     built.clear()
     assert verify("T2_1", catalog).instances_checked == 1352
@@ -744,6 +747,29 @@ def test_a_parallel_hunt_stops_at_its_finding(fake_pool):
     assert serial.counterexample["semigroup"] == "n2-2"
     (pool,) = fake_pool
     assert pool.tasks == 4 < len(catalog) == 143
+
+
+@pytest.mark.parametrize("label, classes", [("order<=3", 160), ("default", 696)])
+def test_a_parallel_pass_decides_the_serial_instances(
+    monkeypatch, fake_pool, label, classes
+):
+    # the pool decides the first instance of each class, and the pass reads
+    # its results on the rest, whichever semigroup's task would hold them
+    catalog, check = build_catalog(label), theorems._check
+    decided = {}
+    for workers in (1, 2):
+        calls = decided[workers] = set()
+
+        def recorded(spec, S, tau, tables, cfg):
+            calls.add((S, tau.base))
+            return check(spec, S, tau, tables, cfg)
+
+        monkeypatch.setattr(theorems, "_check", recorded)
+        cfg = VerifyConfig(workers=workers)
+        theorems._drive("verify", THEOREM_IDS, catalog, label, cfg)
+    assert len(fake_pool) == 1
+    assert decided[2] == decided[1] == set(_decided(catalog))
+    assert len(decided[2]) == classes
 
 
 def test_default_holds_each_table_once():
@@ -797,3 +823,36 @@ def test_t3_2_reports_a_broken_bound(monkeypatch):
     assert ce["detail"]["cells"] == 2
     assert "no cell within the proved bound 1" in ce["detail"]["violation"]
     assert replay(ce)
+
+
+def test_replay_reads_the_cell_count_of_a_t3_2_failure(monkeypatch):
+    # a cover decision faulted at 3 cells only: the failure found at 3
+    # cells replays there, as its detail says, and not at the default 2
+    exceeds = theorems.cover_exceeds
+    monkeypatch.setattr(
+        theorems, "cover_exceeds", lambda S, tau, n, w: n == 3 or exceeds(S, tau, n, w)
+    )
+    catalog = family_catalog(["cyclic:6"])
+    ce = verify("T3_2", catalog, cfg=VerifyConfig(cells=3)).counterexample
+    assert ce["detail"]["cells"] == 3
+    assert replay(ce)
+    assert not replay(ce, VerifyConfig(cells=2))
+
+
+def _left_zero_finding():
+    return hunt_counterexample("T2_6_large", small_catalog()).counterexample
+
+
+def test_replay_of_an_unknown_id_names_the_known_ones():
+    with pytest.raises(InputError, match=r"'T9_9'; known: C2_5, .*, T2_6_large,"):
+        replay({**_left_zero_finding(), "theorem": "T9_9"})
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [([[0, 1], [1]], DimensionError), ([[1, 1], [0, 0]], AssociativityError)],
+)
+def test_replay_validates_the_stored_table(table, error):
+    # (0*0)*0 = 0 but 0*(0*0) = 1 in the second table
+    with pytest.raises(error):
+        replay({**_left_zero_finding(), "table": table})
