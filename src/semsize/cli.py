@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 # `catalog` and `theorems` are imported by the verbs that read them, so that
 # `search`, `classify` and `gen` start without them
-from .classify import PREDICATES, classify_all
+from .classify import PREDICATES, TABLE_ORDER_LIMIT, classify_all
 from .errors import (
     AssociativityError,
     BoundViolation,
@@ -27,8 +27,8 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .filters import make_principal
-from .masks import elements, mask_of
-from .partitions import MODES, BoundRecord, sweep_fits, sweep_partitions
+from .masks import elements, mask_of, popcount
+from .partitions import MODES, BoundRecord, sweep_partitions
 from .semigroups import (
     FinSemigroup,
     build_from_table,
@@ -252,7 +252,7 @@ def _cmd_search(args) -> int:
 
     # computed only for a sweep that runs; it keeps those that fix base and pool
     symmetry = None
-    if args.symmetry and sweep_fits(base, args.cells):
+    if args.symmetry and 1 <= args.cells <= popcount(base) <= TABLE_ORDER_LIMIT:
         symmetry = automorphisms(S)
     record = sweep_partitions(S, tau, args.cells, args.mode, V=pool, symmetry=symmetry)
 

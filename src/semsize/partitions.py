@@ -44,7 +44,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .classify import TABLE_ORDER_LIMIT, delta_slices, delta_tau
+from .classify import delta_slices, delta_tau
 from .errors import BoundViolation, InputError, SizeLimitExceeded
 from .filters import PrincipalFilter, check_hypothesis
 from .masks import (
@@ -81,7 +81,8 @@ class Partition(NamedTuple):
         return out
 
     def label_string(self) -> str:
-        return "".join(str(l) for l in self.labels)
+        """One character per label: 0-9, then a and b below the table limit."""
+        return "".join(format(l, "x") for l in self.labels)
 
 
 class BoundRecord(NamedTuple):
@@ -219,16 +220,6 @@ def stirling2(m: int, n: int) -> int:
     return row[n] if n >= 0 else 0
 
 
-SWEEP_PARTITION_LIMIT = stirling2(TABLE_ORDER_LIMIT, 2)  # 2 cells at the table limit
-
-
-def sweep_fits(base: int, n: int) -> bool:
-    """Whether `sweep_partitions` lists the n-cell partitions of the base: at
-    most TABLE_ORDER_LIMIT points and 1 to SWEEP_PARTITION_LIMIT partitions."""
-    m = popcount(base)
-    return m <= TABLE_ORDER_LIMIT and 0 < stirling2(m, n) <= SWEEP_PARTITION_LIMIT
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -271,15 +262,17 @@ def sweep_partitions(
     benchmark runs `search --symmetry`.
 
     Fewer than one cell or than n base points, then the mode and pool as
-    `min_cover` checks them, raise InputError; a base that `sweep_fits`
-    refuses then raises SizeLimitExceeded.  Each cell is covered as
-    `min_cover` covers it in `mode`, in one pass over the enumerator behind
-    `enumerate_partitions`, which keeps each cell as a mask of base
-    positions; the sweep reads a cell's difference set from the
-    `delta_slices` over the base's subsets, `masks.transpose`d once into a
-    list indexed by cell, and builds a `Partition` only for a new argmax.  Cells
-    with the same difference set have the same least cover, so the sweep
-    searches each difference set once and keeps its size until it returns.
+    `min_cover` checks them, raise InputError; a base past TABLE_ORDER_LIMIT
+    points then raises SizeLimitExceeded (`delta_slices`), the sweep's only
+    limit.  Each cell is covered as `min_cover` covers it in `mode`, in one
+    pass over the enumerator behind `enumerate_partitions`, which keeps each
+    cell as a mask of base positions; the sweep reads a cell's difference
+    set from the `delta_slices` over the base's subsets, `masks.transpose`d
+    once into a list indexed by cell, and builds a `Partition` only for a
+    new argmax.  Cells with the same difference set have the same least
+    cover, so the sweep searches each difference set once and keeps its
+    size until it returns: at most 2^m - 1 searches, however many of the
+    S(m, n) partitions it lists (at most S(12, 5) = 1,379,400).
     Of the partitions with the worst cover, the argmax is the one whose
     cell sizes differ least, then the one with the least label string.
 
@@ -294,11 +287,6 @@ def sweep_partitions(
     m = _points(tau.base, n)
     V = tau.base if V is None else V
     _check_mode(S, mode, V)
-    if not sweep_fits(tau.base, n):
-        raise SizeLimitExceeded(
-            f"sweep limited to {TABLE_ORDER_LIMIT} points and {SWEEP_PARTITION_LIMIT} "
-            f"partitions; the base has {m} and {stirling2(m, n)} with {n} cells"
-        )
     pooled = is_subset(tau.base, V)
     proved = pooled and is_subgroup(S, tau.base)
     # each automorphism that fixes the base and the pool as a permutation of
@@ -433,7 +421,6 @@ __all__ = [
     "min_cover",
     "enumerate_partitions",
     "stirling2",
-    "sweep_fits",
     "sweep_partitions",
     "cover_exceeds",
 ]

@@ -625,20 +625,21 @@ def _drive(
     if unknown:
         known = ", ".join(sorted(specs))
         raise InputError(f"unknown {kind} id {unknown[0]!r}; known: {known}")
-    pairs = ((e.semigroup, b) for e in catalog for b in e.bases)
+    plan, tasks = _plan((e.semigroup, b) for e in catalog for b in e.bases), []
     if cfg.workers > 1 and len(catalog) > 1:
+        plan = list(plan)
+        firsts = [(S, base) for S, base, _, first in plan if first]
+        tasks = [list(task) for _, task in groupby(firsts, lambda pair: pair[0])]
+    if tasks:  # a plan without instances starts no pool
         import multiprocessing
 
         # specs hold closures, which do not pickle: workers look them up by id
-        plan = list(_plan(pairs))
-        firsts = [(S, base) for S, base, _, first in plan if first]
-        tasks = [list(task) for _, task in groupby(firsts, lambda pair: pair[0])]
         with multiprocessing.Pool(min(cfg.workers, len(tasks))) as pool:
             parts = pool.imap(partial(_decide_every, kind, ids, cfg), tasks)
             decided = (results for part in parts for results in part)
             merged = _run(kind, ids, plan, lambda *instance: next(decided))
     else:
-        merged = _run(kind, ids, _plan(pairs), partial(_decide, kind, ids, cfg))
+        merged = _run(kind, ids, plan, partial(_decide, kind, ids, cfg))
     reports = []
     for tid, (counts, counterexample) in zip(ids, merged):
         notes = specs[tid].notes

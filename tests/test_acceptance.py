@@ -120,7 +120,7 @@ def test_criterion_3_partition_cover_bound():
     assert rec.worst_min_F <= 2 and rec.partitions_checked == 2047
     assert elapsed < 10.0, f"Z12 sweep took {elapsed:.1f}s (budget 10s)"
     # a sweep cannot be stopped or resumed, so slow sweeps within the
-    # partition limit are held to the same budget
+    # table limit are held to the same budget
     for spec, mode in (("quaternion8", "translate"), ("leftzero:8", "delta")):
         S = semigroup_from_spec(spec)
         started = time.perf_counter()

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import pkgutil
@@ -278,6 +279,20 @@ class TestSearch:
         assert header.startswith("group,order,base,cells,mode")
         assert header.endswith(",argmax_domain,argmax_labels")
         assert first == second and first.startswith("cyclic:4,4,")
+
+    def test_csv_labels_take_one_character_each(self, tmp_path, capsys):
+        # at 11 cells of Z12 the labels run to 10, written as "a"
+        csv_path = tmp_path / "bounds.csv"
+        code, out, _ = run(
+            capsys, "search", "--group", "cyclic:12", "--cells", "11",
+            "--out-csv", str(csv_path),
+        )
+        assert code == 0
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        labels = json.loads(out)["argmax_partition"]["labels"]
+        assert len(row["argmax_labels"]) == 12 and max(labels) == 10
+        assert [int(c, 16) for c in row["argmax_labels"]] == labels
 
     @pytest.mark.parametrize("mode", ["translate", "quotient"])
     def test_group_modes_on_a_semigroup_exit_0(self, capsys, mode):
@@ -707,10 +722,7 @@ class TestExitCodes:
             capsys, "search", "--group", "cyclic:13", "--cells", "2", "--symmetry",
         )
         assert (code, out) == (3, "")
-        assert err == (
-            "semsize: sweep limited to 12 points and 2047 partitions; "
-            "the base has 13 and 4095 with 2 cells\n"
-        )
+        assert err == "semsize: table over 13 points is above the table limit 12\n"
 
     def test_too_many_automorphisms_is_a_limit_error(self, capsys):
         # leftzero:9 has 9! automorphisms; the search stops past 720

@@ -27,13 +27,7 @@ from semsize.catalog import default_catalog, family_catalog, order_le_catalog
 from semsize.classify import prethick_value
 from semsize.errors import InputError
 from semsize.masks import bits, elements, is_subset, least_cover, popcount
-from semsize.partitions import (
-    MODES,
-    SWEEP_PARTITION_LIMIT,
-    Partition,
-    cover_exceeds,
-    sweep_fits,
-)
+from semsize.partitions import MODES, Partition, cover_exceeds
 from semsize.semigroups import is_subgroup, left_quotient, product_set, translate_set
 
 
@@ -595,25 +589,19 @@ class TestSweeps:
         assert sym._replace(partitions_checked=0) == full._replace(partitions_checked=0)
 
     def test_sweep_order_limit(self):
-        s4 = semigroup_from_spec("symmetric:4")
-        with pytest.raises(SizeLimitExceeded):
-            sweep_partitions(s4, trivial_filter(s4), 2, "translate")
+        # the table limit is the sweep's only limit
+        for spec in ("symmetric:4", "cyclic:13"):
+            S = semigroup_from_spec(spec)
+            message = f"table over {S.order} points is above the table limit 12"
+            with pytest.raises(SizeLimitExceeded, match=message):
+                sweep_partitions(S, trivial_filter(S), 2, "translate")
 
-    def test_sweep_fits_at_its_boundaries(self):
-        # the limit is S(12, 2) = 2047: S(8, 3..6) fit, and S(9, 3) = 3025
-        # and S(13, 2) = 4095 do not; nor does a 13-point base at 1 cell
-        def full(m):
-            return (1 << m) - 1
-
-        assert SWEEP_PARTITION_LIMIT == stirling2(12, 2) == 2047
-        assert sweep_fits(full(12), 2)
-        assert all(sweep_fits(full(8), n) for n in range(3, 7))
-        assert (stirling2(9, 3), stirling2(13, 2)) == (3025, 4095)
-        assert not sweep_fits(full(9), 3)
-        assert not sweep_fits(full(13), 2)
-        assert not sweep_fits(full(13), 1)
-        # no partition to list: fewer than one cell or than n points
-        assert not any(sweep_fits(full(4), n) for n in (-1, 0, 5))
+    def test_z12_sweeps_at_three_cells(self):
+        # S(12, 3) = 86,526 partitions, past the 2047 of 2 cells
+        z12 = semigroup_from_spec("cyclic:12")
+        rec = sweep_partitions(z12, trivial_filter(z12), 3, "quotient")
+        assert rec.partitions_checked == stirling2(12, 3) == 86526
+        assert rec.worst_min_F == rec.proved_bound == 3
 
     def test_sweep_is_deterministic(self, z6):
         tau = make_principal(z6, mask_of([0, 2, 4]))
@@ -722,9 +710,7 @@ class TestCoverDecision:
                 if not is_subgroup(S, base):
                     continue
                 tau, m = make_principal(S, base), popcount(base)
-                for n in (2, 3):
-                    if not sweep_fits(base, n):
-                        continue
+                for n in range(2, min(m, 3) + 1):
                     rec = sweep_partitions(S, tau, n, "translate")
                     for w in range(1, m + 1):
                         want = bool(rec.infeasible_partitions) or rec.worst_min_F > w
@@ -732,7 +718,7 @@ class TestCoverDecision:
                             S.name, elements(base), n, w,
                         )
                         cases += 1
-        assert cases == 306
+        assert cases == 348
 
     def test_the_decision_matches_the_frozenset_oracle(self):
         cases = 0
@@ -751,12 +737,15 @@ class TestCoverDecision:
         assert cases == 1033
 
     def test_z11_at_six_cells_needs_four(self):
-        # below the proved bound finite_cover_bound(11, 6) = 5, and past the
-        # sweep's partition limit for 6 cells
+        # below the proved bound finite_cover_bound(11, 6) = 5, as the sweep
+        # of all S(11, 6) = 179,487 partitions finds
         z11 = semigroup_from_spec("cyclic:11")
         tau = trivial_filter(z11)
         exceeds = [cover_exceeds(z11, tau, 6, w) for w in range(1, 12)]
         assert exceeds == [True] * 3 + [False] * 8
+        rec = sweep_partitions(z11, tau, 6, "quotient")
+        assert (rec.partitions_checked, rec.worst_min_F) == (179487, 4)
+        assert rec.proved_bound == finite_cover_bound(11, 6) == 5
 
     def test_a_pool_without_the_cover_and_a_small_base(self, null3, z4):
         # in null:3 every product is 0, outside the base {1, 2}: no cell has

@@ -749,6 +749,16 @@ def test_a_parallel_hunt_stops_at_its_finding(fake_pool):
     assert pool.tasks == 4 < len(catalog) == 143
 
 
+def test_a_parallel_pass_without_instances_starts_no_pool(fake_pool):
+    # neither semigroup has a base, so there is nothing for a worker to decide
+    catalog = [entry_for(semigroup_from_spec(spec), bases=())
+               for spec in ("cyclic:4", "cyclic:6")]
+    serial, parallel = (verify("T2_1", catalog, cfg=VerifyConfig(workers=w))
+                        for w in (1, 2))
+    assert parallel.to_json_dict() == serial.to_json_dict()
+    assert serial.instances_checked == 0 and fake_pool == []
+
+
 @pytest.mark.parametrize("label, classes", [("order<=3", 160), ("default", 696)])
 def test_a_parallel_pass_decides_the_serial_instances(
     monkeypatch, fake_pool, label, classes
